@@ -9,6 +9,7 @@ Euler velocity field and densities along the characteristics.
 from .errors import (
     BlowUp,
     DimensionMismatch,
+    EvaluationError,
     ExpressionError,
     HypothesisViolated,
     InternalInconsistency,

@@ -19,6 +19,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import field as field_mod
 from . import quadrature, regularity, simulator
 from .errors import (
@@ -359,7 +361,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     config = _config(args)
     try:
-        return _COMMANDS[config.command](config)
+        # inf and nan are data here; expressions and arrays alike run with
+        # numpy's floating-point warnings off for the whole command
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _COMMANDS[config.command](config)
     except ExpressionError as exc:
         print(f"error: expression parse failure at line {exc.line}, "
               f"column {exc.column}: {exc}", file=sys.stderr)

@@ -31,6 +31,19 @@ class ExpressionError(RegularFlowError):
         self.column = column
 
 
+class EvaluationError(RegularFlowError):
+    """A scenario expression has no real value at a scalar argument:
+    division by zero, overflow, or a fractional power of a negative number.
+
+    ``text`` is the expression, ``argument`` the point it was called at.
+    """
+
+    def __init__(self, message, text=None, argument=None):
+        super().__init__(message)
+        self.text = text
+        self.argument = argument
+
+
 class ScenarioFormatError(RegularFlowError):
     """A scenario file is malformed (bad JSON, unknown keys, wrong types)."""
 

@@ -10,14 +10,15 @@ Grammar (conventional precedence, ``^`` binds tightest and associates right):
 
 Functions: sin, cos, exp, log, sqrt, atan.  The single free variable may be
 written ``x``, ``y`` or ``r``; all three names bind the same argument.  Parse
-and evaluation errors carry 1-based line/column positions.
+errors carry 1-based line/column positions; a scalar argument at which the
+expression has no real value raises ``EvaluationError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ExpressionError
+from .errors import EvaluationError, ExpressionError
 
 FUNCTIONS = {
     "sin": np.sin,
@@ -101,9 +102,20 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent over the tokens, emitting Python source.
+
+    Python's own precedence and associativity for ``+ - * / **`` and unary
+    minus match the grammar, so each rule emits its operands and operators
+    in order and the parenthesised atoms the text already has.  The source
+    holds only the argument ``t``, the names ``_c<i>`` of number literals
+    (bound as values: ``repr(1e999)`` would read back as the name ``inf``)
+    and the names in ``FUNCTIONS``; nothing of the scenario text reaches it.
+    """
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.constants = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -120,70 +132,57 @@ class _Parser:
             raise ExpressionError(f"expected {kind!r}, found {shown}", tok.line, tok.column)
         return self.advance()
 
-    # Each node is a closure taking the scalar (or ndarray) argument.
     def parse_expr(self):
-        node = self.parse_term()
+        src = self.parse_term()
         while self.peek().kind in "+-":
             op = self.advance().kind
-            rhs = self.parse_term()
-            lhs = node
-            if op == "+":
-                node = lambda t, a=lhs, b=rhs: a(t) + b(t)
-            else:
-                node = lambda t, a=lhs, b=rhs: a(t) - b(t)
-        return node
+            src = f"{src} {op} {self.parse_term()}"
+        return src
 
     def parse_term(self):
-        node = self.parse_unary()
+        src = self.parse_unary()
         while self.peek().kind in "*/":
             op = self.advance().kind
-            rhs = self.parse_unary()
-            lhs = node
-            if op == "*":
-                node = lambda t, a=lhs, b=rhs: a(t) * b(t)
-            else:
-                node = lambda t, a=lhs, b=rhs: a(t) / b(t)
-        return node
+            src = f"{src} {op} {self.parse_unary()}"
+        return src
 
     def parse_unary(self):
         sign = 1.0
         while self.peek().kind in "+-":
             if self.advance().kind == "-":
                 sign = -sign
-        node = self.parse_power()
-        if sign < 0:
-            inner = node
-            node = lambda t, a=inner: -a(t)
-        return node
+        src = self.parse_power()
+        return "-" + src if sign < 0 else src
 
     def parse_power(self):
         base = self.parse_atom()
         if self.peek().kind == "^":
             self.advance()
-            expo = self.parse_unary()
-            return lambda t, a=base, b=expo: a(t) ** b(t)
+            return f"{base} ** {self.parse_unary()}"
         return base
 
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return lambda t, v=tok.value: v
+            name = f"_c{len(self.constants)}"
+            self.constants[name] = tok.value
+            return name
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            src = self.parse_expr()
             self.expect(")")
-            return node
+            return f"({src})"
         if tok.kind == "name":
             self.advance()
             name = tok.value
             if name in VARIABLES:
-                return lambda t: t
+                return "t"
             if name in FUNCTIONS:
                 self.expect("(")
                 arg = self.parse_expr()
                 self.expect(")")
-                return lambda t, f=FUNCTIONS[name], a=arg: f(a(t))
+                return f"{name}({arg})"
             raise ExpressionError(
                 f"unknown name {name!r} (variables: x, y, r; functions: "
                 + ", ".join(sorted(FUNCTIONS)) + ")",
@@ -193,26 +192,63 @@ class _Parser:
         raise ExpressionError(f"expected a value, found {shown}", tok.line, tok.column)
 
 
+def _compile(src, constants):
+    """One Python function ``t -> value`` for the emitted source."""
+    namespace = {"__builtins__": {}, **FUNCTIONS, **constants}
+    try:
+        code = compile(f"def _expression(t):\n    return {src}\n",
+                       "<expression>", "exec")
+    except (SyntaxError, RecursionError, MemoryError):
+        raise ExpressionError("expression is nested too deeply") from None
+    exec(code, namespace)
+    return namespace["_expression"]
+
+
 class Expression:
-    """A compiled expression: callable on floats and numpy arrays."""
+    """A compiled expression: callable on floats and numpy arrays.
+
+    Scalars run the compiled function as is, so arithmetic stays in Python
+    floats until a numpy function is applied; division by zero, overflow
+    and a complex power of a negative base raise ``EvaluationError``.
+    Arrays run under ``np.errstate`` with floating-point warnings off and
+    give inf or nan there instead.
+    """
 
     def __init__(self, text):
         tokens = _tokenize(text)
         parser = _Parser(tokens)
-        self._fn = parser.parse_expr()
+        try:
+            src = parser.parse_expr()
+        except RecursionError:
+            raise ExpressionError("expression is nested too deeply") from None
         tail = parser.peek()
         if tail.kind != "end":
             raise ExpressionError(
                 f"unexpected trailing input {tail.value!r}", tail.line, tail.column
             )
+        self._fn = _compile(src, parser.constants)
         self.text = text
 
     def __call__(self, t):
+        if isinstance(t, float) or np.isscalar(t):
+            try:
+                return float(self._fn(t))
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise self._evaluation_error(t, exc) from None
+            except TypeError:
+                # float() refuses the complex number that a negative base
+                # to a fractional power gives
+                if not isinstance(self._fn(t), complex):
+                    raise
+                raise self._evaluation_error(t, "complex result") from None
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = self._fn(t)
-        if np.isscalar(t) or isinstance(t, float):
-            return float(out)
         return np.asarray(out, dtype=float)
+
+    def _evaluation_error(self, t, why):
+        return EvaluationError(
+            f"expression {self.text!r} cannot be evaluated at {t!r}: {why}",
+            text=self.text, argument=t)
 
     def __repr__(self):
         return f"Expression({self.text!r})"

@@ -49,6 +49,11 @@ def _adaptive(fn, a, b, epsabs, epsrel):
             fn, a, b, epsabs=epsabs * 10, epsrel=epsrel * 10, limit=500, full_output=1
         )
         if rest2:
+            # a panel a few ulps wide defeats QUADPACK's roundoff test; take
+            # the midpoint rule there, with the whole value as its error
+            if abs(b - a) <= 1e-12 * max(1.0, abs(a), abs(b)):
+                val = fn(0.5 * (a + b)) * (b - a)
+                return float(val), abs(float(val))
             raise QuadratureFailure(
                 f"adaptive quadrature failed on [{a:.6g}, {b:.6g}]: {rest2[0]}"
             )

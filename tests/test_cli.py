@@ -112,6 +112,20 @@ def test_check_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_scalar_division_by_zero_is_a_data_error(tmp_path, capsys):
+    # the margin search evaluates v at x = 0.5 itself; that must read as a
+    # data error (3), not as the exit code of a found collision (1)
+    payload = {"domain": {"kind": "box", "lower": [0.0], "upper": [1.0]},
+               "force": {"kind": "smooth1d", "f": "1/(2 + y*y)"},
+               "velocity": "1/(x - 0.5)^2", "horizon": 6.0}
+    p = _write_json(tmp_path, "pole.json", payload)
+    code = main(["validate", "--scenario", p, "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "'1/(x - 0.5)^2'" in err and "0.5" in err
+    assert "division by zero" in err
+
+
 #############################################################
 # simulate
 #############################################################
@@ -205,6 +219,21 @@ def test_field_artifacts(tmp_path):
     info = tmp_path / "field.txt"
     assert float(_grab(info, "mass_initial")) == pytest.approx(1.0, abs=1e-9)
     assert float(_grab(info, "mass_final")) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name,extra", [
+    ("smooth_regular", []),
+    ("smooth_collide", ["--horizon", "1.45"]),
+])
+def test_field_on_smooth_bundled_scenarios(tmp_path, name, extra):
+    # the dense flow's energy check integrates the potential over a panel
+    # 4e-13 wide here, narrower than QUADPACK can resolve
+    code = main(["field", "--scenario", scenario_path(name),
+                 "--out", str(tmp_path)] + extra)
+    assert code == 0
+    info = tmp_path / "field.txt"
+    mass0 = float(_grab(info, "mass_initial"))
+    assert float(_grab(info, "mass_final")) == pytest.approx(mass0, rel=1e-6)
 
 
 def test_field_requires_finite_horizon(tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Expression language: evaluation against the math module, error positions."""
 
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regularflow.errors import ExpressionError
-from regularflow.expressions import parse_expression
+from regularflow.errors import EvaluationError, ExpressionError
+from regularflow.expressions import (
+    FUNCTIONS, VARIABLES, _tokenize, parse_expression)
 
 
 @pytest.mark.parametrize("text,arg,expected", [
@@ -87,3 +92,192 @@ def test_no_attribute_or_call_surface():
     for text in ("__import__(x)", "x.__class__", "x[0]"):
         with pytest.raises(ExpressionError):
             parse_expression(text)
+
+
+#############################################################
+# Compiled evaluator against a tree-walking reference
+#############################################################
+
+
+def _reference(text):
+    """Closure-per-node evaluator over the same grammar: the semantics the
+    compiled function must reproduce bit for bit."""
+    tokens = _tokenize(text)
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]].kind
+
+    def take():
+        pos[0] += 1
+        return tokens[pos[0] - 1]
+
+    def expr():
+        node = term()
+        while peek() in "+-":
+            op, lhs, rhs = take().kind, node, term()
+            node = (lambda t, a=lhs, b=rhs: a(t) + b(t)) if op == "+" else \
+                (lambda t, a=lhs, b=rhs: a(t) - b(t))
+        return node
+
+    def term():
+        node = unary()
+        while peek() in "*/":
+            op, lhs, rhs = take().kind, node, unary()
+            node = (lambda t, a=lhs, b=rhs: a(t) * b(t)) if op == "*" else \
+                (lambda t, a=lhs, b=rhs: a(t) / b(t))
+        return node
+
+    def unary():
+        negative = False
+        while peek() in "+-":
+            negative ^= take().kind == "-"
+        node = power()
+        return (lambda t, a=node: -a(t)) if negative else node
+
+    def power():
+        base = atom()
+        if peek() == "^":
+            take()
+            expo = unary()
+            return lambda t, a=base, b=expo: a(t) ** b(t)
+        return base
+
+    def atom():
+        tok = take()
+        if tok.kind == "number":
+            return lambda t, v=tok.value: v
+        if tok.kind == "(":
+            node = expr()
+            take()
+            return node
+        if tok.value in FUNCTIONS:
+            take()
+            arg = expr()
+            take()
+            return lambda t, f=FUNCTIONS[tok.value], a=arg: f(a(t))
+        return lambda t: t
+
+    fn = expr()
+    assert peek() == "end"
+    return fn
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _outcome(fn, arg):
+    """Bits of float(fn(arg)), or "raises" for the failures a scalar call
+    turns into EvaluationError."""
+    try:
+        with np.errstate(all="ignore"):
+            return _bits(float(fn(arg)))
+    except (ZeroDivisionError, OverflowError, TypeError, EvaluationError):
+        return "raises"
+
+
+_numbers = st.one_of(
+    st.integers(min_value=0, max_value=1000).map(str),
+    st.floats(min_value=0.0, max_value=1e6).map(repr),
+    st.sampled_from(["1e999", "1e-320", "0.5", "2E2", "1e-3", "0"]),
+)
+_leaves = st.one_of(_numbers, st.sampled_from(VARIABLES))
+
+
+def _grow(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/^"), children).map(" ".join),
+        st.tuples(st.sampled_from(["-", "+", "--"]), children).map("".join),
+        children.map(lambda e: f"({e})"),
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), children).map(
+            lambda p: f"{p[0]}({p[1]})"),
+    )
+
+
+_expressions = st.recursive(_leaves, _grow, max_leaves=12)
+_arguments = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([0.0, -0.0, 0.5, -2.0, 1.0]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_expressions, arg=_arguments, numpy_scalar=st.booleans())
+def test_compiled_matches_reference_bit_for_bit(text, arg, numpy_scalar):
+    if numpy_scalar:
+        arg = np.float64(arg)
+    assert _outcome(parse_expression(text), arg) == \
+        _outcome(_reference(text), arg)
+
+
+@pytest.mark.parametrize("text,arg,expected", [
+    ("1e999", 0.0, math.inf),           # a literal that overflows to inf
+    ("-1e999 + x", 1.0, -math.inf),
+    ("--x", -0.0, -0.0),                # double minus is no negation at all
+    ("2^3^2", 0.0, 512.0),
+    ("-x^2", -3.0, -9.0),
+    ("2^-x", 2.0, 0.25),
+    ("x^0.5", 4.0, 2.0),
+])
+def test_edge_cases_match_reference(text, arg, expected):
+    assert _bits(parse_expression(text)(arg)) == _bits(expected)
+    assert _outcome(_reference(text), arg) == _bits(expected)
+
+
+def test_fractional_power_of_negative_number_is_an_evaluation_error():
+    fn = parse_expression("x^0.5")
+    with pytest.raises(EvaluationError, match="complex"):
+        fn(-2.0)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(fn(np.array([-2.0]))[0])
+
+
+@pytest.mark.parametrize("text,arg", [
+    ("1/(x - 0.5)^2", 0.5),
+    ("(1 + x)/(x - 2)", 2.0),
+    ("10^(400*x)", 1.0),
+])
+def test_scalar_division_by_zero_and_overflow_name_text_and_argument(text, arg):
+    with pytest.raises(EvaluationError) as exc:
+        parse_expression(text)(arg)
+    assert exc.value.text == text and exc.value.argument == arg
+    assert text in str(exc.value) and repr(arg) in str(exc.value)
+    assert not isinstance(exc.value, ExpressionError)
+
+
+def test_array_call_silences_floating_point_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = parse_expression("1/(x - 0.5)^2 + log(x)")(np.array([0.5, 0.0]))
+    assert out.tolist() == [math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("text", [
+    " + ".join(["x"] * 20000),          # too long for the Python compiler
+    "(" * 300 + "x" + ")" * 300,        # too deep for the recursive parser
+])
+def test_too_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        parse_expression(text)
+    assert parse_expression(" + ".join(["x"] * 500))(1.0) == 500.0
+
+
+@pytest.mark.parametrize("text", [
+    "-atan(x)", "-x", "1/r", "1/(2 + y*y)", "1 - x/2", "1 + x",
+    "1/(x - 0.5)^2", "x^0.5", "sqrt(x) * exp(-x^2) + log(x)",
+    "cos(3*x)^3 - sin(x/7)", "2^x^0.5 / (1 + x^2)",
+])
+def test_scalar_and_array_calls_agree(text):
+    fn = parse_expression(text)
+    xs = np.linspace(-3.0, 3.0, 601)
+    arr = fn(xs)
+    for x, a in zip(xs, arr):
+        try:
+            with np.errstate(all="ignore"):
+                s = fn(float(x))
+        except EvaluationError:
+            continue
+        if math.isfinite(s) and math.isfinite(a):
+            assert s == pytest.approx(a, rel=1e-13, abs=1e-300)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from regularflow.errors import SingularBoundary, TurningPoint
+from regularflow import quadrature
+from regularflow.errors import QuadratureFailure, SingularBoundary, TurningPoint
 from regularflow.expressions import parse_expression
 from regularflow.quadrature import (
     dT_dx,
@@ -233,3 +234,19 @@ def test_variable_mass_flips_the_naive_sign():
     weighted = dT_dx_weighted(profile, x, y, v=zero, dv=zero, m=m, dm=dm,
                               f=force.f, df=zero)
     assert parts < 0.0 < weighted
+
+
+def test_roundoff_width_panel_falls_back_to_the_midpoint_rule(monkeypatch):
+    # QUADPACK reports failure (a fourth return value) on every panel; only
+    # a panel within 1e-12 relative of zero width gets the midpoint value
+    def failing_quad(fn, a, b, **kwargs):
+        return 0.0, 1.0, {}, "roundoff error is detected"
+
+    monkeypatch.setattr(quadrature, "_scipy_quad", failing_quad)
+    a = 10.4788
+    b = a + 4e-13
+    val, err = quadrature._adaptive(lambda z: 2.0 * z, a, b, 1e-14, 1e-12)
+    assert val == (a + b) * (b - a)
+    assert err == abs(val)
+    with pytest.raises(QuadratureFailure):
+        quadrature._adaptive(lambda z: 2.0 * z, a, a + 1e-9, 1e-14, 1e-12)
