@@ -366,8 +366,8 @@ def main(argv=None):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return _COMMANDS[config.command](config)
     except ExpressionError as exc:
-        print(f"error: expression parse failure at line {exc.line}, "
-              f"column {exc.column}: {exc}", file=sys.stderr)
+        # the message already starts with "line L, column C: "
+        print(f"error: expression parse failure at {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ScenarioFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

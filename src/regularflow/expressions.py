@@ -16,6 +16,8 @@ expression has no real value raises ``EvaluationError``.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import EvaluationError, ExpressionError
@@ -106,10 +108,12 @@ class _Parser:
 
     Python's own precedence and associativity for ``+ - * / **`` and unary
     minus match the grammar, so each rule emits its operands and operators
-    in order and the parenthesised atoms the text already has.  The source
-    holds only the argument ``t``, the names ``_c<i>`` of number literals
-    (bound as values: ``repr(1e999)`` would read back as the name ``inf``)
-    and the names in ``FUNCTIONS``; nothing of the scenario text reaches it.
+    in order and the parenthesised atoms the text already has; ``^``
+    becomes a call of ``_pow``, bound per argument kind in ``_compile``.
+    The source holds only the argument ``t``, the names ``_c<i>`` of number
+    literals (bound as values: ``repr(1e999)`` would read back as the name
+    ``inf``), ``_pow`` and the names in ``FUNCTIONS``; nothing of the
+    scenario text reaches it.
     """
 
     def __init__(self, tokens):
@@ -158,7 +162,7 @@ class _Parser:
         base = self.parse_atom()
         if self.peek().kind == "^":
             self.advance()
-            return f"{base} ** {self.parse_unary()}"
+            return f"_pow({base}, {self.parse_unary()})"
         return base
 
     def parse_atom(self):
@@ -192,16 +196,36 @@ class _Parser:
         raise ExpressionError(f"expected a value, found {shown}", tok.line, tok.column)
 
 
+class _ComplexPower(ArithmeticError):
+    """A negative base to a fractional power: a complex number."""
+
+
+def _real_power(base, exponent):
+    out = base ** exponent
+    if isinstance(out, complex):
+        raise _ComplexPower
+    return out
+
+
 def _compile(src, constants):
-    """One Python function ``t -> value`` for the emitted source."""
-    namespace = {"__builtins__": {}, **FUNCTIONS, **constants}
+    """Functions ``t -> value`` for the emitted source: one for scalars,
+    whose ``^`` refuses a complex power, and one for arrays, whose ``^`` is
+    numpy's and gives nan there.  Both are the same function when the text
+    has no ``^``."""
     try:
         code = compile(f"def _expression(t):\n    return {src}\n",
                        "<expression>", "exec")
     except (SyntaxError, RecursionError, MemoryError):
         raise ExpressionError("expression is nested too deeply") from None
-    exec(code, namespace)
-    return namespace["_expression"]
+
+    def bind(power):
+        namespace = {"__builtins__": {}, **FUNCTIONS, **constants,
+                     "_pow": power}
+        exec(code, namespace)
+        return namespace["_expression"]
+
+    scalar_fn = bind(_real_power)
+    return scalar_fn, bind(operator.pow) if "_pow" in src else scalar_fn
 
 
 class Expression:
@@ -209,9 +233,9 @@ class Expression:
 
     Scalars run the compiled function as is, so arithmetic stays in Python
     floats until a numpy function is applied; division by zero, overflow
-    and a complex power of a negative base raise ``EvaluationError``.
-    Arrays run under ``np.errstate`` with floating-point warnings off and
-    give inf or nan there instead.
+    and a complex power of a negative base, wherever in the expression it
+    occurs, raise ``EvaluationError``.  Arrays run under ``np.errstate``
+    with floating-point warnings off and give inf or nan there instead.
     """
 
     def __init__(self, text):
@@ -226,24 +250,28 @@ class Expression:
             raise ExpressionError(
                 f"unexpected trailing input {tail.value!r}", tail.line, tail.column
             )
-        self._fn = _compile(src, parser.constants)
+        self._fn, self._array_fn = _compile(src, parser.constants)
         self.text = text
 
     def __call__(self, t):
         if isinstance(t, float) or np.isscalar(t):
             try:
                 return float(self._fn(t))
+            except _ComplexPower:
+                raise self._evaluation_error(t, "complex result") from None
             except (ZeroDivisionError, OverflowError) as exc:
                 raise self._evaluation_error(t, exc) from None
-            except TypeError:
-                # float() refuses the complex number that a negative base
-                # to a fractional power gives
-                if not isinstance(self._fn(t), complex):
-                    raise
-                raise self._evaluation_error(t, "complex result") from None
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = self._fn(t)
+            out = self._array_fn(t)
         return np.asarray(out, dtype=float)
+
+    @property
+    def arrays_match_scalars(self):
+        """Whether an array call gives, point by point, the bits of scalar
+        calls wherever those are finite.  numpy's functions and arithmetic
+        do; its ``^`` does not (it takes ``x^0.5`` as a square root and has
+        its own ``pow``), so this is False when the text has a ``^``."""
+        return self._array_fn is self._fn
 
     def _evaluation_error(self, t, why):
         return EvaluationError(

@@ -28,9 +28,11 @@ from . import quadrature, simulator
 from .errors import (
     HypothesisViolated,
     InvalidParameter,
+    NeverReaches,
     NotRegular,
     OutOfImage,
 )
+from .expressions import Expression
 from .regularity import (
     COLLISION,
     EQUALITY_BAND,
@@ -41,6 +43,7 @@ from .regularity import (
 )
 from .scenario import (
     EULER_GLOBAL,
+    Constant,
     OneGap,
     Smooth1D,
     TwoGap,
@@ -61,6 +64,64 @@ def _scalar_force(force):
         return float(np.asarray(force(y), dtype=float).reshape(-1)[0])
 
     return f
+
+
+def _on_labels(fn, xs):
+    """A 1D profile at every label of the array xs, with the bits of one
+    scalar call per label.
+
+    A Constant, and an Expression whose array calls match its scalar calls,
+    answer the whole array in one call (a constant once, broadcast); any
+    other callable is called per label.  Where the array answer is not
+    finite the profile is called again per label, so an expression raises
+    EvaluationError wherever its scalar call would.
+    """
+    if not (isinstance(fn, Constant)
+            or (isinstance(fn, Expression) and fn.arrays_match_scalars)):
+        return np.array([float(fn(float(x))) for x in xs.ravel()]).reshape(
+            xs.shape)
+    out = np.asarray(fn(xs), dtype=float)
+    if out.shape != xs.shape:
+        out = np.full(xs.shape, out)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        for x in xs[bad]:
+            fn(float(x))
+    return out
+
+
+def _gap_states(force, t, x0, v0, m):
+    """(y, v) at time t on the exact arcs of a gap force, for arrays of
+    labels, initial velocities and masses.
+
+    The arcs are those of ``simulator._gap_segments``, computed with the
+    same operations in the same order, so each element has the bits of
+    ``propagate_piecewise_1d(...).position(t)`` and ``.velocity(t)``.
+    """
+    a1 = force.f1 / m
+    a2 = force.f2 / m
+    d = v0 * v0 + 2.0 * a1 * (force.a - x0)
+    if np.any(d < 0.0):
+        raise NeverReaches("particle never reaches the first force step")
+    v_a = np.sqrt(d)
+    arcs = [(0.0, x0, v0, a1), ((-v0 + v_a) / a1, force.a, v_a, a2)]
+    if isinstance(force, TwoGap):
+        d2 = v_a * v_a + 2.0 * a2 * (force.b - force.a)
+        if np.any(d2 < 0.0):
+            raise NeverReaches("particle never reaches the second force step")
+        v_b = np.sqrt(d2)
+        arcs.append((arcs[1][0] + (-v_a + v_b) / a2, force.b, v_b,
+                     force.f3 / m))
+    # the last arc that has started by t, as Parabolic1D picks it
+    t0, y0, w0, acc = arcs[0]
+    for start, y_k, w_k, acc_k in arcs[1:]:
+        on = t >= start
+        t0 = np.where(on, start, t0)
+        y0 = np.where(on, y_k, y0)
+        w0 = np.where(on, w_k, w0)
+        acc = np.where(on, acc_k, acc)
+    s = t - t0
+    return y0 + w0 * s + 0.5 * acc * s * s, w0 + acc * s
 
 
 @dataclass
@@ -98,11 +159,11 @@ class BoundaryTrack:
 class FlowMap:
     """Queryable 1D flow (t, x) -> (y, v) with regularity gating.
 
-    Gap and constant forces evaluate in closed form; smooth forces combine a
-    dense cached ensemble (for vectorized grid queries, Jacobians and
-    bracketing) with per-label high-accuracy integrations for bisection
-    probes.  ``ensure_regular`` refuses times at or past the first collision
-    detected on [0, horizon].
+    Gap and constant forces evaluate in closed form, a whole array of
+    labels per call; smooth forces combine a dense cached ensemble (for
+    vectorized grid queries, Jacobians and bracketing) with per-label
+    high-accuracy integrations for bisection probes.  ``ensure_regular``
+    refuses times at or past the first collision detected on [0, horizon].
     """
 
     def __init__(self, scenario, horizon, cache_nodes=_CACHE_NODES):
@@ -122,7 +183,6 @@ class FlowMap:
         else:
             self.const = simulator._constant_force_value(scenario, horizon)
             self.mode = "const" if self.const is not None else "numeric"
-        self._gap_cache = {}
         self._ivp_cache = {}
         self._dense = None
         self._t_cache = {}
@@ -154,29 +214,28 @@ class FlowMap:
 
     # -- pointwise states ---------------------------------------------------
 
-    def state(self, t, x):
+    def states(self, t, xs):
+        """(y, v) at time t of the particles labelled xs, arrays shaped as
+        xs: closed form for gap and constant forces, one cached dense
+        integration per label for smooth ones."""
         t = float(t)
-        x = float(x)
-        if self.mode == "gap":
-            traj = self._gap_cache.get(x)
-            if traj is None:
-                traj = simulator.propagate_piecewise_1d(self.scenario, x)
-                if len(self._gap_cache) > 200000:
-                    self._gap_cache.clear()
-                self._gap_cache[x] = traj
-            return traj.position(t), traj.velocity(t)
+        xs = np.asarray(xs, dtype=float)
+        if self.mode == "numeric":
+            ys = np.empty(xs.shape)
+            vs = np.empty(xs.shape)
+            for i, x in np.ndenumerate(xs):
+                ys[i], vs[i] = self._single_flow(float(x))(t)
+            return ys, vs
+        init = self.scenario.init
+        v0 = _on_labels(init.velocity, xs)
+        m = _on_labels(init.mass, xs)
         if self.mode == "const":
-            v0 = float(self.scenario.init.velocity(x))
-            m = float(self.scenario.init.mass(x))
             a = self.const / m
-            return x + v0 * t + 0.5 * a * t * t, v0 + a * t
-        sol = self._ivp_cache.get(x)
-        if sol is None:
-            sol = self._integrate_single(x)
-            if len(self._ivp_cache) > 20000:
-                self._ivp_cache.clear()
-            self._ivp_cache[x] = sol
-        y, v = sol(t)
+            return xs + v0 * t + 0.5 * a * t * t, v0 + a * t
+        return _gap_states(self.scenario.force, t, xs, v0, m)
+
+    def state(self, t, x):
+        y, v = self.states(t, float(x))
         return float(y), float(v)
 
     def position(self, t, x):
@@ -186,7 +245,17 @@ class FlowMap:
         return self.state(t, x)[1]
 
     def boundaries(self, t):
-        return self.position(t, self.x_lo), self.position(t, self.x_hi)
+        ys, _ = self.states(t, (self.x_lo, self.x_hi))
+        return float(ys[0]), float(ys[1])
+
+    def _single_flow(self, x):
+        sol = self._ivp_cache.get(x)
+        if sol is None:
+            sol = self._integrate_single(x)
+            if len(self._ivp_cache) > 20000:
+                self._ivp_cache.clear()
+            self._ivp_cache[x] = sol
+        return sol
 
     def _integrate_single(self, x):
         force = self.scenario.force
@@ -230,37 +299,40 @@ class FlowMap:
         return hit
 
     def jacobian(self, t, x, step=None):
-        """dy/dx at fixed t, by the cached spline for smooth forces and by a
-        narrow central difference of the closed form otherwise."""
+        """dy/dx at fixed t for a label or an array of labels, by the cached
+        spline for smooth forces and by a narrow central difference of the
+        closed form otherwise."""
+        x = np.asarray(x, dtype=float)
         if self.mode == "numeric":
             spl_y, _ = self._splines(t)
-            return float(spl_y(float(x), 1))
-        h = step or max(1e-6 * (self.x_hi - self.x_lo), 1e-9)
-        xc = min(max(float(x), self.x_lo + h), self.x_hi - h)
-        return (self.position(t, xc + h) - self.position(t, xc - h)) / (2.0 * h)
+            jac = spl_y(x, 1)
+        else:
+            h = step or max(1e-6 * (self.x_hi - self.x_lo), 1e-9)
+            xc = np.minimum(np.maximum(x, self.x_lo + h), self.x_hi - h)
+            jac = (self.states(t, xc + h)[0]
+                   - self.states(t, xc - h)[0]) / (2.0 * h)
+        return float(jac) if jac.ndim == 0 else jac
 
     def grid_states(self, t, xs):
-        """Vectorized (y, v) over an array of labels at one time."""
+        """Vectorized (y, v) over an array of labels at one time; smooth
+        forces answer from the per-time splines of the dense cache."""
         if self.mode == "numeric":
             spl_y, spl_v = self._splines(t)
             return spl_y(xs), spl_v(xs)
-        out_y = np.empty(len(xs))
-        out_v = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            out_y[i], out_v[i] = self.state(t, float(x))
-        return out_y, out_v
+        return self.states(t, xs)
 
-    def bracket(self, t, y):
-        """Label interval bracketing the preimage of y at time t; widened by
-        one cache node each side to absorb integration-accuracy mismatch."""
+    def bracket(self, t, ys):
+        """Label intervals (lo, hi), one per image point of the array ys at
+        time t; for smooth forces widened by one cache node each side to
+        absorb integration-accuracy mismatch, else the whole domain."""
         if self.mode == "numeric":
             dense = self._dense_flow()
-            ys, _ = dense.states(t)
-            k = int(np.searchsorted(ys, y))
-            lo = max(k - 2, 0)
-            hi = min(k + 1, len(ys) - 1)
-            return float(dense.xs[lo]), float(dense.xs[hi])
-        return self.x_lo, self.x_hi
+            dense_ys, _ = dense.states(t)
+            k = np.searchsorted(dense_ys, ys)
+            lo = np.maximum(k - 2, 0)
+            hi = np.minimum(k + 1, len(dense_ys) - 1)
+            return dense.xs[lo], dense.xs[hi]
+        return np.full(ys.shape, self.x_lo), np.full(ys.shape, self.x_hi)
 
 
 def _flow_for(scenario, t, flow):
@@ -281,43 +353,88 @@ def invert_flow_1d(scenario, t, y, flow=None, tol=INVERT_TOL):
     t = float(t)
     y = float(y)
     flow = _flow_for(scenario, t, flow)
+    return float(_labels_in_image(flow, t, np.array([y]), tol)[0])
+
+
+def _labels_in_image(flow, t, ys, tol=INVERT_TOL):
+    """Labels of the image points ys at time t, gated and refused as
+    invert_flow_1d gates and refuses one point; OutOfImage names the first
+    point outside the image."""
     if t > 0.0:
         flow.ensure_regular(t)
+    xs = _invert(flow, t, ys, tol)
+    outside = np.flatnonzero(np.isnan(xs))
+    if outside.size:
+        L, R = flow.boundaries(t)
+        raise OutOfImage(f"y = {float(ys[outside[0]])} is outside the image "
+                         f"[{L}, {R}] at t = {t}")
+    return xs
+
+
+def _invert(flow, t, ys, tol=INVERT_TOL):
+    """Labels of an array of image points ys at time t, nan where a point
+    lies outside [L(t), R(t)] by more than a relative 1e-9.
+
+    Raises NotRegular when some point is inside and the material endpoints
+    have crossed, or its bracket is not increasing.  A point at or past an
+    end of its bracket gets that end; smooth forces try the polished spline
+    root; every other point is bisected.
+    """
     L, R = flow.boundaries(t)
     slack = 1e-9 * max(1.0, R - L)
-    if y < L - slack or y > R + slack:
-        raise OutOfImage(
-            f"y = {y} is outside the image [{L}, {R}] at t = {t}")
+    xs = np.full(ys.shape, math.nan)
+    inside = np.flatnonzero(~((ys < L - slack) | (ys > R + slack)))
+    if not inside.size:
+        return xs
     if R < L - slack:
         raise NotRegular("the material endpoints have crossed")
-    y = min(max(y, L), R)
+    y = np.minimum(np.maximum(ys[inside], L), R)
     lo, hi = flow.bracket(t, y)
-    y_lo = flow.position(t, lo)
-    y_hi = flow.position(t, hi)
-    if y_lo > y_hi + slack:
-        raise NotRegular(
-            f"flow is not increasing across [{lo}, {hi}] at t = {t}")
-    if y <= y_lo:
-        return lo
-    if y >= y_hi:
-        return hi
-    x_hat = _polished_spline_root(flow, t, y, lo, hi)
-    if x_hat is not None:
-        return x_hat
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if flow.position(t, mid) < y:
-            lo = mid
-        else:
-            hi = mid
+    y_lo, _ = flow.states(t, lo)
+    y_hi, _ = flow.states(t, hi)
+    folded = np.flatnonzero(y_lo > y_hi + slack)
+    if folded.size:
+        k = folded[0]
+        raise NotRegular(f"flow is not increasing across "
+                         f"[{float(lo[k])}, {float(hi[k])}] at t = {t}")
+    x = np.where(y <= y_lo, lo, np.where(y >= y_hi, hi, math.nan))
+    todo = np.isnan(x)
+    if flow.mode == "numeric":
+        for k in np.flatnonzero(todo):
+            x_hat = _polished_spline_root(flow, t, float(y[k]),
+                                          float(lo[k]), float(hi[k]))
+            if x_hat is not None:
+                x[k] = x_hat
+                todo[k] = False
+    x[todo] = _bisect(lambda mid: flow.states(t, mid)[0], y[todo], lo[todo],
+                      hi[todo], tol)
+    xs[inside] = x
+    return xs
+
+
+def _bisect(position, y, lo, hi, tol):
+    """Solve position(x) = y for an increasing position, one bracket
+    [lo, hi] per element of y.
+
+    Each element takes the midpoints of a scalar bisection of its own
+    bracket and stops once the bracket is no wider than tol; the answer is
+    the final midpoint.
+    """
+    lo = lo.copy()
+    hi = hi.copy()
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        below = position(mid) < y[active]
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[hi[active] - lo[active] > tol]
     return 0.5 * (lo + hi)
 
 
 def _polished_spline_root(flow, t, y, lo, hi, max_newton=4):
-    """Spline presolve plus Newton polish against the true flow; None when
-    not applicable or when the polish leaves the bracket."""
-    if flow.mode != "numeric":
-        return None
+    """Spline presolve plus Newton polish against the true flow of a smooth
+    force; None when not applicable or when the polish leaves the bracket."""
     spl_y, _ = flow._splines(t)
     f_lo = float(spl_y(lo)) - y
     f_hi = float(spl_y(hi)) - y
@@ -349,14 +466,12 @@ def reconstruct_velocity(scenario, t, y, flow=None):
 def _density0(scenario):
     rho0 = scenario.init.density
     if rho0 is None:
-        return lambda x: 1.0
+        return Constant(1.0)
     return rho0
 
 
-def _rho_pushforward_at(scenario, flow, t, x):
-    rho0 = _density0(scenario)
-    jac = abs(flow.jacobian(t, x))
-    return float(rho0(x)) / max(jac, JACOBIAN_FLOOR)
+def _pushforward(rho0_vals, jac):
+    return rho0_vals / np.maximum(np.abs(jac), JACOBIAN_FLOOR)
 
 
 #############################################################
@@ -387,17 +502,13 @@ def euler_residual(scenario, t_window, y_window, n_t=9, n_y=9, flow=None):
     ts, ys = _window_grids(t_window, y_window, n_t, n_y)
     flow = _flow_for(scenario, ts[-1], flow)
     flow.ensure_regular(ts[-1])
-    f = _scalar_force(scenario.force)
-    u = np.empty((len(ts), len(ys)))
-    for j, t in enumerate(ts):
-        for i, y in enumerate(ys):
-            u[j, i] = reconstruct_velocity(scenario, float(t), float(y),
-                                           flow=flow)
+    xs = np.array([_labels_in_image(flow, float(t), ys) for t in ts])
+    u = np.array([flow.states(t, x)[1] for t, x in zip(ts, xs)])
     h_t = ts[1] - ts[0]
     h_y = ys[1] - ys[0]
     du_dt = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h_t)
     du_dy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h_y)
-    fy = np.array([float(f(float(y))) for y in ys[1:-1]])
+    fy = _on_labels(_scalar_force(scenario.force), ys[1:-1])
     res = du_dt + u[1:-1, 1:-1] * du_dy - fy[None, :]
     k = int(np.argmax(np.abs(res)))
     j, i = divmod(k, res.shape[1])
@@ -414,16 +525,11 @@ def continuity_residual(scenario, t_window, y_window, n_t=9, n_y=9, flow=None):
     ts, ys = _window_grids(t_window, y_window, n_t, n_y)
     flow = _flow_for(scenario, ts[-1], flow)
     flow.ensure_regular(ts[-1])
-    rho0 = _density0(scenario)
-    u = np.empty((len(ts), len(ys)))
-    rho_t = np.empty_like(u)
-    rho_p = np.empty_like(u)
-    for j, t in enumerate(ts):
-        for i, y in enumerate(ys):
-            x = invert_flow_1d(scenario, float(t), float(y), flow=flow)
-            u[j, i] = flow.velocity(float(t), x)
-            rho_t[j, i] = float(rho0(x))
-            rho_p[j, i] = _rho_pushforward_at(scenario, flow, float(t), x)
+    xs = np.array([_labels_in_image(flow, float(t), ys) for t in ts])
+    u = np.array([flow.states(t, x)[1] for t, x in zip(ts, xs)])
+    rho_t = _on_labels(_density0(scenario), xs)
+    rho_p = np.array([_pushforward(r, flow.jacobian(t, x))
+                      for t, x, r in zip(ts, xs, rho_t)])
     h_t = ts[1] - ts[0]
     h_y = ys[1] - ys[0]
 
@@ -450,53 +556,55 @@ def track_boundary(scenario, horizon, n_out=257, flow=None):
     horizon = float(horizon)
     flow = flow or FlowMap(scenario, horizon=horizon)
     times = np.linspace(0.0, horizon, n_out)
-    lo = np.array([flow.position(float(t), flow.x_lo) for t in times])
-    hi = np.array([flow.position(float(t), flow.x_hi) for t in times])
-    return BoundaryTrack(times=times, L=lo, R=hi)
+    ends = np.array([flow.boundaries(float(t)) for t in times])
+    return BoundaryTrack(times=times, L=ends[:, 0], R=ends[:, 1])
 
 
 class _StencilEval:
-    """Cheap u and pushforward-density evaluator for residual stencils.
+    """u and pushforward density along a stencil leg: image points at one
+    time.
 
-    Smooth forces answer from per-time splines over the dense cache; gap and
-    constant forces invert the closed form directly.  Queries outside the
-    image or the regular range come back as nan.
+    Gap and constant forces invert the whole leg in closed form at once;
+    smooth forces solve each point on the per-time spline over the dense
+    cache.  Points outside the image or the regular range come back as nan.
     """
 
     def __init__(self, scenario, flow):
-        self.scenario = scenario
         self.flow = flow
         self.rho0 = _density0(scenario)
 
-    def _locate(self, t, y):
+    def u_rho(self, t, ys):
         flow = self.flow
+        u = np.full(ys.shape, math.nan)
+        rho = np.full(ys.shape, math.nan)
         try:
             flow.ensure_regular(t)
             if flow.mode == "numeric":
-                spl_y, spl_v = flow._splines(t)
-                y_lo = float(spl_y(flow.x_lo))
-                y_hi = float(spl_y(flow.x_hi))
-                if not y_lo <= y <= y_hi:
-                    return None
-                x = brentq(lambda xx: float(spl_y(xx)) - y,
-                           flow.x_lo, flow.x_hi, xtol=1e-13)
-                return x, float(spl_v(x)), float(spl_y(x, 1))
-            x = invert_flow_1d(self.scenario, t, y, flow=flow)
-            return x, flow.velocity(t, x), flow.jacobian(t, x)
-        except (OutOfImage, NotRegular, InvalidParameter):
-            return None
+                x = self._spline_roots(t, ys)
+            else:
+                x = _invert(flow, t, ys)
+        except (NotRegular, InvalidParameter):
+            return u, rho
+        found = ~np.isnan(x)
+        if found.any():
+            x = x[found]
+            _, u[found] = flow.grid_states(t, x)
+            rho[found] = _pushforward(_on_labels(self.rho0, x),
+                                      flow.jacobian(t, x))
+        return u, rho
 
-    def u_at(self, t, y):
-        hit = self._locate(t, y)
-        return math.nan if hit is None else hit[1]
-
-    def u_rho_at(self, t, y):
-        hit = self._locate(t, y)
-        if hit is None:
-            return math.nan, math.nan
-        x, v, jac = hit
-        rho = float(self.rho0(x)) / max(abs(jac), JACOBIAN_FLOOR)
-        return v, rho
+    def _spline_roots(self, t, ys):
+        flow = self.flow
+        spl_y, _ = flow._splines(t)
+        y_lo = float(spl_y(flow.x_lo))
+        y_hi = float(spl_y(flow.x_hi))
+        x = np.full(ys.shape, math.nan)
+        for i, y in enumerate(ys):
+            y = float(y)
+            if y_lo <= y <= y_hi:
+                x[i] = brentq(lambda xx, yy=y: float(spl_y(xx)) - yy,
+                              flow.x_lo, flow.x_hi, xtol=1e-13)
+        return x
 
 
 def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
@@ -505,7 +613,8 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     The y-grid at each time is the image of the scenario's label grid, where
     u and both densities are direct particle data; the residual columns use
     local central-difference stencils around each sample (nan where a stencil
-    leg leaves the image or t = 0 admits no centered difference).
+    leg leaves the image or t = 0 admits no centered difference).  Each
+    stencil leg (t +- dt, y +- dy) is evaluated as one array.
     """
     if scenario.dim != 1:
         raise InvalidParameter("sample_field needs a one-dimensional scenario")
@@ -524,9 +633,8 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     if flow is None:
         flow = FlowMap(scenario, horizon=(t_max + 2.0 * dt) * (1.0 + 1e-9))
     flow.ensure_regular(t_max)
-    rho0 = _density0(scenario)
     xs = scenario.grid_1d()
-    rho0_vals = np.array([float(rho0(float(x))) for x in xs])
+    rho0_vals = _on_labels(_density0(scenario), xs)
     ev = _StencilEval(scenario, flow)
     f = _scalar_force(scenario.force)
 
@@ -538,25 +646,22 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
         ys, vs = flow.grid_states(t, xs)
         ys = np.asarray(ys, dtype=float)
         vs = np.asarray(vs, dtype=float)
-        jac = np.array([flow.jacobian(t, float(x)) for x in xs])
-        rho_p = rho0_vals / np.maximum(np.abs(jac), JACOBIAN_FLOOR)
+        rho_p = _pushforward(rho0_vals, flow.jacobian(t, xs))
         span = max(float(ys[-1] - ys[0]), 1.0)
         dy = STENCIL_FRAC * span
         res_e = np.full(len(xs), math.nan)
         res_c = np.full(len(xs), math.nan)
         if t - dt >= 0.0:
-            for i, y in enumerate(ys):
-                y = float(y)
-                u_tp, rho_tp = ev.u_rho_at(t + dt, y)
-                u_tm, rho_tm = ev.u_rho_at(t - dt, y)
-                u_yp, rho_yp = ev.u_rho_at(t, y + dy)
-                u_ym, rho_ym = ev.u_rho_at(t, y - dy)
-                du_dt = (u_tp - u_tm) / (2.0 * dt)
-                du_dy = (u_yp - u_ym) / (2.0 * dy)
-                res_e[i] = du_dt + vs[i] * du_dy - float(f(y))
-                drho_dt = (rho_tp - rho_tm) / (2.0 * dt)
-                dflux_dy = (u_yp * rho_yp - u_ym * rho_ym) / (2.0 * dy)
-                res_c[i] = drho_dt + dflux_dy
+            u_tp, rho_tp = ev.u_rho(t + dt, ys)
+            u_tm, rho_tm = ev.u_rho(t - dt, ys)
+            u_yp, rho_yp = ev.u_rho(t, ys + dy)
+            u_ym, rho_ym = ev.u_rho(t, ys - dy)
+            du_dt = (u_tp - u_tm) / (2.0 * dt)
+            du_dy = (u_yp - u_ym) / (2.0 * dy)
+            res_e = du_dt + vs * du_dy - _on_labels(f, ys)
+            drho_dt = (rho_tp - rho_tm) / (2.0 * dt)
+            dflux_dy = (u_yp * rho_yp - u_ym * rho_ym) / (2.0 * dy)
+            res_c = drho_dt + dflux_dy
         grid.times.append(t)
         grid.y.append(ys)
         grid.u.append(vs)

@@ -315,9 +315,17 @@ GAP_KINDS = (OneGap, TwoGap)
 #############################################################
 
 
-def _const_fn(value):
-    v = float(value)
-    return lambda x: v
+class Constant:
+    """A 1D profile with one value: a call returns that float for a label
+    and for an array of labels alike."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = float(value)
+
+    def __call__(self, x):
+        return self.value
 
 
 def _const_vec_fn(vec):
@@ -520,16 +528,16 @@ def build_scenario(
 
     # defaults for missing profiles
     if init.velocity is None:
-        init.velocity = _const_fn(0.0) if dim == 1 else _zero_vec_fn(dim)
+        init.velocity = Constant(0.0) if dim == 1 else _zero_vec_fn(dim)
     if init.mass is None:
-        init.mass = _const_fn(1.0)
+        init.mass = Constant(1.0)
     if init.density is None:
-        init.density = _const_fn(1.0)
+        init.density = Constant(1.0)
     if isinstance(force, Central):
         if init.radial_speed is None:
-            init.radial_speed = _const_fn(0.0)
+            init.radial_speed = Constant(0.0)
         if init.angular_rate is None:
-            init.angular_rate = _const_fn(0.0)
+            init.angular_rate = Constant(0.0)
 
     scenario = Scenario(
         domain=domain,
@@ -925,7 +933,7 @@ _TOP_KEYS = {"domain", "force", "velocity", "mass", "density", "horizon", "grid"
 
 def _parse_scalar_field(value, what):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _const_fn(value)
+        return Constant(value)
     if isinstance(value, str):
         return parse_expression(value)
     raise ScenarioFormatError(f"{what} must be a number or an expression string")
@@ -1001,7 +1009,7 @@ def _velocity_from_value(value, dim, central):
         vec = np.asarray(value, dtype=float)
         if vec.shape != (dim,):
             raise ScenarioFormatError(f"velocity vector must have {dim} components")
-        return {"velocity": _const_vec_fn(vec)} if dim > 1 else {"velocity": _const_fn(vec[0])}
+        return {"velocity": _const_vec_fn(vec)} if dim > 1 else {"velocity": Constant(vec[0])}
     if isinstance(value, dict):
         if not set(value) <= {"matrix", "offset"}:
             raise ScenarioFormatError("affine velocity takes keys 'matrix' and 'offset' only")

@@ -90,6 +90,7 @@ def test_check_expression_error_names_position(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "expression parse failure" in err
     assert "line 1" in err and "column 4" in err
+    assert err.count("line 1, column 4") == 1
 
 
 def test_check_missing_file_and_bad_grid(tmp_path, capsys):
@@ -124,6 +125,18 @@ def test_scalar_division_by_zero_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'1/(x - 0.5)^2'" in err and "0.5" in err
     assert "division by zero" in err
+
+
+def test_complex_intermediate_power_is_a_data_error(tmp_path, capsys):
+    # sqrt of the complex power at x < 0 used to pass as its real part
+    payload = {"domain": {"kind": "box", "lower": [-1.0], "upper": [1.0]},
+               "force": {"kind": "smooth1d", "f": "1"},
+               "velocity": "sqrt(x^0.5)", "horizon": 2.0}
+    p = _write_json(tmp_path, "complex.json", payload)
+    code = main(["check", "--scenario", p, "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "'sqrt(x^0.5)'" in err and "complex" in err
 
 
 #############################################################
@@ -234,6 +247,23 @@ def test_field_on_smooth_bundled_scenarios(tmp_path, name, extra):
     info = tmp_path / "field.txt"
     mass0 = float(_grab(info, "mass_initial"))
     assert float(_grab(info, "mass_final")) == pytest.approx(mass0, rel=1e-6)
+
+
+@pytest.mark.parametrize("name,horizon", [
+    ("arctan_collide", "0.9"), ("one_gap_collide", "2.7"),
+    ("one_gap_regular", "5"), ("two_gap_collide", "13"),
+    ("two_gap_regular", "5"), ("variable_mass_collide", "1.27"),
+])
+def test_field_runs_are_byte_identical_on_closed_form_flows(tmp_path, name,
+                                                           horizon):
+    outs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        code = main(["field", "--scenario", scenario_path(name),
+                     "--out", str(out), "--horizon", horizon])
+        assert code == 0
+        outs.append([(out / f).read_bytes() for f in ("field.csv", "field.txt")])
+    assert outs[0] == outs[1]
 
 
 def test_field_requires_finite_horizon(tmp_path, capsys):

@@ -140,7 +140,7 @@ def _reference(text):
         if peek() == "^":
             take()
             expo = unary()
-            return lambda t, a=base, b=expo: a(t) ** b(t)
+            return lambda t, a=base, b=expo: _real(a(t) ** b(t))
         return base
 
     def atom():
@@ -161,6 +161,14 @@ def _reference(text):
     fn = expr()
     assert peek() == "end"
     return fn
+
+
+def _real(value):
+    # a negative base to a fractional power has no real value, wherever in
+    # the expression the power sits
+    if isinstance(value, complex):
+        raise EvaluationError("complex power")
+    return value
 
 
 def _bits(value):
@@ -232,6 +240,19 @@ def test_fractional_power_of_negative_number_is_an_evaluation_error():
         fn(-2.0)
     with np.errstate(invalid="ignore"):
         assert math.isnan(fn(np.array([-2.0]))[0])
+
+
+@pytest.mark.parametrize("text", ["sqrt(x^0.5)", "exp(x^0.5)"])
+def test_complex_intermediate_power_is_an_evaluation_error(text):
+    # a numpy function of the complex power used to drop its imaginary part
+    fn = parse_expression(text)
+    with pytest.raises(EvaluationError, match="complex") as exc:
+        fn(-4.0)
+    assert exc.value.text == text and exc.value.argument == -4.0
+    assert _outcome(_reference(text), -4.0) == "raises"
+    assert _bits(fn(4.0)) == _outcome(_reference(text), 4.0)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(fn(np.array([-4.0]))[0])
 
 
 @pytest.mark.parametrize("text,arg", [

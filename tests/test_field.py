@@ -12,7 +12,10 @@ from regularflow.errors import (
     OutOfImage,
 )
 from regularflow.field import (
+    INVERT_TOL,
     FlowMap,
+    _invert,
+    _StencilEval,
     check_euler_global,
     continuity_residual,
     euler_residual,
@@ -23,7 +26,8 @@ from regularflow.field import (
     write_field_csv,
 )
 from regularflow.regularity import COLLISION, INCONCLUSIVE
-from regularflow.simulator import detect_collisions_1d
+from regularflow.scenario import OneGap, TwoGap
+from regularflow.simulator import detect_collisions_1d, propagate_piecewise_1d
 
 from conftest import load_bundled, make_scenario
 
@@ -99,6 +103,151 @@ def test_arctan_profile_residual_gate(scenario_dir):
     assert math.isfinite(r)
     with pytest.raises(NotRegular):
         euler_residual(s, (0.9, 1.05), (-0.5, 0.5), flow=flow)
+
+
+#############################################################
+# Batched closed-form inversion against the scalar reference
+#############################################################
+
+
+class _ScalarReference:
+    """One label at a time: the exact arcs of propagate_piecewise_1d or the
+    constant-force parabola, a scalar bisection per image point and a
+    central-difference Jacobian; the batched path must give its bits."""
+
+    def __init__(self, s, flow):
+        self.s = s
+        self.flow = flow
+
+    def state(self, t, x):
+        if isinstance(self.s.force, (OneGap, TwoGap)):
+            traj = propagate_piecewise_1d(self.s, x)
+            return traj.position(t), traj.velocity(t)
+        v0 = float(self.s.init.velocity(x))
+        a = self.flow.const / float(self.s.init.mass(x))
+        return x + v0 * t + 0.5 * a * t * t, v0 + a * t
+
+    def invert(self, t, y):
+        """The label of y, or None outside the image."""
+        lo, hi = self.flow.x_lo, self.flow.x_hi
+        L, R = self.state(t, lo)[0], self.state(t, hi)[0]
+        slack = 1e-9 * max(1.0, R - L)
+        if y < L - slack or y > R + slack:
+            return None
+        assert not R < L - slack
+        y = min(max(y, L), R)
+        if y <= L:
+            return lo
+        if y >= R:
+            return hi
+        while hi - lo > INVERT_TOL:
+            mid = 0.5 * (lo + hi)
+            if self.state(t, mid)[0] < y:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def jacobian(self, t, x):
+        h = max(1e-6 * (self.flow.x_hi - self.flow.x_lo), 1e-9)
+        xc = min(max(x, self.flow.x_lo + h), self.flow.x_hi - h)
+        return (self.state(t, xc + h)[0] - self.state(t, xc - h)[0]) / (2 * h)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == \
+        np.asarray(b, dtype=float).tobytes()
+
+
+# the bundled closed-form flows at the field horizons of the benchmark,
+# inside each regular interval; and two with moving, unequal particles,
+# where every term of the closed forms counts
+_CLOSED_FORM_CASES = {
+    "arctan_collide": 0.9, "one_gap_collide": 2.7, "one_gap_regular": 5.0,
+    "two_gap_collide": 13.0, "two_gap_regular": 5.0,
+    "variable_mass_collide": 1.27,
+    "moving_two_gap": ({"force": {"kind": "two_gap", "f1": 2.0, "f2": 1.0,
+                                  "f3": 3.0, "a": 2.0, "b": 3.4},
+                        "velocity": "0.3 + sin(x)*exp(x)", "mass": "1 + x"},
+                       1.5),
+    "moving_constant": ({"force": {"kind": "smooth1d", "f": "-0.5"},
+                         "velocity": "1 + sin(x)*exp(x)", "mass": "2 - x/2",
+                         "density": "1 + x"}, 2.0),
+    # numpy's power is not Python's: these profiles are called per label
+    "moving_power": ({"force": {"kind": "one_gap", "f1": 1.5, "f2": 2.5,
+                                "a": 1.6},
+                      "velocity": "0.2 + x^1.5", "mass": "1 + 2^x"}, 2.0),
+}
+
+
+def _closed_form_case(name):
+    case = _CLOSED_FORM_CASES[name]
+    if isinstance(case, tuple):
+        return make_scenario(**case[0]), case[1]
+    return load_bundled(name), case
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_CASES))
+def test_batched_inversion_has_the_bits_of_the_scalar_reference(name):
+    s, horizon = _closed_form_case(name)
+    flow = FlowMap(s, horizon=horizon)
+    assert flow.mode in ("gap", "const")
+    ref = _ScalarReference(s, flow)
+    ev = _StencilEval(s, flow)
+    labels = np.linspace(flow.x_lo, flow.x_hi, 37)
+    for t in (0.0, 0.31 * horizon, 0.77 * horizon, horizon):
+        ys, vs = flow.states(t, labels)
+        want = [ref.state(t, float(x)) for x in labels]
+        assert _same_bits(ys, [w[0] for w in want])
+        assert _same_bits(vs, [w[1] for w in want])
+        L, R = flow.boundaries(t)
+        pad = 0.05 * (R - L)
+        queries = np.concatenate([np.linspace(L - pad, R + pad, 97), ys,
+                                  [L, R, L - 1e-12, R + 1e-12]])
+        xs = _invert(flow, t, queries)
+        want_x = [ref.invert(t, float(y)) for y in queries]
+        assert _same_bits(xs, [math.nan if x is None else x for x in want_x])
+        assert np.isnan(xs).any() and not np.isnan(xs).all()
+        found = [x for x in want_x if x is not None]
+        assert _same_bits(flow.states(t, xs[~np.isnan(xs)])[1],
+                          [ref.state(t, x)[1] for x in found])
+        assert _same_bits(flow.jacobian(t, xs[~np.isnan(xs)]),
+                          [ref.jacobian(t, x) for x in found])
+        assert flow.jacobian(t, found[3]) == ref.jacobian(t, found[3])
+        # one stencil leg: nan exactly where the reference finds no label
+        u, rho = ev.u_rho(t, queries)
+        want_u = [math.nan if x is None else ref.state(t, x)[1]
+                  for x in want_x]
+        want_rho = [math.nan if x is None else float(s.init.density(x))
+                    / max(abs(ref.jacobian(t, x)), 1e-14) for x in want_x]
+        assert _same_bits(u, want_u) and _same_bits(rho, want_rho)
+
+
+@pytest.mark.parametrize("name,t_collide", [
+    ("one_gap_collide", 3.0), ("variable_mass_collide", math.sqrt(2.0)),
+    ("arctan_collide", 1.0),
+])
+def test_batched_inversion_refuses_times_past_the_collision(name, t_collide):
+    s = load_bundled(name)
+    flow = FlowMap(s, horizon=1.2 * t_collide)
+    t = 1.1 * t_collide
+    L, R = flow.boundaries(0.5 * t_collide)
+    with pytest.raises(NotRegular):
+        invert_flow_1d(s, t, 0.5 * (L + R), flow=flow)
+    u, rho = _StencilEval(s, flow).u_rho(t, np.linspace(L, R, 17))
+    assert np.isnan(u).all() and np.isnan(rho).all()
+    # past the prepared horizon: nan as well
+    u, _ = _StencilEval(s, flow).u_rho(1.3 * t_collide, np.array([L]))
+    assert np.isnan(u).all()
+
+
+def test_out_of_image_point_names_itself():
+    s = load_bundled("two_gap_regular")
+    flow = FlowMap(s, horizon=5.0)
+    L, R = flow.boundaries(2.0)
+    with pytest.raises(OutOfImage, match=f"y = {R + 0.5!r} is outside"):
+        invert_flow_1d(s, 2.0, R + 0.5, flow=flow)
+    assert invert_flow_1d(s, 2.0, R, flow=flow) == flow.x_hi
 
 
 #############################################################
