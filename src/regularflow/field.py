@@ -15,6 +15,7 @@ loses its meaning.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -112,16 +113,7 @@ def _gap_states(force, t, x0, v0, m):
         v_b = np.sqrt(d2)
         arcs.append((arcs[1][0] + (-v_a + v_b) / a2, force.b, v_b,
                      force.f3 / m))
-    # the last arc that has started by t, as Parabolic1D picks it
-    t0, y0, w0, acc = arcs[0]
-    for start, y_k, w_k, acc_k in arcs[1:]:
-        on = t >= start
-        t0 = np.where(on, start, t0)
-        y0 = np.where(on, y_k, y0)
-        w0 = np.where(on, w_k, w0)
-        acc = np.where(on, acc_k, acc)
-    s = t - t0
-    return y0 + w0 * s + 0.5 * acc * s * s, w0 + acc * s
+    return simulator._eval_arcs(arcs, t)
 
 
 @dataclass
@@ -674,14 +666,15 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
 
 def write_field_csv(grid, path):
     """Dump a FieldGrid as CSV rows ordered by time, then label."""
-    with open(path, "w") as fh:
+    blocks = (grid.y, grid.u, grid.rho_transport, grid.rho_pushforward,
+              grid.residual_euler, grid.residual_continuity)
+    columns = [simulator._ColumnText() for _ in blocks]
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,y,u,rho_transport,rho_pushforward,res_euler,res_continuity\n")
         for k, t in enumerate(grid.times):
-            for i in range(len(grid.y[k])):
-                fh.write(",".join(repr(float(col)) for col in (
-                    t, grid.y[k][i], grid.u[k][i], grid.rho_transport[k][i],
-                    grid.rho_pushforward[k][i], grid.residual_euler[k][i],
-                    grid.residual_continuity[k][i])) + "\n")
+            simulator._write_rows(fh, [
+                itertools.repeat(repr(float(t)), len(grid.y[k])),
+                *(col.update(block[k]) for col, block in zip(columns, blocks))])
 
 
 #############################################################

@@ -9,8 +9,9 @@ detectors return a CollisionReport whose ``mode`` records which route decided
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -161,6 +162,42 @@ def _gap_segments(force, x0, v0, m=1.0):
 
 def _const_segments(c, x0, v0, m=1.0):
     return [(0.0, x0, v0, c / m)]
+
+
+def _eval_arcs(arcs, t):
+    """(y, v) at t on the last arc that has started by t.
+
+    ``arcs`` is a sequence of (start, y0, v0, a) in order of start, each
+    entry a number or an array broadcastable against t.  The arc is picked
+    as ``Parabolic1D._segment`` picks it and evaluated with the operations
+    of ``Parabolic1D.position``/``velocity`` in the same order, so every
+    element has the bits of the scalar evaluation.
+    """
+    t0, y0, v0, a = arcs[0]
+    for start, y_k, v_k, a_k in arcs[1:]:
+        on = t >= start
+        t0 = np.where(on, start, t0)
+        y0 = np.where(on, y_k, y0)
+        v0 = np.where(on, v_k, v0)
+        a = np.where(on, a_k, a)
+    s = t - t0
+    return y0 + v0 * s + 0.5 * a * s * s, v0 + a * s
+
+
+def _arc_states(segs, times):
+    """(y, v), each shaped (len(times), len(segs)): every label's arc list
+    evaluated at every time.
+
+    The arc lists are stacked into one (labels, arcs, 4) table; a label
+    with fewer arcs is padded with arcs starting at +inf, which no finite
+    time reaches.
+    """
+    n_arcs = max(len(sg) for sg in segs)
+    pad = [(math.inf, 0.0, 0.0, 0.0)]
+    table = np.array([list(sg) + pad * (n_arcs - len(sg)) for sg in segs],
+                     dtype=float)
+    return _eval_arcs(table.transpose(1, 2, 0),
+                      np.asarray(times, dtype=float)[:, None])
 
 
 def propagate_piecewise_1d(scenario, x0):
@@ -496,6 +533,11 @@ class PhasedTrajectory:
         t0, y0, v0, f = self._phase(t)
         return v0 + f * (t - t0)
 
+    def states(self, times):
+        """(positions, velocities), each shaped (len(times), dim), with the
+        bits of ``position``/``velocity`` at each time."""
+        return _eval_arcs(self.phases, np.asarray(times, dtype=float)[:, None])
+
     def crossing_times(self):
         return [p[0] for p in self.phases[1:]]
 
@@ -684,13 +726,8 @@ def _exact_first_collision(segs, xs, horizon):
 
 
 def _gap_history(segs, times):
-    n = len(segs)
-    ys = np.empty((len(times), n))
-    for i, sg in enumerate(segs):
-        tr = Parabolic1D(x0=0.0, segments=sg)
-        ys[:, i] = [tr.position(float(t)) for t in times]
-    gaps = np.diff(ys, axis=1)
-    return np.min(gaps, axis=1)
+    ys, _ = _arc_states(segs, times)
+    return np.min(np.diff(ys, axis=1), axis=1)
 
 
 def detect_collisions_1d(scenario, n_particles=None, horizon=None,
@@ -1117,11 +1154,10 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
         return _frames_report(times, frames, pts, eps_rel)
 
     if n_particles is not None:
-        samples_backup = scenario.samples
-        scenario.samples = tuple(int(np.atleast_1d(n_particles)[0])
-                                 for _ in scenario.samples)
-        pts = scenario.grid_points()
-        scenario.samples = samples_backup
+        n_axis = int(np.atleast_1d(n_particles)[0])
+        pts = replace(
+            scenario, samples=tuple(n_axis for _ in scenario.samples)
+        ).grid_points()
     else:
         pts = scenario.grid_points()
 
@@ -1220,16 +1256,10 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT, n_particles=N
         xs = scenario.domain.axis_nodes(0, n)
         if isinstance(force, (OneGap, TwoGap)):
             segs = _segments_for_grid(scenario, xs)
-            y = np.empty((n_out, len(xs)))
-            v = np.empty((n_out, len(xs)))
-            events = []
-            for i, sg in enumerate(segs):
-                tr = Parabolic1D(x0=float(xs[i]), segments=sg)
-                y[:, i] = [tr.position(float(t)) for t in times]
-                v[:, i] = [tr.velocity(float(t)) for t in times]
-                for t_c in tr.crossing_times():
-                    if t_c <= horizon:
-                        events.append((i, "boundary", float(t_c)))
+            y, v = _arc_states(segs, times)
+            events = [(i, "boundary", float(arc[0]))
+                      for i, sg in enumerate(segs) for arc in sg[1:]
+                      if arc[0] <= horizon]
             e0 = np.array([quadrature.potential(force, x) for x in xs])
             v0 = np.array([float(scenario.init.velocity(float(x))) for x in xs])
             m0 = np.array([float(scenario.init.mass(float(x))) for x in xs])
@@ -1250,8 +1280,9 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT, n_particles=N
     pts = scenario.grid_points()
     if isinstance(force, HalfSpaceStep):
         trajs = [propagate_halfspace(scenario, p, horizon) for p in pts]
-        y = np.array([[tr.position(t) for tr in trajs] for t in times])
-        v = np.array([[tr.velocity(t) for tr in trajs] for t in times])
+        states = [tr.states(times) for tr in trajs]
+        y = np.stack([st[0] for st in states], axis=1)
+        v = np.stack([st[1] for st in states], axis=1)
         events = []
         for i, tr in enumerate(trajs):
             for t_c in tr.crossing_times():
@@ -1272,6 +1303,40 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT, n_particles=N
                               mode="Numeric", scenario=scenario)
 
 
+class _ColumnText:
+    """``repr`` of each value of one CSV column, kept from frame to frame.
+
+    ``update`` calls ``repr`` again only where a value's float64 bit
+    pattern changed, so -0.0 against 0.0 and every nan stay exact; memory
+    is one string and one int64 per row.
+    """
+
+    def __init__(self, values=()):
+        self.bits = np.empty(0, dtype=np.int64)
+        self.text = []
+        self.update(values)
+
+    def update(self, values):
+        vals = np.array(values, dtype=np.float64).reshape(-1)
+        bits = vals.view(np.int64)
+        if bits.shape != self.bits.shape:
+            self.text = [repr(x) for x in vals.tolist()]
+        else:
+            changed = np.flatnonzero(bits != self.bits)
+            for j, x in zip(changed.tolist(), vals[changed].tolist()):
+                self.text[j] = repr(x)
+        self.bits = bits
+        return self.text
+
+
+def _write_rows(fh, columns):
+    """One ``fh.write`` of the CSV rows formed by zipping the columns,
+    each a sequence of cell strings."""
+    rows = "\n".join(map(",".join, zip(*columns)))
+    if rows:
+        fh.write(rows + "\n")
+
+
 def write_trajectory_csv(traj, path):
     """Rows t,particle_index,x0...,y...,v... with coordinates expanded."""
     multi = traj.x0.ndim > 1
@@ -1282,19 +1347,23 @@ def write_trajectory_csv(traj, path):
         head_v = ",".join(f"v_{k + 1}" for k in range(d))
     else:
         head_x0, head_y, head_v = "x0", "y", "v"
+    n = traj.n_particles
+    x0 = np.asarray(traj.x0, dtype=np.float64).reshape(n, d)
+    y = np.asarray(traj.y).reshape(len(traj.times), n, d)
+    v = np.asarray(traj.v).reshape(len(traj.times), n, d)
+    # x0 is formatted once, into the leading cells of every row, and y
+    # starts from its text: at t = 0 a position is usually its label
+    y_text = [_ColumnText(x0[:, c]) for c in range(d)]
+    lead = [",".join(cells) for cells in
+            zip(map(str, range(n)), *(col.text for col in y_text))]
+    v_text = [_ColumnText() for _ in range(d)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"t,particle_index,{head_x0},{head_y},{head_v}\n")
         for k, t in enumerate(traj.times):
-            for i in range(traj.n_particles):
-                if multi:
-                    x0 = ",".join(repr(float(c)) for c in traj.x0[i])
-                    y = ",".join(repr(float(c)) for c in traj.y[k, i])
-                    v = ",".join(repr(float(c)) for c in traj.v[k, i])
-                else:
-                    x0 = repr(float(traj.x0[i]))
-                    y = repr(float(traj.y[k, i]))
-                    v = repr(float(traj.v[k, i]))
-                fh.write(f"{repr(float(t))},{i},{x0},{y},{v}\n")
+            _write_rows(fh, [
+                itertools.repeat(repr(float(t)), n), lead,
+                *(col.update(y[k, :, c]) for c, col in enumerate(y_text)),
+                *(col.update(v[k, :, c]) for c, col in enumerate(v_text))])
 
 
 def write_collision_report(report, path):

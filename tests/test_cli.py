@@ -9,7 +9,7 @@ from regularflow.cli import main
 from regularflow.regularity import REGULAR, Verdict
 from regularflow.scenario import TWO_GAP_BOUND
 
-from conftest import scenario_path
+from conftest import SCENARIO_DIR, scenario_path
 
 
 def _write_json(tmp_path, name, payload):
@@ -160,6 +160,35 @@ def test_simulate_regular_exit(tmp_path):
                  "--out", str(tmp_path), "--grid", "41"])
     assert code == 0
     assert _grab(tmp_path / "collision.txt", "found") == "no"
+
+
+# README "Bundled scenarios": simulate exits 1 where the verdict is a collision
+SIMULATE_EXIT = {
+    "arctan_collide": 1, "blowup": 0, "central_regular": 0,
+    "halfspace_collide": 1, "halfspace_regular": 0, "linear_monotone": 0,
+    "one_gap_collide": 1, "one_gap_regular": 0, "smooth_collide": 1,
+    "smooth_regular": 0, "two_gap_collide": 1, "two_gap_regular": 0,
+    "variable_mass_collide": 1,
+}
+
+
+def test_simulate_exit_table_lists_every_bundled_scenario():
+    assert sorted(SIMULATE_EXIT) == sorted(
+        p.stem for p in SCENARIO_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_EXIT))
+def test_simulate_runs_are_byte_identical_on_every_bundled_scenario(
+        tmp_path, name):
+    outs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        code = main(["simulate", "--scenario", scenario_path(name),
+                     "--out", str(out), "--grid", "9"])
+        assert code == SIMULATE_EXIT[name]
+        outs.append([(out / f).read_bytes()
+                     for f in ("trajectory.csv", "collision.txt")])
+    assert outs[0] == outs[1]
 
 
 #############################################################

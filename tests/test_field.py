@@ -13,6 +13,7 @@ from regularflow.errors import (
 )
 from regularflow.field import (
     INVERT_TOL,
+    FieldGrid,
     FlowMap,
     _invert,
     _StencilEval,
@@ -365,6 +366,35 @@ def test_field_csv_shape(tmp_path):
     cols = lines[-1].split(",")
     assert float(cols[0]) == 1.0
     assert float(cols[2]) == pytest.approx(float(cols[1]) / 2.0, abs=1e-10)
+
+
+def _field_csv_by_rows(grid, path):
+    """The per-row writer that write_field_csv replaced, kept as the byte
+    reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,y,u,rho_transport,rho_pushforward,res_euler,res_continuity\n")
+        for k, t in enumerate(grid.times):
+            for i in range(len(grid.y[k])):
+                fh.write(",".join(repr(float(col)) for col in (
+                    t, grid.y[k][i], grid.u[k][i], grid.rho_transport[k][i],
+                    grid.rho_pushforward[k][i], grid.residual_euler[k][i],
+                    grid.residual_continuity[k][i])) + "\n")
+
+
+def test_field_csv_has_the_bytes_of_the_per_row_writer(tmp_path):
+    s = _free_stream(grid=[17])
+    sampled = sample_field(s, times=[0.0, 1.0, 2.0], flow=FlowMap(s, 12.0))
+    # signed zeros, nan and inf that come and go between time rows
+    col = [np.array([0.0, -0.0, 1.5]), np.array([-0.0, 0.0, 1.5]),
+           np.array([math.nan, -math.inf, 1.5])]
+    awkward = FieldGrid(times=[0.0, 0.5, 1.0], y=col, u=col[::-1],
+                        rho_transport=[col[0]] * 3, rho_pushforward=col,
+                        residual_euler=col[::-1], residual_continuity=col)
+    for label, grid in (("sampled", sampled), ("awkward", awkward)):
+        got, want = tmp_path / f"{label}.csv", tmp_path / f"{label}.ref.csv"
+        write_field_csv(grid, got)
+        _field_csv_by_rows(grid, want)
+        assert got.read_bytes() == want.read_bytes(), label
 
 
 #############################################################

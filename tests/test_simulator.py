@@ -7,7 +7,7 @@ import pytest
 
 from regularflow import simulator
 from regularflow.errors import InvalidParameter, OriginApproach
-from regularflow.scenario import scenario_from_dict
+from regularflow.scenario import OneGap, TwoGap, scenario_from_dict
 from regularflow.simulator import (
     asymptotic_verdict_1d,
     detect_collisions_1d,
@@ -78,6 +78,94 @@ def test_pair_first_crossing_against_dense_sampling():
     assert t == pytest.approx(ref, abs=1e-9)
     ref_roots = oracles.pair_first_crossing_by_roots(seg_i, seg_j, 20.0)
     assert t == pytest.approx(ref_roots, rel=1e-12)
+
+
+#############################################################
+# Array kinematics against the scalar arcs
+#############################################################
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _exact_segments(name):
+    """(segs, times) of a bundled gap or constant-force scenario on every
+    eighth label: 256 output times plus every arc start, so some times sit
+    exactly on one."""
+    s = load_bundled(name)
+    xs = s.grid_1d()[::8]
+    const = None
+    if not isinstance(s.force, (OneGap, TwoGap)):
+        const = simulator._constant_force_value(s, s.horizon)
+        assert const is not None
+    segs = simulator._segments_for_grid(s, xs, const_force=const)
+    starts = sorted({arc[0] for sg in segs for arc in sg[1:]})
+    horizon = s.horizon if math.isfinite(s.horizon) else 1.5 * max(starts)
+    times = np.union1d(np.linspace(0.0, horizon, 256), starts)
+    return segs, times
+
+
+def _positions_by_loop(segs, times):
+    ys = np.empty((len(times), len(segs)))
+    vs = np.empty((len(times), len(segs)))
+    for i, sg in enumerate(segs):
+        tr = simulator.Parabolic1D(x0=0.0, segments=sg)
+        ys[:, i] = [tr.position(float(t)) for t in times]
+        vs[:, i] = [tr.velocity(float(t)) for t in times]
+    return ys, vs
+
+
+EXACT_SCENARIOS = ["one_gap_collide", "one_gap_regular", "two_gap_collide",
+                   "two_gap_regular", "arctan_collide", "variable_mass_collide"]
+
+
+@pytest.mark.parametrize("name", EXACT_SCENARIOS)
+def test_arc_states_have_the_bits_of_the_scalar_arcs(name):
+    segs, times = _exact_segments(name)
+    y, v = simulator._arc_states(segs, times)
+    y_ref, v_ref = _positions_by_loop(segs, times)
+    assert y.shape == (len(times), len(segs))
+    np.testing.assert_array_equal(_bits(y), _bits(y_ref))
+    np.testing.assert_array_equal(_bits(v), _bits(v_ref))
+
+
+def test_arc_states_pad_uneven_arc_lists():
+    # three, two and one arcs side by side; times on every arc start
+    two, _ = _exact_segments("two_gap_collide")
+    one, _ = _exact_segments("one_gap_collide")
+    const, _ = _exact_segments("variable_mass_collide")
+    segs = two[::13] + one[::11] + const[::17]
+    starts = [arc[0] for sg in segs for arc in sg[1:]]
+    times = np.union1d(np.linspace(0.0, 1.2 * max(starts), 64), starts)
+    y, v = simulator._arc_states(segs, times)
+    y_ref, v_ref = _positions_by_loop(segs, times)
+    np.testing.assert_array_equal(_bits(y), _bits(y_ref))
+    np.testing.assert_array_equal(_bits(v), _bits(v_ref))
+
+
+@pytest.mark.parametrize("name", EXACT_SCENARIOS)
+def test_gap_history_matches_the_per_particle_loop(name):
+    segs, times = _exact_segments(name)
+    y_ref, _ = _positions_by_loop(segs, times)
+    want = np.min(np.diff(y_ref, axis=1), axis=1)
+    np.testing.assert_array_equal(_bits(simulator._gap_history(segs, times)),
+                                  _bits(want))
+
+
+@pytest.mark.parametrize("name", ["halfspace_collide", "halfspace_regular"])
+def test_phased_states_have_the_bits_of_position_and_velocity(name):
+    s = load_bundled(name)
+    for p in s.grid_points()[::7]:
+        tr = propagate_halfspace(s, p, s.horizon)
+        times = np.union1d(np.linspace(0.0, s.horizon, 256),
+                           tr.crossing_times())
+        y, v = tr.states(times)
+        assert y.shape == v.shape == (len(times), 2)
+        np.testing.assert_array_equal(
+            _bits(y), _bits([tr.position(t) for t in times]))
+        np.testing.assert_array_equal(
+            _bits(v), _bits([tr.velocity(t) for t in times]))
 
 
 #############################################################
@@ -310,6 +398,17 @@ def test_halfspace_regular_has_no_collision():
     assert not report.found
 
 
+def test_particle_count_leaves_the_scenario_samples_alone():
+    s = load_bundled("halfspace_regular")
+    samples = s.samples
+    report = detect_collisions_multid(s, n_particles=5)
+    assert not report.found
+    assert s.samples == samples
+    with pytest.raises(InvalidParameter):
+        detect_collisions_multid(s, n_particles=1)
+    assert s.samples == samples
+
+
 def test_central_frames_stay_separated():
     report = detect_collisions_multid(load_bundled("central_regular"))
     assert not report.found
@@ -348,6 +447,69 @@ def test_trajectory_csv_round_trip(tmp_path):
 
     write_trajectory_csv(traj, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_text() == path.read_text()
+
+
+def _trajectory_csv_by_rows(traj, path):
+    """The per-row writer that write_trajectory_csv replaced, kept as the
+    byte reference."""
+    multi = traj.x0.ndim > 1
+    d = traj.x0.shape[1] if multi else 1
+    if multi:
+        head_x0 = ",".join(f"x0_{k + 1}" for k in range(d))
+        head_y = ",".join(f"y_{k + 1}" for k in range(d))
+        head_v = ",".join(f"v_{k + 1}" for k in range(d))
+    else:
+        head_x0, head_y, head_v = "x0", "y", "v"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"t,particle_index,{head_x0},{head_y},{head_v}\n")
+        for k, t in enumerate(traj.times):
+            for i in range(traj.n_particles):
+                if multi:
+                    x0 = ",".join(repr(float(c)) for c in traj.x0[i])
+                    y = ",".join(repr(float(c)) for c in traj.y[k, i])
+                    v = ",".join(repr(float(c)) for c in traj.v[k, i])
+                else:
+                    x0 = repr(float(traj.x0[i]))
+                    y = repr(float(traj.y[k, i]))
+                    v = repr(float(traj.v[k, i]))
+                fh.write(f"{repr(float(t))},{i},{x0},{y},{v}\n")
+
+
+def _awkward_frames(n, d):
+    """(x0, y, v) over four frames: y starts at x0 and stays put, then
+    moves; some values step between -0.0 and 0.0, or are nan or +-inf."""
+    rng = np.random.default_rng(5)
+    x0 = rng.standard_normal((n, d) if d else n)
+    y = np.repeat(x0[None], 4, axis=0)
+    y[2:] += 0.25
+    v = np.zeros_like(y)
+    y[1, 0], y[2, 0], y[3, 0] = -0.0, 0.0, -0.0
+    v[1, -1], v[2, -1], v[3, -1] = -0.0, -0.0, 0.0
+    y[2, -1], y[3, -1] = math.nan, -math.nan
+    v[2, 0], v[3, 0] = math.inf, -math.inf
+    return x0, y, v
+
+
+def _traj(x0, y, v, times):
+    return simulator.EnsembleTrajectory(times=np.asarray(times, dtype=float),
+                                        x0=x0, y=y, v=v)
+
+
+@pytest.mark.parametrize("n,d", [(5, 0), (4, 2), (1, 0), (1, 3)])
+def test_trajectory_csv_has_the_bytes_of_the_per_row_writer(tmp_path, n, d):
+    x0, y, v = _awkward_frames(n, d)
+    x_int = np.arange(x0.size).reshape(x0.shape)
+    y_int = np.stack([x_int.astype(float), -x_int.astype(float)])
+    cases = {
+        "frames": _traj(x0, y, v, [0.0, 0.5, 1.0, 1.5]),
+        "one_frame": _traj(x0, y[:1], v[:1], [0.0]),
+        "integer_x0": _traj(x_int, y_int, np.zeros_like(y_int), [0.0, 1.0]),
+    }
+    for label, traj in cases.items():
+        got, want = tmp_path / f"{label}.csv", tmp_path / f"{label}.ref.csv"
+        write_trajectory_csv(traj, got)
+        _trajectory_csv_by_rows(traj, want)
+        assert got.read_bytes() == want.read_bytes(), label
 
 
 def test_collision_report_text(tmp_path):
