@@ -57,6 +57,7 @@ from .quadrature import (
     energy_profile,
     gap_time_of_flight,
     potential,
+    potentials,
     time_of_flight,
 )
 from .regularity import (

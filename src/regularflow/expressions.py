@@ -235,7 +235,10 @@ class Expression:
     floats until a numpy function is applied; division by zero, overflow
     and a complex power of a negative base, wherever in the expression it
     occurs, raise ``EvaluationError``.  Arrays run under ``np.errstate``
-    with floating-point warnings off and give inf or nan there instead.
+    with floating-point warnings off and give inf or nan there instead;
+    ``divide="raise"`` makes an array call raise ``FloatingPointError``
+    wherever an element divides by zero, since a later operation can turn
+    that inf into a finite value (``exp(-1/0)``) where a scalar call raises.
     """
 
     def __init__(self, text):
@@ -253,7 +256,7 @@ class Expression:
         self._fn, self._array_fn = _compile(src, parser.constants)
         self.text = text
 
-    def __call__(self, t):
+    def __call__(self, t, *, divide="ignore"):
         if isinstance(t, float) or np.isscalar(t):
             try:
                 return float(self._fn(t))
@@ -261,7 +264,7 @@ class Expression:
                 raise self._evaluation_error(t, "complex result") from None
             except (ZeroDivisionError, OverflowError) as exc:
                 raise self._evaluation_error(t, exc) from None
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide=divide, invalid="ignore", over="ignore"):
             out = self._array_fn(t)
         return np.asarray(out, dtype=float)
 

@@ -29,6 +29,7 @@ from .errors import (
     SingularBoundary,
     TurningPoint,
 )
+from .expressions import Expression
 from .scenario import ConstantVec, OneGap, Smooth1D, TwoGap
 
 DEFAULT_REL_TOL = 1e-10
@@ -85,6 +86,25 @@ def potential(force, y):
         return -(force.f1 * force.a + force.f2 * (force.b - force.a) + force.f3 * (y - force.b))
     if isinstance(force, ConstantVec) and force.dim == 1:
         return -float(force.vector[0]) * y
+    return _anchored(force)(y)
+
+
+def potentials(force, zs, stop=None, then=()):
+    """``[potential(force, z) for z in zs]``, cut after the first value u
+    with ``stop(u)`` true when ``stop`` is given.
+
+    A smooth force answers the whole batch from its anchor cache at once
+    (``_PotentialCache.many``), with the bits and the anchors of the
+    queries made one at a time; ``then`` announces the queries
+    ``potential`` gets next, in order, so that they are planned with zs.
+    """
+    if isinstance(force, (OneGap, TwoGap)) or (
+            isinstance(force, ConstantVec) and force.dim == 1):
+        return _in_order(lambda z: potential(force, z), zs, stop)
+    return _anchored(force).many(zs, stop, then)
+
+
+def _anchored(force):
     f = force.f if isinstance(force, Smooth1D) else force
     if not callable(f):
         raise InvalidParameter("potential needs a one-dimensional force")
@@ -95,42 +115,294 @@ def potential(force, y):
             force._potential_cache = cache
         except AttributeError:
             pass
-    return cache(y)
+    return cache
+
+
+def _in_order(u, zs, stop):
+    out = []
+    for z in zs:
+        out.append(u(z))
+        if stop is not None and stop(out[-1]):
+            break
+    return out
+
+
+# QUADPACK's dqk21: Kronrod nodes (xgk[1::2] are the 10-point Gauss nodes,
+# xgk[10] the centre) and weights, Gauss weights of xgk[1], xgk[3], ...
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980529191, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# dqk21 sums the centre, then the Gauss pairs, then the other Kronrod pairs;
+# its resasc sums the centre, then every pair in xgk's order
+_PAIRS = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+_X_SUM = _XGK[_PAIRS, None]
+_W_SUM = _WGK[[10] + _PAIRS, None]
+_W_ASC = _WGK[[10] + list(range(10)), None]
+_TO_XGK = np.argsort(_PAIRS)
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+
+
+def _first_panels(f, a, b, epsabs, epsrel):
+    """``quad(f, a, b, epsabs, epsrel)`` for arrays of limits, where QUADPACK
+    returns after its first panel: ``(values, ok, fv)``, ``ok`` False where
+    it would go on to bisect or warn, ``fv`` the values of ``f``.
+
+    ``f`` is called once, with ``divide="raise"``, on the 21 nodes of every
+    panel.  Each step is ``dqk21``'s and ``dqagse``'s arithmetic, in their
+    order, on every panel at once: each sum runs term by term as
+    ``np.add.accumulate``, and the power ``x**1.5`` is taken in Python
+    floats (C's ``pow``, not numpy's), so a value has the bits of
+    ``scipy.integrate.quad``'s.  Like ``quad``, reversed limits integrate
+    over the ordered interval and negate.
+    """
+    flip = b < a
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = _X_SUM * hlgth
+    nodes = np.concatenate([centr[None], centr - absc, centr + absc])
+    fv = f(nodes, divide="raise")
+    if fv.shape != nodes.shape:
+        fv = np.full(nodes.shape, fv)
+    fc, fv1, fv2 = fv[:1], fv[1:11], fv[11:]
+    fsum = np.concatenate([fc, fv1 + fv2])
+    # resk, resabs and resg side by side; resg starts at 0.0 and -0.0 pads
+    # it (x + -0.0 is x)
+    n = len(centr)
+    terms = np.empty((11, 3 * n))
+    terms[:, :n] = _W_SUM * fsum
+    terms[:, n:2 * n] = _W_SUM * np.concatenate(
+        [np.abs(fc), np.abs(fv1) + np.abs(fv2)])
+    terms[0, 2 * n:] = 0.0
+    terms[1:6, 2 * n:] = _WG[:, None] * fsum[1:6]
+    terms[6:, 2 * n:] = -0.0
+    resk, resabs, resg = np.add.accumulate(terms)[-1].reshape(3, n)
+    reskh = resk * 0.5
+    dev = np.abs(fv1 - reskh) + np.abs(fv2 - reskh)
+    resasc = np.add.accumulate(
+        _W_ASC * np.concatenate([np.abs(fc - reskh), dev[_TO_XGK]]))[-1]
+    result = resk * hlgth
+    dhlgth = np.abs(hlgth)
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    ratio = 200.0 * abserr / np.where(scaled, resasc, 1.0)
+    abserr = np.where(scaled, resasc * np.array(
+        [1.0 if r >= 1.0 else r ** 1.5 for r in ratio.tolist()]), abserr)
+    abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                      np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
+    # dqagse's test after the first panel; resabs here is its defabs and
+    # resasc its resabs
+    errbnd = np.maximum(epsabs, epsrel * np.abs(result))
+    roundoff = (abserr <= 100.0 * _EPMACH * resabs) & (abserr > errbnd)
+    ok = ~roundoff & (((abserr <= errbnd) & (abserr != resasc))
+                      | (abserr == 0.0))
+    ok &= np.isfinite(result) & np.isfinite(abserr) & np.isfinite(resasc)
+    return np.where(flip, -result, result), ok, fv
 
 
 class _PotentialCache:
     """Antiderivative of -f anchored at 0; each query integrates one short
-    panel from the nearest known anchor, so repeated nearby evaluations stay
-    cheap and accumulated error stays at panel level."""
+    panel from the nearest known anchor (the lower one on a tie), so
+    repeated nearby evaluations stay cheap and accumulated error stays at
+    panel level.
+
+    The anchor positions are kept sorted in blocks of at most
+    ``2 * _BLOCK`` (``tops`` holds the last position of each block), their
+    values in a dict; at most ``_MAX_ANCHORS`` are kept.  ``many`` answers
+    queries from a ``_Plan``, with the bits and anchors of the same queries
+    made one at a time.
+    """
 
     _MAX_ANCHORS = 50000
+    _BLOCK = 512
 
     def __init__(self, f):
         self.f = f
-        self.zs = [0.0]
-        self.us = [0.0]
+        self.batched = isinstance(f, Expression) and f.arrays_match_scalars
+        self.blocks = [[0.0]]
+        self.tops = [0.0]
+        self.values = {0.0: 0.0}
+        self.size = 1
+        self.ahead = None       # the plan of the queries announced next
 
     def __call__(self, z):
         z = float(z)
-        k = bisect.bisect_left(self.zs, z)
-        if k < len(self.zs) and self.zs[k] == z:
-            return self.us[k]
-        if k == 0:
-            zn, un = self.zs[0], self.us[0]
-        elif k == len(self.zs):
-            zn, un = self.zs[-1], self.us[-1]
-        else:
-            zn, un = min(
-                (self.zs[k - 1], self.us[k - 1]), (self.zs[k], self.us[k]),
-                key=lambda p: abs(p[0] - z),
-            )
+        if self.ahead is not None:
+            if self.ahead.next == z:
+                return self.ahead.answer(self)
+            self.ahead = None
+        lo, hi = self._bracket(z)
+        if hi is not None and hi == z:
+            return self.values[hi]
+        zn = _nearer(lo, hi, z)
         inc, _ = _adaptive(self.f, zn, z, 1e-14, 1e-12)
-        u = un - inc
-        if len(self.zs) < self._MAX_ANCHORS:
-            j = bisect.bisect_left(self.zs, z)
-            self.zs.insert(j, z)
-            self.us.insert(j, u)
+        u = self.values[zn] - inc
+        self._insert(z, u)
         return u
+
+    def many(self, zs, stop=None, then=()):
+        """``_in_order(self, zs, stop)``, answered from one plan; without a
+        plan (see ``_plan``), one query at a time.
+
+        ``then`` are the queries the caller makes next, one at a time: they
+        are planned with zs, and while they arrive in that order they are
+        answered from the plan; the first other query drops it and is
+        answered as usual.
+        """
+        self.ahead = None
+        zs = [float(z) for z in zs]
+        plan = self._plan(zs + [float(z) for z in then])
+        if plan is None:
+            return _in_order(self, zs, stop)
+        self.ahead = plan
+        return _in_order(lambda z: plan.answer(self), zs, stop)
+
+    def _plan(self, zs):
+        """The ``_Plan`` of the queries zs from the present anchors, or None
+        where ``f`` has no array calls with the bits of its scalar calls, a
+        query is not finite, or the array call divides by zero or gives a
+        non-finite value (then a scalar call may raise)."""
+        if not (self.batched and zs and all(map(math.isfinite, zs))):
+            return None
+        room = self._MAX_ANCHORS - self.size
+        tops, blocks, values = self.tops, self.blocks, self.values
+        bisect_left, inf, last = bisect.bisect_left, math.inf, len(tops) - 1
+        pending = []            # sorted positions of the plan's new anchors
+        owner = {}              # new anchor -> the query that adds it
+        steps = []              # per query, see _Plan
+        za, zb = [], []
+        for q, z in enumerate(zs):
+            # z's neighbours lo < z <= hi among the anchors and the plan's
+            # new ones; -inf and inf where there is none
+            i = bisect_left(tops, z)
+            if i > last:
+                lo, hi = tops[last], inf
+            else:
+                block = blocks[i]
+                j = bisect_left(block, z)
+                hi = block[j]
+                lo = block[j - 1] if j else tops[i - 1] if i else -inf
+            j = bisect_left(pending, z)
+            if j < len(pending) and pending[j] < hi:
+                hi = pending[j]
+            if j and pending[j - 1] > lo:
+                lo = pending[j - 1]
+            # _nearer, as |lo - z| is z - lo exactly
+            zn = z if hi == z else lo if z - lo <= hi - z else hi
+            k = owner.get(zn, -1)
+            un = values[zn] if k < 0 else None
+            if zn == z:
+                steps.append((z, k, un, -1, False))
+                continue
+            adds = len(pending) < room
+            steps.append((z, k, un, len(za), adds))
+            za.append(zn)
+            zb.append(z)
+            if adds:
+                pending.insert(j, z)
+                owner[z] = q
+        try:
+            incs, ok, fv = _first_panels(
+                self.f, np.array(za), np.array(zb), 1e-14, 1e-12)
+        except ArithmeticError:
+            return None
+        if not np.isfinite(fv).all():
+            return None
+        return _Plan(steps, za, incs.tolist(), ok.tolist())
+
+    def _bracket(self, z):
+        """The last anchor below z and the first at or above it (None where
+        there is none)."""
+        tops = self.tops
+        i = bisect.bisect_left(tops, z)
+        if i == len(tops):
+            return tops[-1], None
+        block = self.blocks[i]
+        j = bisect.bisect_left(block, z)
+        return (block[j - 1] if j else tops[i - 1] if i else None), block[j]
+
+    def _insert(self, z, u):
+        if self.size >= self._MAX_ANCHORS:
+            return
+        self.size += 1
+        self.values[z] = u
+        i = min(bisect.bisect_left(self.tops, z), len(self.tops) - 1)
+        block = self.blocks[i]
+        block.insert(bisect.bisect_left(block, z), z)
+        self.tops[i] = block[-1]
+        if len(block) > 2 * self._BLOCK:
+            self.blocks[i:i + 1] = [block[:self._BLOCK], block[self._BLOCK:]]
+            self.tops.insert(i, block[self._BLOCK - 1])
+
+
+class _Plan:
+    """Queries zs of a cache, planned before any is answered.
+
+    Where a query's anchor lies does not depend on any value, so the plan
+    holds, per query, the anchor it starts from (one of the cache, or an
+    earlier query of the plan that adds one), and the first QUADPACK panel
+    of every integration, from one array call of ``f``
+    (``_first_panels``).  ``answer`` answers the queries in order, chaining
+    the values: a panel QUADPACK would bisect takes ``_adaptive`` as one
+    query does, and a query adds its anchor when it is answered, so a plan
+    answered up to a stop or an exception leaves the anchors the same
+    queries made one at a time leave.  The cache holds its plan and passes
+    itself to ``answer``: a plan that held its cache would make a cycle
+    that keeps a dropped cache alive until a full garbage collection.
+    """
+
+    def __init__(self, steps, za, incs, ok):
+        # steps[q] = (z, the query whose value is q's anchor or -1, else the
+        # anchor's value, q's panel or -1 on a hit, whether q adds z)
+        self.steps, self.za, self.incs, self.ok = steps, za, incs, ok
+        self.out = []
+
+    @property
+    def next(self):
+        """The next query to answer, or None."""
+        q = len(self.out)
+        return self.steps[q][0] if q < len(self.steps) else None
+
+    def answer(self, cache):
+        out = self.out
+        z, k, u, p, adds = self.steps[len(out)]
+        if k >= 0:
+            u = out[k]
+        if p >= 0:
+            u = u - (self.incs[p] if self.ok[p] else _adaptive(
+                cache.f, self.za[p], z, 1e-14, 1e-12)[0])
+        out.append(u)
+        if adds:
+            cache._insert(z, u)
+        return u
+
+
+def _nearer(lo, hi, z):
+    """The anchor a query at z integrates from: the nearer of its two
+    neighbours, the lower one on a tie."""
+    if hi is None:
+        return lo
+    if lo is None:
+        return hi
+    return lo if abs(lo - z) <= abs(hi - z) else hi
 
 
 #############################################################
@@ -140,11 +412,14 @@ class _PotentialCache:
 
 @dataclass
 class EnergyProfile:
-    """Potential and conserved full energy of the labelled particles."""
+    """Potential and conserved full energy of the labelled particles;
+    ``u_many(zs, stop=None, then=())`` is ``potentials`` for the profile's
+    force."""
 
     u: Callable[[float], float]
     h0: Callable[[float], float]
     dh0: Callable[[float], float]
+    u_many: Callable[..., list]
 
 
 def energy_profile(scenario=None, *, force=None, velocity=None, velocity_deriv=None,
@@ -178,6 +453,9 @@ def energy_profile(scenario=None, *, force=None, velocity=None, velocity_deriv=N
     def u(z):
         return potential(force, z)
 
+    def u_many(zs, stop=None, then=()):
+        return potentials(force, zs, stop, then)
+
     def h0(x):
         v = velocity(x)
         return 0.5 * mass(x) * v * v + u(x)
@@ -187,12 +465,38 @@ def energy_profile(scenario=None, *, force=None, velocity=None, velocity_deriv=N
         return (0.5 * mass_deriv(x) * v * v + mass(x) * v * velocity_deriv(x)
                 - float(force(x)))
 
-    return EnergyProfile(u=u, h0=h0, dh0=dh0)
+    return EnergyProfile(u=u, h0=h0, dh0=dh0, u_many=u_many)
 
 
 #############################################################
 # Flight time
 #############################################################
+
+
+def _quad_points(a, b):
+    """The first 63 points ``quad`` evaluates an integrand at on [a, b], in
+    its order: QUADPACK's first 21-point panel, then the two halves of its
+    first bisection, left first (dqagse calls dqk21 on each; dqk21 takes the
+    centre, then each Gauss pair, then the other Kronrod pairs, each pair
+    centre - offset first)."""
+    points = []
+    for lo, hi in ((a, b), (a, 0.5 * (a + b)), (0.5 * (a + b), b)):
+        centr = 0.5 * (lo + hi)
+        absc = 0.5 * (hi - lo) * _XGK[_PAIRS]
+        panel = np.empty(21)
+        panel[0] = centr
+        panel[1::2] = centr - absc
+        panel[2::2] = centr + absc
+        points.append(panel)
+    return np.concatenate(points)
+
+
+def _target_and_s_points(x, y):
+    """The potential queries of an integral in s = sqrt(z - x) after the
+    turning-point scan: U(y), then U(x + s^2) at the ``_quad_points`` of
+    [0, sqrt(y - x)]."""
+    ss = _quad_points(0.0, math.sqrt(y - x))
+    return np.concatenate([[y], x + ss * ss])
 
 
 @dataclass
@@ -203,26 +507,28 @@ class FlightResult:
     singular_endpoint: bool = False
 
 
-def _scan_turning_point(profile, x, y, h0x, n=96):
+def _scan_turning_point(profile, x, y, h0x, then, n=96):
     """Raise TurningPoint if 2(H0 - U) vanishes strictly inside (x, y).
 
     Sampling is done in the transformed variable so that the left endpoint
     neighborhood, where the kinetic term vanishes for released-at-rest
-    particles, is probed densely.
+    particles, is probed densely: the n - 1 points z = x + s^2 below y,
+    s = sqrt(y - x) k / n, queried in order as one batch.  ``then`` are
+    the potential queries the caller makes next (``potentials``).
     """
     smax = math.sqrt(y - x)
     ss = smax * (np.arange(1, n) / n)
-    for s in ss:
-        z = x + s * s
-        if z >= y:
-            break
-        if h0x - profile.u(z) <= 0.0:
-            lo = x + (s - smax / n) ** 2 if s > smax / n else x
-            raise TurningPoint(
-                f"kinetic term vanishes near z = {z:.9g}; the particle turns "
-                "around before reaching y",
-                bracket=(lo, z),
-            )
+    zs = x + ss * ss
+    zs = zs[zs < y]
+    us = profile.u_many(zs, stop=lambda u: h0x - u <= 0.0, then=then)
+    if us and h0x - us[-1] <= 0.0:
+        s, z = ss[len(us) - 1], zs[len(us) - 1]
+        lo = x + (s - smax / n) ** 2 if s > smax / n else x
+        raise TurningPoint(
+            f"kinetic term vanishes near z = {z:.9g}; the particle turns "
+            "around before reaching y",
+            bracket=(lo, z),
+        )
 
 
 def time_of_flight(profile, x, y, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL):
@@ -240,7 +546,7 @@ def time_of_flight(profile, x, y, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_T
     h0x = profile.h0(x)
     k0 = 2.0 * (h0x - profile.u(x))
     singular = k0 <= _V_ZERO_TOL
-    _scan_turning_point(profile, x, y, h0x)
+    _scan_turning_point(profile, x, y, h0x, then=_target_and_s_points(x, y))
     ky = 2.0 * (h0x - profile.u(y))
     if ky <= 0.0:
         raise TurningPoint(
@@ -323,7 +629,7 @@ def dT_dx(profile, x, y, v, dv, f, rel_tol=DERIV_REL_TOL, abs_tol=DERIV_ABS_TOL)
     if vx <= _V_ZERO_TOL:
         raise SingularBoundary("dT_dx requires v(x) > 0; use the by-parts route")
     h0x = profile.h0(x)
-    _scan_turning_point(profile, x, y, h0x)
+    _scan_turning_point(profile, x, y, h0x, then=_quad_points(x, y))
     c = vx * float(dv(x)) - float(f(x))
 
     def integrand(z):
@@ -353,7 +659,7 @@ def dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df,
         raise InvalidParameter("dT_dx_by_parts needs y > x")
     h0x = profile.h0(x)
     dh0x = profile.dh0(x)
-    _scan_turning_point(profile, x, y, h0x)
+    _scan_turning_point(profile, x, y, h0x, then=_target_and_s_points(x, y))
     ky = 2.0 * (h0x - profile.u(y))
     if ky <= 0.0:
         raise TurningPoint("kinetic term vanishes at the target", bracket=(x, y))

@@ -770,7 +770,7 @@ def assumptions_report(s, pair_probes=128):
         else:
             profile = quadrature.energy_profile(s)
             h0x = np.array([profile.h0(float(x)) for x in xs])
-            uz = np.array([profile.u(float(y)) for y in ys])
+            uz = np.array(profile.u_many(ys))
             diff = h0x[:, None] - uz[None, :]
             ahead = ys[None, :] >= xs[:, None]
             bad = ahead & (diff <= 0)

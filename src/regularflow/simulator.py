@@ -309,7 +309,7 @@ class NumericFlow1D:
         self.y = sol.y[:n].T.copy()
         self.v = sol.y[n:].T.copy()
         self.energy0 = 0.5 * m * v0 * v0 + np.array(
-            [quadrature.potential(force, x) for x in xs])
+            quadrature.potentials(force, xs))
         if check_energy:
             drift = self._energy_drift()
             if drift > ENERGY_DRIFT_BUDGET:
@@ -331,13 +331,13 @@ class NumericFlow1D:
         force = self.scenario.force
         k_idx = np.unique(np.linspace(0, len(self.times) - 1, 8).astype(int))
         p_idx = np.unique(np.linspace(0, self.n - 1, min(self.n, 32)).astype(int))
+        pairs = [(k, i) for k in k_idx for i in p_idx]
+        us = quadrature.potentials(force, [self.y[k, i] for k, i in pairs])
         worst = 0.0
-        for k in k_idx:
-            for i in p_idx:
-                h = (0.5 * self.mass[i] * self.v[k, i] ** 2
-                     + quadrature.potential(force, self.y[k, i]))
-                scale = 1.0 + abs(self.energy0[i])
-                worst = max(worst, abs(h - self.energy0[i]) / scale)
+        for (k, i), u in zip(pairs, us):
+            h = 0.5 * self.mass[i] * self.v[k, i] ** 2 + u
+            scale = 1.0 + abs(self.energy0[i])
+            worst = max(worst, abs(h - self.energy0[i]) / scale)
         return worst
 
     def states(self, t):

@@ -232,6 +232,28 @@ def test_validate_directory_sorted_and_deterministic(tmp_path):
     assert text.count("status: AGREE") == 2
 
 
+@pytest.mark.parametrize("name,lines", [
+    ("smooth_regular", ["analytic margin: 0.5000000000022917"]),
+    ("smooth_collide", [
+        "analytic margin: -3.83720676877347",
+        "analytic witness: x=1.0 y=11.0",
+        "oracle found: yes t_first: 1.6133719424472206 mode: Numeric"]),
+    ("variable_mass_collide", [
+        "analytic margin: -2.1320071634933564",
+        "oracle found: yes t_first: 1.4142784251327483 mode: Exact"]),
+])
+def test_validate_prints_the_recorded_smooth_force_digits(tmp_path, name,
+                                                          lines):
+    # margins and times printed with repr: every bit of the smooth-force
+    # quadrature shows here
+    code = main(["validate", "--scenario", scenario_path(name),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "validate.txt").read_text().splitlines()
+    for line in lines:
+        assert line in text
+
+
 def test_validate_disagreement_exit(tmp_path, monkeypatch):
     # force a wrong analytic verdict; the oracle must win with exit 4
     fake = Verdict(outcome=REGULAR, criterion=TWO_GAP_BOUND, margin=1.0)

@@ -302,3 +302,16 @@ def test_scalar_and_array_calls_agree(text):
             continue
         if math.isfinite(s) and math.isfinite(a):
             assert s == pytest.approx(a, rel=1e-13, abs=1e-300)
+
+
+def test_an_array_call_can_raise_where_an_element_divides_by_zero():
+    # a later function turns the inf of 1/0 into a finite value, so only the
+    # divisor shows where a scalar call raises
+    f = parse_expression("exp(-1/((x - 0.5)*(x - 0.5)))")
+    xs = np.array([0.25, 0.5])
+    assert f(xs)[1] == 0.0
+    with pytest.raises(EvaluationError):
+        f(0.5)
+    with pytest.raises(FloatingPointError):
+        f(xs, divide="raise")
+    assert f(np.array([0.25]), divide="raise")[0] == f(0.25)

@@ -1,12 +1,21 @@
 """Flight-time quadrature against closed forms and finite differences."""
 
+import bisect
+import gc
 import math
+import struct
+import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad as scipy_quad
 
 from regularflow import quadrature
-from regularflow.errors import QuadratureFailure, SingularBoundary, TurningPoint
+from regularflow.errors import (
+    EvaluationError, QuadratureFailure, SingularBoundary, TurningPoint)
 from regularflow.expressions import parse_expression
 from regularflow.quadrature import (
     dT_dx,
@@ -250,3 +259,267 @@ def test_roundoff_width_panel_falls_back_to_the_midpoint_rule(monkeypatch):
     assert err == abs(val)
     with pytest.raises(QuadratureFailure):
         quadrature._adaptive(lambda z: 2.0 * z, a, a + 1e-9, 1e-14, 1e-12)
+
+
+#############################################################
+# Anchor cache: the blocked index and its batches
+#############################################################
+
+
+class _ReferenceCache:
+    """The sorted-list anchor cache the blocked index replaced, kept as the
+    reference for its values and anchors."""
+
+    _MAX_ANCHORS = 50000
+
+    def __init__(self, f):
+        self.f = f
+        self.zs = [0.0]
+        self.us = [0.0]
+
+    def __call__(self, z):
+        z = float(z)
+        k = bisect.bisect_left(self.zs, z)
+        if k < len(self.zs) and self.zs[k] == z:
+            return self.us[k]
+        if k == 0:
+            zn, un = self.zs[0], self.us[0]
+        elif k == len(self.zs):
+            zn, un = self.zs[-1], self.us[-1]
+        else:
+            zn, un = min(
+                (self.zs[k - 1], self.us[k - 1]), (self.zs[k], self.us[k]),
+                key=lambda p: abs(p[0] - z),
+            )
+        inc, _ = quadrature._adaptive(self.f, zn, z, 1e-14, 1e-12)
+        u = un - inc
+        if len(self.zs) < self._MAX_ANCHORS:
+            j = bisect.bisect_left(self.zs, z)
+            self.zs.insert(j, z)
+            self.us.insert(j, u)
+        return u
+
+
+class _SmallCache(quadrature._PotentialCache):
+    _MAX_ANCHORS = 23
+    _BLOCK = 2
+
+
+class _SmallReference(_ReferenceCache):
+    _MAX_ANCHORS = 23
+
+
+def _bits(values):
+    return [struct.pack("<d", float(v)) for v in values]
+
+
+def _same_table(cache, ref):
+    zs = [z for block in cache.blocks for z in block]
+    assert zs == sorted(zs)
+    assert cache.tops == [block[-1] for block in cache.blocks]
+    assert _bits(zs) == _bits(ref.zs)
+    assert _bits(cache.values[z] for z in zs) == _bits(ref.us)
+    assert cache.size == len(ref.zs)
+
+
+def _queries(rng, n):
+    """Dyadic points (exact midpoints, so equidistant ties), repeats, -0.0
+    and negative z."""
+    out = []
+    for _ in range(n):
+        kind = rng.integers(10)
+        if kind == 0 and out:
+            out.append(out[int(rng.integers(len(out)))])
+        elif kind == 1:
+            out.append(-0.0)
+        elif kind < 8:
+            out.append(float(rng.integers(-8, 24)) / 2.0 ** rng.integers(1, 5))
+        else:
+            out.append(float(rng.uniform(-3.0, 6.0)))
+    return out
+
+
+_FORCES = [
+    parse_expression("1/(2 + y*y)"),     # array path
+    parse_expression("1"),               # array call returns a scalar
+    parse_expression("y^2 + 1"),         # ^: scalar path
+    lambda z: math.cos(z) + 2.0,         # callable: scalar path
+]
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_scalar_and_batched_queries_match_the_sorted_list_cache(seed, small):
+    rng = np.random.default_rng(seed)
+    f = _FORCES[seed % len(_FORCES)]
+    cache = (_SmallCache if small else quadrature._PotentialCache)(f)
+    ref = (_SmallReference if small else _ReferenceCache)(f)
+    for _ in range(16):
+        zs = _queries(rng, int(rng.integers(1, 14)))
+        mode = rng.integers(3)
+        if mode == 0:
+            got = [cache(z) for z in zs]
+        elif mode == 1:
+            # a stop after a random number of values
+            cut = int(rng.integers(1, len(zs) + 1))
+            answered = []
+
+            def stop(u):
+                answered.append(u)
+                return len(answered) == cut
+
+            got = cache.many(zs, stop=stop)
+            zs = zs[:cut]
+        else:
+            # a batch, then queries announced to come next, followed for a
+            # while, then others
+            cut = int(rng.integers(len(zs) + 1))
+            got = cache.many(zs[:cut], then=zs[cut:])
+            follow = int(rng.integers(cut, len(zs) + 1))
+            zs = zs[:follow] + _queries(rng, 3)
+            got += [cache(z) for z in zs[cut:]]
+        want = [ref(z) for z in zs]
+        assert _bits(got) == _bits(want)
+        _same_table(cache, ref)
+
+
+def test_the_cap_holds_in_a_batch_and_repeats_beyond_it_integrate_again():
+    f = parse_expression("1/(2 + y*y)")
+    cache, ref = _SmallCache(f), _SmallReference(f)
+    zs = [k / 4.0 for k in range(1, 40)] + [9.75, 9.75, 0.125, -1.0, -1.0]
+    assert _bits(cache.many(zs)) == _bits([ref(z) for z in zs])
+    assert cache.size == cache._MAX_ANCHORS
+    _same_table(cache, ref)
+
+
+def test_a_turning_point_mid_scan_keeps_the_anchors_of_the_queries_made():
+    # v = 1 against F = -1 stops at z = 1/2, about halfway along the scan
+    force = Smooth1D(f=parse_expression("-1"))
+    profile = energy_profile(force=force, velocity=lambda t: 1.0,
+                             velocity_deriv=lambda t: 0.0)
+    with pytest.raises(TurningPoint) as exc:
+        time_of_flight(profile, 0.0, 2.0)
+    # the same queries one at a time: h0(x), u(x), then the scan to the stop
+    ref = _ReferenceCache(force.f)
+    h0x = 0.5 + ref(0.0)
+    ref(0.0)
+    smax = math.sqrt(2.0)
+    for s in smax * (np.arange(1, 96) / 96):
+        z = 0.0 + s * s
+        if h0x - ref(z) <= 0.0:
+            break
+    assert exc.value.bracket[1] == z
+    assert 10 < len(ref.zs) < 90
+    _same_table(force._potential_cache, ref)
+
+
+@pytest.mark.parametrize("text", [
+    "1/(y - 0.5)",
+    # (y - 0.5)/(y + 0.5): the array call gives 1/(1 + inf) = 0 at 0.5,
+    # where a scalar call raises, and the first panel of [0, 1] passes
+    "1/(1 + 1/(y - 0.5))",
+])
+def test_an_evaluation_error_mid_batch_surfaces_after_the_earlier_anchors(text):
+    f = parse_expression(text)
+    zs = [-0.25, 1.0, 2.0]    # the panel [0, 1] of 1.0 has its centre at 0.5
+    ref = _ReferenceCache(f)
+    with pytest.raises(EvaluationError):
+        [ref(z) for z in zs]
+    for announce in (False, True):
+        cache = quadrature._PotentialCache(f)
+        with pytest.raises(EvaluationError):
+            if announce:
+                cache.many([], then=zs)
+                [cache(z) for z in zs]
+            else:
+                cache.many(zs)
+        _same_table(cache, ref)
+
+
+def test_a_dropped_cache_is_freed_without_a_garbage_collection():
+    cache = quadrature._PotentialCache(parse_expression("1/(2 + y*y)"))
+    cache.many([0.5, 1.5, 2.5], then=[3.0, 3.5])
+    cache(3.0)
+    gone = weakref.ref(cache)
+    gc.disable()
+    try:
+        del cache
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_potentials_is_potential_in_order_for_every_force_kind():
+    forces = [OneGap(f1=2.0, f2=1.0, a=2.0),
+              TwoGap(f1=2.0, f2=1.0, f3=3.0, a=2.0, b=3.4),
+              Smooth1D(f=parse_expression("1/(2 + y*y)")),
+              Smooth1D(f=parse_expression("y^2"))]
+    zs = [0.5, 3.0, -1.0, 2.5, 0.5, 4.0]
+    for force in forces:
+        want = [potential(force, z) for z in zs]
+        force.__dict__.pop("_potential_cache", None)
+        assert _bits(quadrature.potentials(force, zs)) == _bits(want)
+        force.__dict__.pop("_potential_cache", None)
+        profile = energy_profile(force=force)
+        cut = profile.u_many(zs, stop=lambda u: u == want[3])
+        assert _bits(cut) == _bits(want[:4])
+
+
+#############################################################
+# The vectorized first QUADPACK panel
+#############################################################
+
+_FORCE_TEXTS = ["1/(2 + y*y)", "0", "1", "y", "3.7/(1.3 + y*y)", "2.25*y",
+                "exp(-y*y)*sin(3*y)"]
+
+
+def _one_panel_quad(f, a, b):
+    """(value, True) where quad returns after its first panel without a
+    warning, (None, False) otherwise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = scipy_quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=200,
+                         full_output=1)
+    if len(out) == 3 and out[2]["last"] == 1:
+        return out[0], True
+    return None, False
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=st.sampled_from(_FORCE_TEXTS),
+       panels=st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-13.0, 1.5),
+                                 st.booleans()),
+                       min_size=1, max_size=12))
+def test_first_panel_kernel_accepts_and_answers_as_quad(text, panels):
+    f = parse_expression(text)
+    a = np.array([p[0] for p in panels])
+    b = a + np.array([10.0 ** p[1] * (-1.0 if p[2] else 1.0) for p in panels])
+    vals, ok, _ = quadrature._first_panels(f, a, b, 1e-14, 1e-12)
+    for k in range(len(a)):
+        want, one = _one_panel_quad(f, float(a[k]), float(b[k]))
+        assert bool(ok[k]) == one
+        if one:
+            assert _bits([vals[k]]) == _bits([want])
+
+
+def test_first_panel_kernel_also_declines_panels():
+    f = parse_expression("exp(-y*y)*sin(3*y)")
+    a = np.array([-6.0, 0.0, 1.0])
+    b = np.array([5.0, 1e-3, 1.0 + 1e-9])
+    _, ok, _ = quadrature._first_panels(f, a, b, 1e-14, 1e-12)
+    assert ok.tolist() == [False, True, True]
+    assert [_one_panel_quad(f, lo, hi)[1] for lo, hi in zip(a, b)] == [
+        False, True, True]
+
+
+def test_quad_points_are_the_first_points_quad_evaluates():
+    seen = []
+
+    def peaked(z):
+        seen.append(z)
+        return 1.0 / (1e-3 + z * z) ** 1.5
+
+    a, b = 0.3, 2.7
+    scipy_quad(peaked, a, b, epsabs=1e-14, epsrel=1e-10, limit=200)
+    assert len(seen) > 63
+    assert _bits(seen[:63]) == _bits(quadrature._quad_points(a, b))

@@ -520,3 +520,19 @@ def test_collision_report_text(tmp_path):
     assert text.startswith("found: yes\n")
     assert "t_first: 1.0" in text
     assert "mode: " in text
+
+
+def test_numeric_flow_energies_match_one_potential_query_at_a_time(monkeypatch):
+    # the initial energies and the drift check query the potential as
+    # batches; the same queries made one by one give the same bits
+    def run():
+        s = load_bundled("smooth_regular")
+        flow = simulator.NumericFlow1D(s, s.domain.axis_nodes(0, 40), 6.0)
+        return flow.energy0.tobytes(), flow._energy_drift()
+
+    batched = run()
+    monkeypatch.setattr(
+        simulator.quadrature, "potentials",
+        lambda force, zs, stop=None: [simulator.quadrature.potential(force, z)
+                                      for z in zs])
+    assert run() == batched
