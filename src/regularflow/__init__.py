@@ -7,7 +7,6 @@ Euler velocity field and densities along the characteristics.
 """
 
 from .errors import (
-    BlowUp,
     DimensionMismatch,
     EvaluationError,
     ExpressionError,

@@ -85,10 +85,6 @@ class StepFailure(RegularFlowError):
     """The adaptive integrator could not keep the local error budget."""
 
 
-class BlowUp(RegularFlowError):
-    """A trajectory left every bounded region before the requested time."""
-
-
 class NeverReaches(RegularFlowError):
     """A piecewise trajectory never reaches the requested boundary."""
 

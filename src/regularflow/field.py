@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -29,11 +29,9 @@ from . import quadrature, simulator
 from .errors import (
     HypothesisViolated,
     InvalidParameter,
-    NeverReaches,
     NotRegular,
     OutOfImage,
 )
-from .expressions import Expression
 from .regularity import (
     COLLISION,
     EQUALITY_BAND,
@@ -45,11 +43,10 @@ from .regularity import (
 from .scenario import (
     EULER_GLOBAL,
     Constant,
-    OneGap,
     Smooth1D,
-    TwoGap,
     central_difference,
 )
+from .simulator import _eval_arcs, _label_arcs, _on_labels
 
 INVERT_TOL = 1e-12
 JACOBIAN_FLOOR = 1e-14
@@ -65,55 +62,6 @@ def _scalar_force(force):
         return float(np.asarray(force(y), dtype=float).reshape(-1)[0])
 
     return f
-
-
-def _on_labels(fn, xs):
-    """A 1D profile at every label of the array xs, with the bits of one
-    scalar call per label.
-
-    A Constant, and an Expression whose array calls match its scalar calls,
-    answer the whole array in one call (a constant once, broadcast); any
-    other callable is called per label.  Where the array answer is not
-    finite the profile is called again per label, so an expression raises
-    EvaluationError wherever its scalar call would.
-    """
-    if not (isinstance(fn, Constant)
-            or (isinstance(fn, Expression) and fn.arrays_match_scalars)):
-        return np.array([float(fn(float(x))) for x in xs.ravel()]).reshape(
-            xs.shape)
-    out = np.asarray(fn(xs), dtype=float)
-    if out.shape != xs.shape:
-        out = np.full(xs.shape, out)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        for x in xs[bad]:
-            fn(float(x))
-    return out
-
-
-def _gap_states(force, t, x0, v0, m):
-    """(y, v) at time t on the exact arcs of a gap force, for arrays of
-    labels, initial velocities and masses.
-
-    The arcs are those of ``simulator._gap_segments``, computed with the
-    same operations in the same order, so each element has the bits of
-    ``propagate_piecewise_1d(...).position(t)`` and ``.velocity(t)``.
-    """
-    a1 = force.f1 / m
-    a2 = force.f2 / m
-    d = v0 * v0 + 2.0 * a1 * (force.a - x0)
-    if np.any(d < 0.0):
-        raise NeverReaches("particle never reaches the first force step")
-    v_a = np.sqrt(d)
-    arcs = [(0.0, x0, v0, a1), ((-v0 + v_a) / a1, force.a, v_a, a2)]
-    if isinstance(force, TwoGap):
-        d2 = v_a * v_a + 2.0 * a2 * (force.b - force.a)
-        if np.any(d2 < 0.0):
-            raise NeverReaches("particle never reaches the second force step")
-        v_b = np.sqrt(d2)
-        arcs.append((arcs[1][0] + (-v_a + v_b) / a2, force.b, v_b,
-                     force.f3 / m))
-    return simulator._eval_arcs(arcs, t)
 
 
 @dataclass
@@ -158,7 +106,7 @@ class FlowMap:
     refuses times at or past the first collision detected on [0, horizon].
     """
 
-    def __init__(self, scenario, horizon, cache_nodes=_CACHE_NODES):
+    def __init__(self, scenario, horizon):
         if scenario.dim != 1:
             raise InvalidParameter("FlowMap supports one-dimensional scenarios")
         horizon = float(horizon)
@@ -168,17 +116,11 @@ class FlowMap:
         self.horizon = horizon
         self.x_lo = scenario.domain.lower[0]
         self.x_hi = scenario.domain.upper[0]
-        force = scenario.force
-        if isinstance(force, (OneGap, TwoGap)):
-            self.mode = "gap"
-            self.const = None
-        else:
-            self.const = simulator._constant_force_value(scenario, horizon)
-            self.mode = "const" if self.const is not None else "numeric"
+        self.levels = simulator._force_levels(scenario, horizon)
+        self.mode = "numeric" if self.levels is None else "exact"
         self._ivp_cache = {}
         self._dense = None
         self._t_cache = {}
-        self._cache_nodes = cache_nodes
         self._regular_until = None
 
     # -- regularity gate ----------------------------------------------------
@@ -218,13 +160,7 @@ class FlowMap:
             for i, x in np.ndenumerate(xs):
                 ys[i], vs[i] = self._single_flow(float(x))(t)
             return ys, vs
-        init = self.scenario.init
-        v0 = _on_labels(init.velocity, xs)
-        m = _on_labels(init.mass, xs)
-        if self.mode == "const":
-            a = self.const / m
-            return xs + v0 * t + 0.5 * a * t * t, v0 + a * t
-        return _gap_states(self.scenario.force, t, xs, v0, m)
+        return _eval_arcs(_label_arcs(self.scenario, xs, self.levels), t)[:2]
 
     def state(self, t, x):
         y, v = self.states(t, float(x))
@@ -270,7 +206,7 @@ class FlowMap:
 
     def _dense_flow(self):
         if self._dense is None:
-            xs = np.linspace(self.x_lo, self.x_hi, self._cache_nodes)
+            xs = np.linspace(self.x_lo, self.x_hi, _CACHE_NODES)
             self._dense = simulator.NumericFlow1D(
                 self.scenario, xs, self.horizon)
         return self._dense

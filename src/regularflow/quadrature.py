@@ -702,8 +702,8 @@ def dT_dx_weighted(profile, x, y, v, dv, m, dm, f, df,
     """
     base = dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df, rel_tol, abs_tol)
     dmx = float(dm(x))
-    mx = float(m(x))
     if dmx == 0.0:
         return base
+    mx = float(m(x))
     t_reduced = time_of_flight(profile, x, y, rel_tol=rel_tol).time
     return dmx / (2.0 * math.sqrt(mx)) * t_reduced + math.sqrt(mx) * base

@@ -255,8 +255,7 @@ def check_smooth_general(scenario, n_x=17, n_y=17):
     unit mass this equals the integration-by-parts inequality value; for
     varying mass the inequality value alone gets the wrong sign on examples
     like m(x) = 1 + x with constant force, so the mass-weighted derivative is
-    the decision quantity.  The raw inequality minimum is reported in
-    diagnostics.
+    the decision quantity.
     """
     force = scenario.force
     if not isinstance(force, Smooth1D):
@@ -279,29 +278,19 @@ def check_smooth_general(scenario, n_x=17, n_y=17):
             raise HypothesisViolated("force must be positive on the reachable range",
                                      criterion=SMOOTH_GENERAL, witness=float(z))
     profile = quadrature.energy_profile(scenario)
-    df = force.df
-    raw_min = [math.inf]
 
     def margin(x, y):
         try:
-            base = quadrature.dT_dx_by_parts(profile, x, y, v, dv, m, dm,
-                                             force, df)
+            return -quadrature.dT_dx_weighted(profile, x, y, v, dv, m, dm,
+                                              force, force.df)
         except TurningPoint as exc:
             raise HypothesisViolated(
                 f"a particle turns around before reaching its target: {exc}",
                 criterion=SMOOTH_GENERAL, witness=(x, y))
-        raw_min[0] = min(raw_min[0], -base)
-        dmx = float(dm(x))
-        if dmx == 0.0:
-            return -base
-        mx = float(m(x))
-        t_red = quadrature.time_of_flight(profile, x, y).time
-        return -(dmx / (2.0 * math.sqrt(mx)) * t_red + math.sqrt(mx) * base)
 
     rng = _pair_rng(scenario, 2)
     min_val, xy = _minimize_pair_margin(margin, x_lo, x_hi, y_hi, n_x, n_y, rng)
-    return _band_verdict(SMOOTH_GENERAL, min_val, xy,
-                         diagnostics={"inequality_min": raw_min[0]})
+    return _band_verdict(SMOOTH_GENERAL, min_val, xy)
 
 
 #############################################################
@@ -310,35 +299,17 @@ def check_smooth_general(scenario, n_x=17, n_y=17):
 
 
 def _gap_micro_witness(force, velocity, x_star, domain_hi=1.0, delta=_MICRO):
-    """Exact collision data for a micro pair at x_star under a gap force."""
+    """Exact collision data for a micro pair at x_star under a gap force,
+    for unit masses."""
     if x_star + delta <= domain_hi:
         x1, x2 = x_star, x_star + delta
     else:
         x1, x2 = x_star - delta, x_star
-    seg1 = simulator._gap_segments(force, x1, float(velocity(x1)))
-    seg2 = simulator._gap_segments(force, x2, float(velocity(x2)))
-    t_star = max(seg1[-1][0], seg2[-1][0])
-    t = simulator._pair_first_crossing(seg1, seg2, t_star if t_star > 0 else 1.0)
-    if t is None:
-        def at(seg, tt):
-            t0, y0, v0, a = seg[-1]
-            s = tt - t0
-            return y0 + v0 * s + 0.5 * a * s * s, v0 + a * s
-
-        y1, v1 = at(seg1, t_star)
-        y2, v2 = at(seg2, t_star)
-        if isinstance(force, OneGap):
-            dvf = (float(velocity(x2)) - float(velocity(x1))
-                   + (force.f1 - force.f2) * (seg2[1][0] - seg1[1][0]))
-        else:
-            dvf = ((force.f1 - force.f2) * (seg2[1][0] - seg1[1][0])
-                   + (force.f2 - force.f3) * (seg2[2][0] - seg1[2][0])
-                   + float(velocity(x2)) - float(velocity(x1)))
-        gap = y2 - y1
-        if gap <= 0.0:
-            t = t_star
-        elif dvf < 0.0:
-            t = t_star + gap / (-dvf)
+    xs = np.array([x1, x2])
+    arcs = simulator._gap_segments(force, xs,
+                                   simulator._on_labels(velocity, xs), 1.0)
+    (t,), _ = simulator._pair_collisions(force, 1.0, arcs, [0], [1],
+                                         float(np.max(arcs[-1][0])))
     if t is None:
         return {"pair": (x1, x2)}
     return {"pair": (x1, x2), "time": float(t)}

@@ -383,7 +383,6 @@ class InitialData:
     """
 
     velocity: Optional[Callable] = None
-    velocity_jac: Optional[Callable] = None
     velocity_deriv: Optional[Callable] = None
     mass: Optional[Callable] = None
     mass_deriv: Optional[Callable] = None
@@ -450,9 +449,6 @@ class Scenario:
     def velocity_is_zero(self, tol=_ZERO_TOL):
         return bool(np.max(np.abs(self.velocity_samples())) <= tol)
 
-    def velocity_is_nonnegative(self, tol=_ZERO_TOL):
-        return bool(np.min(self.velocity_samples()) >= -tol)
-
 
 #############################################################
 # Construction and validation
@@ -500,6 +496,8 @@ def build_scenario(
     if init is None:
         init = InitialData()
     dim = domain.dim
+    if init.mass is not None and dim > 1:
+        raise DimensionMismatch("mass profiles are one-dimensional")
 
     if isinstance(force, GAP_KINDS):
         if dim != 1:
@@ -676,9 +674,6 @@ def build_blowup_scenario(z, dz=None, d2z=None, samples=512, horizon=math.inf,
     if dz is None:
         dz = central_difference(z, fd_step, lower=0.0)
 
-    def time_on_curve(x):
-        return _invert_monotone_curve(z, x)
-
     def velocity(x):
         t = _invert_monotone_curve(z, x)
         out = np.asarray(dz(t), dtype=float)
@@ -703,7 +698,6 @@ def build_blowup_scenario(z, dz=None, d2z=None, samples=512, horizon=math.inf,
         fd_step=fd_step,
     )
     scenario.curve = z
-    scenario.curve_time = time_on_curve
     return scenario
 
 

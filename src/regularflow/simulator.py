@@ -12,13 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.spatial import cKDTree
 
 from . import quadrature
+from .expressions import Expression
 from .errors import (
     InvalidParameter,
     NeverReaches,
@@ -28,6 +29,7 @@ from .errors import (
 from .scenario import (
     Annulus,
     Central,
+    Constant,
     ConstantVec,
     HalfSpaceStep,
     Linear,
@@ -42,15 +44,9 @@ ATOL = 1e-12
 ENERGY_DRIFT_BUDGET = 1e-8
 _CONST_FORCE_TOL = 1e-12
 MICRO_PAIR_STEP = 1e-7
-
-
-@dataclass
-class ParticleState:
-    x0: object
-    y: object
-    v: object
-    region: int
-    energy0: Optional[float] = None
+REFINE_PASSES = 5
+HISTORY_FRAMES = 64
+MAX_PHASES = 64
 
 
 @dataclass
@@ -62,21 +58,10 @@ class EnsembleTrajectory:
     events: list = field(default_factory=list)
     mode: str = "Numeric"
     energy0: Optional[np.ndarray] = None
-    scenario: Optional[object] = None
 
     @property
     def n_particles(self):
         return self.x0.shape[0]
-
-    def state_at(self, time_index, particle_index):
-        x0 = self.x0[particle_index]
-        y = self.y[time_index, particle_index]
-        v = self.v[time_index, particle_index]
-        region = 0
-        if self.scenario is not None:
-            region = force_region(self.scenario.force, y)
-        e0 = None if self.energy0 is None else float(self.energy0[particle_index])
-        return ParticleState(x0=x0, y=y, v=v, region=region, energy0=e0)
 
 
 @dataclass
@@ -91,87 +76,80 @@ class CollisionReport:
     details: dict = field(default_factory=dict)
 
 
-def force_region(force, y):
-    """Index of the constant-force region containing position y (gap forces)."""
-    if isinstance(force, OneGap):
-        yv = y if np.isscalar(y) else y
-        return 0 if yv < force.a else 1
-    if isinstance(force, TwoGap):
-        if y < force.a:
-            return 0
-        return 1 if y < force.b else 2
-    if isinstance(force, HalfSpaceStep):
-        yd = np.asarray(y)[force.axis]
-        return 0 if yd < force.a else 1
-    return 0
-
-
 #############################################################
-# Exact piecewise-parabolic kinematics (1D gap and constant forces)
+# Exact piecewise-parabolic kinematics (gap, constant and step forces)
 #############################################################
 
 
-@dataclass
-class Parabolic1D:
-    """Trajectory made of parabolic arcs: (t_k, y_k, v_k, a_k) per arc."""
+def _on_labels(fn, xs):
+    """A 1D profile at every label of the array xs, with the bits of one
+    scalar call per label.
 
-    x0: float
-    segments: List[Tuple[float, float, float, float]]
-
-    def _segment(self, t):
-        k = len(self.segments) - 1
-        while k > 0 and t < self.segments[k][0]:
-            k -= 1
-        return self.segments[k]
-
-    def position(self, t):
-        t0, y0, v0, a = self._segment(t)
-        s = t - t0
-        return y0 + v0 * s + 0.5 * a * s * s
-
-    def velocity(self, t):
-        t0, y0, v0, a = self._segment(t)
-        return v0 + a * (t - t0)
-
-    def crossing_times(self):
-        return [seg[0] for seg in self.segments[1:]]
+    A Constant, and an Expression whose array calls match its scalar calls,
+    answer the whole array in one call (a constant once, broadcast); any
+    other callable is called per label.  Where the array answer is not
+    finite the profile is called again per label, so an expression raises
+    EvaluationError wherever its scalar call would.
+    """
+    if not (isinstance(fn, Constant)
+            or (isinstance(fn, Expression) and fn.arrays_match_scalars)):
+        return np.array([float(fn(float(x))) for x in xs.ravel()]).reshape(
+            xs.shape)
+    out = np.asarray(fn(xs), dtype=float)
+    if out.shape != xs.shape:
+        out = np.full(xs.shape, out)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        for x in xs[bad]:
+            fn(float(x))
+    return out
 
 
-def _gap_segments(force, x0, v0, m=1.0):
-    """Exact arcs of a forward gap-force trajectory started at (x0, v0);
-    accelerations are the force levels divided by the particle's mass."""
-    a1 = force.f1 / m
-    a2 = force.f2 / m
-    segs = [(0.0, x0, v0, a1)]
-    d = v0 * v0 + 2.0 * a1 * (force.a - x0)
-    if d < 0.0:
+def _gap_segments(levels, xs, v0, m):
+    """Exact arcs of the forward trajectories of the labels xs, started with
+    velocities v0, as a list of (start, y0, v0, a) columns over the labels.
+
+    ``levels`` is a gap force, or the value of a constant force, whose
+    trajectories are one arc; accelerations are the force levels divided by
+    the masses m, an array over the labels or one common number.  Each
+    column is an array over the labels or one number shared by all of them.
+    """
+    if not isinstance(levels, (OneGap, TwoGap)):
+        return [(0.0, xs, v0, levels / m)]
+    a1 = levels.f1 / m
+    a2 = levels.f2 / m
+    d = v0 * v0 + 2.0 * a1 * (levels.a - xs)
+    if np.any(d < 0.0):
         raise NeverReaches("particle never reaches the first force step")
-    t_a = (-v0 + math.sqrt(d)) / a1
-    v_a = math.sqrt(d)
-    if isinstance(force, OneGap):
-        segs.append((t_a, force.a, v_a, a2))
-        return segs
-    segs.append((t_a, force.a, v_a, a2))
-    d2 = v_a * v_a + 2.0 * a2 * (force.b - force.a)
-    if d2 < 0.0:
-        raise NeverReaches("particle never reaches the second force step")
-    s = (-v_a + math.sqrt(d2)) / a2
-    segs.append((t_a + s, force.b, math.sqrt(d2), force.f3 / m))
-    return segs
+    v_a = np.sqrt(d)
+    arcs = [(0.0, xs, v0, a1), ((-v0 + v_a) / a1, levels.a, v_a, a2)]
+    if isinstance(levels, TwoGap):
+        d2 = v_a * v_a + 2.0 * a2 * (levels.b - levels.a)
+        if np.any(d2 < 0.0):
+            raise NeverReaches("particle never reaches the second force step")
+        v_b = np.sqrt(d2)
+        arcs.append((arcs[1][0] + (-v_a + v_b) / a2, levels.b, v_b,
+                     levels.f3 / m))
+    return arcs
 
 
-def _const_segments(c, x0, v0, m=1.0):
-    return [(0.0, x0, v0, c / m)]
+def _label_arcs(scenario, xs, levels, m=None):
+    """``_gap_segments`` of the labels xs with the scenario's initial
+    velocities and, unless a common mass m is given, its masses."""
+    xs = np.asarray(xs, dtype=float)
+    if m is None:
+        m = _on_labels(scenario.init.mass, xs)
+    return _gap_segments(levels, xs, _on_labels(scenario.init.velocity, xs), m)
 
 
 def _eval_arcs(arcs, t):
-    """(y, v) at t on the last arc that has started by t.
+    """(y, v, a) at t on the last arc that has started by t.
 
-    ``arcs`` is a sequence of (start, y0, v0, a) in order of start, each
-    entry a number or an array broadcastable against t.  The arc is picked
-    as ``Parabolic1D._segment`` picks it and evaluated with the operations
-    of ``Parabolic1D.position``/``velocity`` in the same order, so every
-    element has the bits of the scalar evaluation.
+    ``arcs`` is a sequence of (start, y0, v0, a), each entry a number or an
+    array broadcastable against t; the first arc is taken where no other
+    has started.  y = y0 + v0 s + a s^2 / 2 and v = v0 + a s with s the time
+    since the arc started, elementwise, so an array element has the bits of
+    the same evaluation on numbers.
     """
     t0, y0, v0, a = arcs[0]
     for start, y_k, v_k, a_k in arcs[1:]:
@@ -181,23 +159,32 @@ def _eval_arcs(arcs, t):
         v0 = np.where(on, v_k, v0)
         a = np.where(on, a_k, a)
     s = t - t0
-    return y0 + v0 * s + 0.5 * a * s * s, v0 + a * s
+    return y0 + v0 * s + 0.5 * a * s * s, v0 + a * s, a
 
 
-def _arc_states(segs, times):
-    """(y, v), each shaped (len(times), len(segs)): every label's arc list
-    evaluated at every time.
+@dataclass
+class ArcTrajectory:
+    """Trajectory made of parabolic arcs (start, y0, v0, a) in order of
+    start: numbers on the line, vectors in d dimensions."""
 
-    The arc lists are stacked into one (labels, arcs, 4) table; a label
-    with fewer arcs is padded with arcs starting at +inf, which no finite
-    time reaches.
-    """
-    n_arcs = max(len(sg) for sg in segs)
-    pad = [(math.inf, 0.0, 0.0, 0.0)]
-    table = np.array([list(sg) + pad * (n_arcs - len(sg)) for sg in segs],
-                     dtype=float)
-    return _eval_arcs(table.transpose(1, 2, 0),
-                      np.asarray(times, dtype=float)[:, None])
+    x0: object
+    arcs: List[tuple]
+
+    def states(self, times):
+        """(positions, velocities) at each time, shaped (len(times),) on
+        the line and (len(times), dim) in d dimensions."""
+        t = np.asarray(times, dtype=float)
+        t = t.reshape(t.shape + (1,) * np.ndim(self.arcs[0][1]))
+        return _eval_arcs(self.arcs, t)[:2]
+
+    def position(self, t):
+        return self.states([t])[0][0]
+
+    def velocity(self, t):
+        return self.states([t])[1][0]
+
+    def crossing_times(self):
+        return [arc[0] for arc in self.arcs[1:]]
 
 
 def propagate_piecewise_1d(scenario, x0):
@@ -205,57 +192,104 @@ def propagate_piecewise_1d(scenario, x0):
     force = scenario.force
     if not isinstance(force, (OneGap, TwoGap)):
         raise InvalidParameter("propagate_piecewise_1d needs a gap force")
-    v0 = float(scenario.init.velocity(float(x0)))
-    m = float(scenario.init.mass(float(x0)))
-    return Parabolic1D(x0=float(x0),
-                       segments=_gap_segments(force, float(x0), v0, m))
+    arcs = _label_arcs(scenario, [float(x0)], force)
+    return ArcTrajectory(x0=float(x0), arcs=[
+        tuple(float(np.ravel(c)[0]) for c in arc) for arc in arcs])
 
 
-def _pair_first_crossing(seg_i, seg_j, t_end):
-    """First time in (0, t_end] where trajectory j meets trajectory i.
+def _first_root(c2, c1, c0, floor):
+    """Smallest root above floor of c2 s^2 + c1 s + c0, or None."""
+    if abs(c2) < 1e-300:
+        roots = (-c0 / c1,) if c1 != 0.0 else ()
+    else:
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if not disc >= 0.0:
+            return None
+        sq = math.sqrt(disc)
+        roots = ((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2))
+    above = [r for r in roots if r > floor]
+    return min(above) if above else None
 
-    Both trajectories are parabolic-arc lists; on each merged sub-interval the
-    gap is a quadratic in local time, solved in closed form.
+
+def _take(arcs, idx):
+    """The arcs of the labels idx, each column shaped (len(idx), 1)."""
+    return [tuple(c[idx, None] if np.ndim(c) else c for c in arc)
+            for arc in arcs]
+
+
+def _first_crossings(arcs, i, j, t_end):
+    """First time in [0, t_end] where label j meets label i, for each pair
+    of the index arrays (i, j), or None.
+
+    Between consecutive arc starts of either label the gap is a quadratic
+    in local time, solved in closed form; the states at every interval
+    start are evaluated for all pairs at once.
     """
-    breaks = sorted({0.0, t_end, *(s[0] for s in seg_i[1:]), *(s[0] for s in seg_j[1:])})
-    breaks = [b for b in breaks if 0.0 <= b <= t_end]
-    if breaks[-1] < t_end:
-        breaks.append(t_end)
+    i = np.asarray(i)
+    j = np.asarray(j)
+    cols = [np.zeros(len(i)), np.full(len(i), t_end)]
+    cols += [arc[0][k] for k in (i, j) for arc in arcs[1:]]
+    breaks = np.stack(cols, axis=1)
+    # arc starts past t_end merge into t_end: intervals of zero length
+    breaks = np.sort(np.where((breaks >= 0.0) & (breaks <= t_end), breaks,
+                              t_end), axis=1)
+    t0 = breaks[:, :-1]
+    y_i, v_i, a_i = _eval_arcs(_take(arcs, i), t0)
+    y_j, v_j, a_j = _eval_arcs(_take(arcs, j), t0)
+    c2 = np.broadcast_to(0.5 * (a_j - a_i), t0.shape)
+    return [_pair_first_crossing(*row) for row in zip(
+        breaks.tolist(), (y_j - y_i).tolist(), (v_j - v_i).tolist(),
+        c2.tolist())]
 
-    def eval_state(segs, t):
-        k = len(segs) - 1
-        while k > 0 and t < segs[k][0]:
-            k -= 1
-        t0, y0, v0, a = segs[k]
-        s = t - t0
-        return y0 + v0 * s + 0.5 * a * s * s, v0 + a * s, a
 
-    for t0, t1 in zip(breaks[:-1], breaks[1:]):
+def _pair_first_crossing(breaks, c0, c1, c2):
+    """First zero of the gap c2[k] s^2 + c1[k] s + c0[k] on the interval k
+    from breaks[k] (s = 0) to breaks[k + 1], over the intervals in order;
+    None when the gap stays positive."""
+    for k, (t0, t1) in enumerate(zip(breaks, breaks[1:])):
         if t1 <= t0:
             continue
-        yi, vi, ai = eval_state(seg_i, t0)
-        yj, vj, aj = eval_state(seg_j, t0)
-        c0 = yj - yi
-        c1 = vj - vi
-        c2 = 0.5 * (aj - ai)
-        if c0 <= 0.0:
+        if c0[k] <= 0.0:
             return t0
-        span = t1 - t0
-        roots = []
-        if abs(c2) < 1e-300:
-            if c1 < 0.0:
-                roots.append(-c0 / c1)
-        else:
-            disc = c1 * c1 - 4.0 * c2 * c0
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                for r in ((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)):
-                    if r > 0.0:
-                        roots.append(r)
-        hits = [r for r in roots if 0.0 < r <= span * (1.0 + 1e-12)]
-        if hits:
-            return t0 + min(hits)
+        r = _first_root(c2[k], c1[k], c0[k], 0.0)
+        if r is not None and r <= (t1 - t0) * (1.0 + 1e-12):
+            return t0 + r
     return None
+
+
+def _pair_collisions(levels, m, arcs, i, j, t_star):
+    """First collision time on [0, inf) of each label pair (i, j) with
+    label i below label j, or None, and the final velocity difference of
+    each pair.
+
+    By t_star the labels are in their last force region, where each state is
+    taken on the last arc, so a pair that has not met by then collides iff
+    its gap is closed or its final velocity difference, constant from then
+    on, is negative.  With accelerations
+    a_k = f_k / m the final velocity is v0 + a_last t + (a1 - a2) T_a for a
+    one-gap force, plus (a2 - a3) T_b for a two-gap force, which gives the
+    difference without cancellation.
+    """
+    i = np.asarray(i)
+    j = np.asarray(j)
+    v0 = arcs[0][2]
+    dv = v0[j] - v0[i]
+    if isinstance(levels, (OneGap, TwoGap)):
+        t_a = arcs[1][0]
+        dv = dv + (levels.f1 - levels.f2) / m * (t_a[j] - t_a[i])
+    if isinstance(levels, TwoGap):
+        t_b = arcs[2][0]
+        dv = dv + (levels.f2 - levels.f3) / m * (t_b[j] - t_b[i])
+    y, _, _ = _eval_arcs(arcs[-1:], t_star)
+    gaps = (y[j] - y[i]).tolist()
+    dv = dv.tolist()
+    times = _first_crossings(arcs, i, j, t_star if t_star > 0 else 1.0)
+    for k, t in enumerate(times):
+        if t is None and gaps[k] <= 0.0:
+            times[k] = t_star
+        elif t is None and dv[k] < 0.0:
+            times[k] = t_star + gaps[k] / (-dv[k])
+    return times, dv
 
 
 #############################################################
@@ -280,7 +314,7 @@ class NumericFlow1D:
     """Dense numeric flow of a 1D ensemble; shared by detectors and fields."""
 
     def __init__(self, scenario, xs, horizon, n_out=DEFAULT_N_OUT,
-                 rtol=RTOL, atol=ATOL, check_energy=True):
+                 check_energy=True):
         force = scenario.force
         f_vec = _vectorize_scalar(force.f if isinstance(force, Smooth1D) else force)
         xs = np.asarray(xs, dtype=float)
@@ -295,7 +329,7 @@ class NumericFlow1D:
         times = np.linspace(0.0, horizon, n_out)
         sol = solve_ivp(
             rhs, (0.0, horizon), np.concatenate([xs, v0]),
-            method="DOP853", rtol=rtol, atol=atol, dense_output=True, t_eval=times,
+            method="DOP853", rtol=RTOL, atol=ATOL, dense_output=True, t_eval=times,
         )
         if not sol.success:
             raise StepFailure(f"integration failed: {sol.message}")
@@ -347,7 +381,7 @@ class NumericFlow1D:
     def ensemble(self):
         return EnsembleTrajectory(
             times=self.times, x0=self.xs, y=self.y, v=self.v,
-            mode="Numeric", energy0=self.energy0, scenario=self.scenario,
+            mode="Numeric", energy0=self.energy0,
         )
 
 
@@ -408,7 +442,7 @@ def _smooth_single_with_events(scenario, x0, horizon, n_out):
         vs[~done] = vals[1]
     return EnsembleTrajectory(
         times=times, x0=np.array([x0]), y=ys[:, None], v=vs[:, None],
-        events=events_log, mode="Numeric", scenario=scenario,
+        events=events_log, mode="Numeric",
     )
 
 
@@ -432,12 +466,11 @@ def propagate_smooth(scenario, x0, horizon=None, n_out=DEFAULT_N_OUT):
 
     x0 = np.asarray(x0, dtype=float)
     d = scenario.dim
-    m = float(scenario.init.mass(x0)) if _accepts_vector_mass(scenario) else 1.0
     f_eval = _vector_force_single(force)
     v0 = np.asarray(scenario.init.velocity(x0), dtype=float)
 
     def rhs(t, state):
-        return np.concatenate([state[d:], f_eval(state[:d]) / m])
+        return np.concatenate([state[d:], f_eval(state[:d])])
 
     times = np.linspace(0.0, horizon, n_out)
     sol = solve_ivp(rhs, (0.0, horizon), np.concatenate([x0, v0]),
@@ -446,16 +479,8 @@ def propagate_smooth(scenario, x0, horizon=None, n_out=DEFAULT_N_OUT):
         raise StepFailure(sol.message)
     return EnsembleTrajectory(
         times=times, x0=x0[None, :], y=sol.y[:d].T[:, None, :],
-        v=sol.y[d:].T[:, None, :], mode="Numeric", scenario=scenario,
+        v=sol.y[d:].T[:, None, :], mode="Numeric",
     )
-
-
-def _accepts_vector_mass(scenario):
-    try:
-        float(scenario.init.mass(np.zeros(scenario.dim)))
-        return True
-    except Exception:
-        return False
 
 
 def _vector_force_single(force):
@@ -468,12 +493,12 @@ def _vector_force_single(force):
     return lambda y: np.asarray(force(y), dtype=float)
 
 
-def propagate_halfspace(scenario, x0, horizon=math.inf, max_phases=64):
+def propagate_halfspace(scenario, x0, horizon=math.inf):
     """Exact multi-phase parabolic trajectory under a half-space step force.
 
     Each phase has a constant force vector; phase changes happen when the
     split coordinate crosses the step plane (repeatedly, if the receiving
-    normal force pushes the particle back).
+    normal force pushes the particle back), for at most MAX_PHASES phases.
     """
     force = scenario.force
     if not isinstance(force, HalfSpaceStep):
@@ -483,63 +508,19 @@ def propagate_halfspace(scenario, x0, horizon=math.inf, max_phases=64):
     ax = force.axis
     phases = []
     t, y, v = 0.0, x0.copy(), v0.copy()
-    for _ in range(max_phases):
+    for _ in range(MAX_PHASES):
         below = y[ax] < force.a or (y[ax] == force.a and v[ax] < 0.0)
         f = force.f1 if below else force.f2
         phases.append((t, y.copy(), v.copy(), np.asarray(f, dtype=float)))
         # next crossing of the plane in this phase
-        c2, c1, c0 = 0.5 * f[ax], v[ax], y[ax] - force.a
-        roots = []
-        if abs(c2) < 1e-300:
-            if c1 != 0.0:
-                r = -c0 / c1
-                if r > 1e-14:
-                    roots.append(r)
-        else:
-            disc = c1 * c1 - 4.0 * c2 * c0
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                roots = [r for r in ((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2))
-                         if r > 1e-14]
-        if not roots:
-            break
-        dt = min(roots)
-        if t + dt >= horizon:
+        dt = _first_root(0.5 * f[ax], v[ax], y[ax] - force.a, 1e-14)
+        if dt is None or t + dt >= horizon:
             break
         y = y + v * dt + 0.5 * np.asarray(f) * dt * dt
         y[ax] = force.a
         v = v + np.asarray(f) * dt
         t = t + dt
-    return PhasedTrajectory(x0=x0, phases=phases)
-
-
-@dataclass
-class PhasedTrajectory:
-    x0: np.ndarray
-    phases: List[tuple]
-
-    def _phase(self, t):
-        k = len(self.phases) - 1
-        while k > 0 and t < self.phases[k][0]:
-            k -= 1
-        return self.phases[k]
-
-    def position(self, t):
-        t0, y0, v0, f = self._phase(t)
-        s = t - t0
-        return y0 + v0 * s + 0.5 * f * s * s
-
-    def velocity(self, t):
-        t0, y0, v0, f = self._phase(t)
-        return v0 + f * (t - t0)
-
-    def states(self, times):
-        """(positions, velocities), each shaped (len(times), dim), with the
-        bits of ``position``/``velocity`` at each time."""
-        return _eval_arcs(self.phases, np.asarray(times, dtype=float)[:, None])
-
-    def crossing_times(self):
-        return [p[0] for p in self.phases[1:]]
+    return ArcTrajectory(x0=x0, arcs=phases)
 
 
 #############################################################
@@ -561,47 +542,19 @@ class CentralTrajectory:
 
 
 def propagate_central(scenario, x0, horizon=None, n_out=DEFAULT_N_OUT):
-    """Reduce to the radial equation r'' = -U'(r) + M^2 / r^3 with conserved
-    angular momentum M = |x0|^2 h(|x0|); the angle integrates M / r^2."""
-    force = scenario.force
-    if not isinstance(force, Central):
+    """One particle of a central-force ensemble: the one-radius
+    RadialEnsemble of |x0|, its angle started at the polar angle of x0."""
+    if not isinstance(scenario.force, Central):
         raise InvalidParameter("propagate_central needs a central force")
     horizon = scenario.horizon if horizon is None else float(horizon)
     if not math.isfinite(horizon):
         raise InvalidParameter("propagate_central needs a finite horizon")
     x0 = np.asarray(x0, dtype=float)
-    r0 = float(np.hypot(x0[0], x0[1]))
-    phi0 = float(math.atan2(x0[1], x0[0]))
-    g0 = float(scenario.init.radial_speed(r0))
-    mom = r0 * r0 * float(scenario.init.angular_rate(r0))
-    du = force.du
-
-    def rhs(t, state):
-        r = state[0]
-        return [state[1], -float(du(r)) + (mom * mom) / r**3]
-
-    r_floor = 1e-9 * r0
-
-    def origin_event(t, state):
-        return state[0] - r_floor
-
-    origin_event.terminal = True
-    origin_event.direction = -1.0
-
-    times = np.linspace(0.0, horizon, n_out)
-    sol = solve_ivp(rhs, (0.0, horizon), [r0, g0], method="DOP853",
-                    rtol=RTOL, atol=ATOL, t_eval=times, events=[origin_event])
-    if not sol.success:
-        raise StepFailure(sol.message)
-    if sol.status == 1:
-        raise OriginApproach(
-            f"trajectory reached r = {r_floor:.3g} at t = {sol.t_events[0][0]:.6g}")
-    r = sol.y[0]
-    r_dot = sol.y[1]
-    phi = phi0 + (cumulative_trapezoid(mom / r**2, times, initial=0.0) if mom else
-                  np.zeros_like(times))
-    return CentralTrajectory(times=times, r=r, r_dot=r_dot, phi=phi, x0=x0,
-                             momentum=mom)
+    ens = RadialEnsemble(scenario, [math.hypot(x0[0], x0[1])], horizon, n_out)
+    return CentralTrajectory(
+        times=ens.times, r=ens.r[:, 0], r_dot=ens.r_dot[:, 0],
+        phi=math.atan2(x0[1], x0[0]) + ens.dphi[:, 0], x0=x0,
+        momentum=float(ens.momentum[0]))
 
 
 class RadialEnsemble:
@@ -691,6 +644,14 @@ def _constant_force_value(scenario, horizon):
     return c2
 
 
+def _force_levels(scenario, horizon):
+    """The force levels of exact arcs: a gap force, the value of a 1D force
+    that is constant on the range reached by the horizon, or None."""
+    if isinstance(scenario.force, (OneGap, TwoGap)):
+        return scenario.force
+    return _constant_force_value(scenario, horizon)
+
+
 def uniform_mass_value(scenario, xs=None, n=257, rel_tol=1e-12):
     """Common particle mass if the mass profile is constant, else None."""
     if xs is None:
@@ -703,35 +664,24 @@ def uniform_mass_value(scenario, xs=None, n=257, rel_tol=1e-12):
     return None
 
 
-def _segments_for_grid(scenario, xs, const_force=None):
-    force = scenario.force
-    segs = []
-    for x in xs:
-        v0 = float(scenario.init.velocity(float(x)))
-        m = float(scenario.init.mass(float(x)))
-        if const_force is not None:
-            segs.append(_const_segments(const_force, float(x), v0, m))
-        else:
-            segs.append(_gap_segments(force, float(x), v0, m))
-    return segs
-
-
-def _exact_first_collision(segs, xs, horizon):
+def _exact_first_collision(arcs, horizon):
+    """(time, (i, i + 1)) of the earliest crossing of adjacent labels on
+    [0, horizon], or (None, None)."""
+    cells = np.arange(len(arcs[0][1]) - 1)
     t_best, pair_best = None, None
-    for i in range(len(xs) - 1):
-        t = _pair_first_crossing(segs[i], segs[i + 1], horizon)
+    for i, t in enumerate(_first_crossings(arcs, cells, cells + 1, horizon)):
         if t is not None and (t_best is None or t < t_best):
             t_best, pair_best = t, (i, i + 1)
     return t_best, pair_best
 
 
-def _gap_history(segs, times):
-    ys, _ = _arc_states(segs, times)
+def _gap_history(arcs, times):
+    ys = _eval_arcs(arcs, np.asarray(times, dtype=float)[:, None])[0]
     return np.min(np.diff(ys, axis=1), axis=1)
 
 
 def detect_collisions_1d(scenario, n_particles=None, horizon=None,
-                         n_out=DEFAULT_N_OUT, refine_passes=5):
+                         n_out=DEFAULT_N_OUT):
     """First coordinate collision of the sampled 1D ensemble.
 
     Gap and constant forces use exact per-pair quadratic crossings; smooth
@@ -744,10 +694,7 @@ def detect_collisions_1d(scenario, n_particles=None, horizon=None,
         raise InvalidParameter("detect_collisions_1d needs a one-dimensional scenario")
     horizon = scenario.horizon if horizon is None else float(horizon)
     if not math.isfinite(horizon):
-        if isinstance(scenario.force, (OneGap, TwoGap)):
-            return asymptotic_verdict_1d(scenario, n=n_particles)
-        c = _constant_force_value(scenario, 1.0)
-        if c is not None:
+        if _force_levels(scenario, 1.0) is not None:
             return asymptotic_verdict_1d(scenario, n=n_particles)
         raise InvalidParameter(
             "infinite horizon needs a piecewise-constant force; give a finite horizon")
@@ -756,31 +703,21 @@ def detect_collisions_1d(scenario, n_particles=None, horizon=None,
     xs = scenario.domain.axis_nodes(0, n)
     times = np.linspace(0.0, horizon, n_out)
 
-    if isinstance(scenario.force, (OneGap, TwoGap)):
-        const = None
-        exact = True
-    else:
-        const = _constant_force_value(scenario, horizon)
-        exact = const is not None
-
-    if exact:
-        segs = _segments_for_grid(scenario, xs, const_force=const)
-        t_first, pair = _exact_first_collision(segs, xs, horizon)
-        history = _gap_history(segs, times)
+    levels = _force_levels(scenario, horizon)
+    if levels is not None:
+        arcs = _label_arcs(scenario, xs, levels)
+        t_first, pair = _exact_first_collision(arcs, horizon)
         report = CollisionReport(
             found=t_first is not None, t_first=t_first,
             pair=None if pair is None else (float(xs[pair[0]]), float(xs[pair[1]])),
-            pair_indices=pair, min_gap_history=history, times=times, mode="Exact",
+            pair_indices=pair, min_gap_history=_gap_history(arcs, times),
+            times=times, mode="Exact",
         )
-        if report.found:
-            _refine_1d(scenario, report, horizon, exact=True, const=const,
-                       passes=refine_passes)
-        return report
-
-    flow = NumericFlow1D(scenario, xs, horizon, n_out)
-    report = _numeric_first_collision(flow)
+    else:
+        report = _numeric_first_collision(
+            NumericFlow1D(scenario, xs, horizon, n_out))
     if report.found:
-        _refine_1d(scenario, report, horizon, exact=False, passes=refine_passes)
+        _refine_1d(scenario, report, horizon, levels)
     return report
 
 
@@ -816,22 +753,23 @@ def _numeric_first_collision(flow):
     )
 
 
-def _refine_1d(scenario, report, horizon, exact, const=None, passes=5):
+def _refine_1d(scenario, report, horizon, levels):
     """Double the local resolution around the witness pair until the first
-    collision time is stable to 1e-3 relative."""
+    collision time is stable to 1e-3 relative, in at most REFINE_PASSES
+    passes: exact arcs under the force levels, else the numeric flow."""
     x_lo_dom = scenario.domain.lower[0]
     x_hi_dom = scenario.domain.upper[0]
     a, b = report.pair
     h = max(b - a, 1e-9 * (x_hi_dom - x_lo_dom))
     n_local = 65
     t_prev = report.t_first
-    for _ in range(passes):
+    for _ in range(REFINE_PASSES):
         lo = max(x_lo_dom, a - 2 * h)
         hi = min(x_hi_dom, b + 2 * h)
         xs = np.linspace(lo, hi, n_local)
-        if exact:
-            segs = _segments_for_grid(scenario, xs, const_force=const)
-            t_new, pair = _exact_first_collision(segs, xs, horizon)
+        if levels is not None:
+            t_new, pair = _exact_first_collision(
+                _label_arcs(scenario, xs, levels), horizon)
         else:
             sub = NumericFlow1D(scenario, xs, horizon, len(report.times),
                                 check_energy=False)
@@ -855,39 +793,7 @@ def _refine_1d(scenario, report, horizon, exact, const=None, passes=5):
 #############################################################
 
 
-def _final_state_data(scenario, x, const=None, m=1.0):
-    """(t_enter, y_enter, v_enter, a_final, terms) for the last force region.
-
-    ``terms`` carries the crossing times so velocity differences can be
-    formed without cancellation: with accelerations a_k = f_k / m, for a
-    one-gap force v_final(t*) = v0 + a2 t* + (a1 - a2) T_a, and for a
-    two-gap force v_final(t*) = a3 t* + (a1 - a2) T_a + (a2 - a3) T_b + v0.
-    """
-    v0 = float(scenario.init.velocity(float(x)))
-    if const is not None:
-        return 0.0, float(x), v0, const / m, (v0, 0.0, 0.0)
-    force = scenario.force
-    segs = _gap_segments(force, float(x), v0, m)
-    t_e, y_e, v_e, a_f = segs[-1]
-    if isinstance(force, OneGap):
-        return t_e, y_e, v_e, a_f, (v0, segs[1][0], 0.0)
-    return t_e, y_e, v_e, a_f, (v0, segs[1][0], segs[2][0])
-
-
-def _final_velocity_difference(force, const, terms_i, terms_j, m=1.0):
-    """v_final_j(t) - v_final_i(t) in the shared last region (t-independent
-    up to the common accel term), in cancellation-free form."""
-    v0_i, ta_i, tb_i = terms_i
-    v0_j, ta_j, tb_j = terms_j
-    if const is not None:
-        return v0_j - v0_i
-    if isinstance(force, OneGap):
-        return (v0_j - v0_i) + (force.f1 - force.f2) / m * (ta_j - ta_i)
-    return ((v0_j - v0_i) + (force.f1 - force.f2) / m * (ta_j - ta_i)
-            + (force.f2 - force.f3) / m * (tb_j - tb_i))
-
-
-def asymptotic_verdict_1d(scenario, n=None, micro_step=None, n_history=64):
+def asymptotic_verdict_1d(scenario, n=None):
     """Decide collisions on [0, infinity) for gap or constant 1D forces.
 
     Exact entry states into the final constant-force region are computed for
@@ -900,17 +806,14 @@ def asymptotic_verdict_1d(scenario, n=None, micro_step=None, n_history=64):
     """
     if scenario.dim != 1:
         raise InvalidParameter("asymptotic_verdict_1d needs a 1D scenario")
-    force = scenario.force
-    const = None
-    if not isinstance(force, (OneGap, TwoGap)):
-        const = _constant_force_value(scenario, 1.0)
-        if const is None:
-            raise InvalidParameter(
-                "asymptotic verdicts need a piecewise-constant or constant force")
+    levels = _force_levels(scenario, 1.0)
+    if levels is None:
+        raise InvalidParameter(
+            "asymptotic verdicts need a piecewise-constant or constant force")
     n = n or scenario.samples[0]
     xs = scenario.domain.axis_nodes(0, n)
     span = scenario.domain.upper[0] - scenario.domain.lower[0]
-    delta = (micro_step or MICRO_PAIR_STEP) * span
+    delta = MICRO_PAIR_STEP * span
 
     m0 = uniform_mass_value(scenario, xs)
     if m0 is None:
@@ -918,72 +821,40 @@ def asymptotic_verdict_1d(scenario, n=None, micro_step=None, n_history=64):
             "asymptotic verdicts need uniform particle mass; the final-profile"
             " argument assumes a shared acceleration in the last force region")
 
-    data = {float(x): _final_state_data(scenario, float(x), const, m0) for x in xs}
-    t_star = max(d[0] for d in data.values())
-
-    def seg_of(x):
-        v0 = float(scenario.init.velocity(float(x)))
-        if const is not None:
-            return _const_segments(const, float(x), v0, m0)
-        return _gap_segments(force, float(x), v0, m0)
-
-    def state_at_tstar(x):
-        t_e, y_e, v_e, a_f, terms = data[x]
-        s = t_star - t_e
-        return y_e + v_e * s + 0.5 * a_f * s * s, v_e + a_f * s, terms
-
-    def pair_collision(x_i, x_j):
-        """(found, time) for the ordered pair x_i < x_j, exact kinematics."""
-        if x_i not in data:
-            data[x_i] = _final_state_data(scenario, x_i, const, m0)
-        if x_j not in data:
-            data[x_j] = _final_state_data(scenario, x_j, const, m0)
-        t_cross = _pair_first_crossing(seg_of(x_i), seg_of(x_j),
-                                       t_star if t_star > 0 else 1.0)
-        if t_cross is not None:
-            return True, t_cross
-        y_i, _, terms_i = state_at_tstar(x_i)
-        y_j, _, terms_j = state_at_tstar(x_j)
-        dv = _final_velocity_difference(force, const, terms_i, terms_j, m0)
-        gap = y_j - y_i
-        if gap <= 0.0:
-            return True, t_star
-        if dv < 0.0:
-            return True, t_star + gap / (-dv)
-        return False, None
-
+    arcs = _label_arcs(scenario, xs, levels, m0)
+    t_star = float(np.max(arcs[-1][0]))
+    cells = np.arange(n - 1)
+    times, dv = _pair_collisions(levels, m0, arcs, cells, cells + 1, t_star)
     t_first, pair = None, None
     worst_dv, worst_cell = math.inf, 0
-
-    for i in range(n - 1):
-        found, t = pair_collision(float(xs[i]), float(xs[i + 1]))
-        if found and (t_first is None or t < t_first):
+    for i, t in enumerate(times):
+        if t is not None and (t_first is None or t < t_first):
             t_first, pair = t, (float(xs[i]), float(xs[i + 1]))
-        _, _, ti = state_at_tstar(float(xs[i]))
-        _, _, tj = state_at_tstar(float(xs[i + 1]))
-        dv = _final_velocity_difference(force, const, ti, tj, m0)
-        if dv < worst_dv:
-            worst_dv, worst_cell = dv, i
+        if dv[i] < worst_dv:
+            worst_dv, worst_cell = dv[i], i
 
-    probes = list(map(float, xs))
+    probes = xs
     lo_cell = float(xs[worst_cell])
     hi_cell = float(xs[min(worst_cell + 1, n - 1)])
     if hi_cell > lo_cell:
-        probes.extend(np.linspace(lo_cell, hi_cell, 66)[1:-1])
-    x_hi_dom = scenario.domain.upper[0]
-    for x in probes:
-        a_pt, b_pt = (x, x + delta) if x + delta <= x_hi_dom else (x - delta, x)
-        found, t = pair_collision(float(a_pt), float(b_pt))
-        if found and (t_first is None or t < t_first):
-            t_first, pair = t, (float(a_pt), float(b_pt))
+        probes = np.concatenate([xs, np.linspace(lo_cell, hi_cell, 66)[1:-1]])
+    inside = probes + delta <= scenario.domain.upper[0]
+    lo = np.where(inside, probes, probes - delta)
+    hi = np.where(inside, probes + delta, probes)
+    k = np.arange(len(probes))
+    times, _ = _pair_collisions(levels, m0,
+                                _label_arcs(scenario, np.concatenate([lo, hi]),
+                                            levels, m0),
+                                k, k + len(probes), t_star)
+    for a_pt, b_pt, t in zip(lo.tolist(), hi.tolist(), times):
+        if t is not None and (t_first is None or t < t_first):
+            t_first, pair = t, (a_pt, b_pt)
 
-    hist_times = np.linspace(0.0, max(t_star, 1.0), n_history)
-    segs = [seg_of(float(x)) for x in xs]
-    history = _gap_history(segs, hist_times)
+    hist_times = np.linspace(0.0, max(t_star, 1.0), HISTORY_FRAMES)
     return CollisionReport(
         found=t_first is not None, t_first=t_first, pair=pair,
-        min_gap_history=history, times=hist_times, mode="Asymptotic",
-        details={"t_enter_last": t_star},
+        min_gap_history=_gap_history(arcs, hist_times), times=hist_times,
+        mode="Asymptotic", details={"t_enter_last": t_star},
     )
 
 
@@ -1002,7 +873,7 @@ def _detect_constant_vec(scenario, pts, horizon, eps_rel):
     """Lemma-style exact pair test: straight relative motion R + V t."""
     n = len(pts)
     vel = np.array([np.asarray(scenario.init.velocity(p), dtype=float) for p in pts])
-    t_best, pair_best, d_best = None, None, None
+    t_best, pair_best = None, None
     for ii, jj in _pairs_chunked(n):
         r = pts[jj] - pts[ii]
         v = vel[jj] - vel[ii]
@@ -1022,8 +893,7 @@ def _detect_constant_vec(scenario, pts, horizon, eps_rel):
             if t_best is None or t_k < t_best:
                 t_best = t_k
                 pair_best = (int(ii[k]), int(jj[k]))
-                d_best = float(math.sqrt(d2[k]))
-    return t_best, pair_best, d_best, vel
+    return t_best, pair_best
 
 
 def _detect_halfspace_exact(scenario, pts, horizon, eps_rel):
@@ -1162,7 +1032,7 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
         pts = scenario.grid_points()
 
     if isinstance(force, ConstantVec):
-        t, pair, dmin, vel = _detect_constant_vec(scenario, pts, horizon, eps_rel)
+        t, pair = _detect_constant_vec(scenario, pts, horizon, eps_rel)
         return CollisionReport(
             found=t is not None, t_first=t,
             pair=None if pair is None else (tuple(pts[pair[0]]), tuple(pts[pair[1]])),
@@ -1255,17 +1125,17 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT, n_particles=N
         n = n_particles or scenario.samples[0]
         xs = scenario.domain.axis_nodes(0, n)
         if isinstance(force, (OneGap, TwoGap)):
-            segs = _segments_for_grid(scenario, xs)
-            y, v = _arc_states(segs, times)
-            events = [(i, "boundary", float(arc[0]))
-                      for i, sg in enumerate(segs) for arc in sg[1:]
-                      if arc[0] <= horizon]
+            v0 = _on_labels(scenario.init.velocity, xs)
+            m0 = _on_labels(scenario.init.mass, xs)
+            arcs = _gap_segments(force, xs, v0, m0)
+            y, v, _ = _eval_arcs(arcs, times[:, None])
+            starts = np.stack([arc[0] for arc in arcs[1:]], axis=1).tolist()
+            events = [(i, "boundary", t) for i, row in enumerate(starts)
+                      for t in row if t <= horizon]
             e0 = np.array([quadrature.potential(force, x) for x in xs])
-            v0 = np.array([float(scenario.init.velocity(float(x))) for x in xs])
-            m0 = np.array([float(scenario.init.mass(float(x))) for x in xs])
             return EnsembleTrajectory(
                 times=times, x0=xs, y=y, v=v, events=events, mode="Exact",
-                energy0=0.5 * m0 * v0 * v0 + e0, scenario=scenario,
+                energy0=0.5 * m0 * v0 * v0 + e0,
             )
         flow = NumericFlow1D(scenario, xs, horizon, n_out)
         return flow.ensemble()
@@ -1275,7 +1145,7 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT, n_particles=N
         pts = frames[0]
         vel = np.gradient(frames, times, axis=0)
         return EnsembleTrajectory(times=times, x0=pts, y=frames, v=vel,
-                                  mode="Numeric", scenario=scenario)
+                                  mode="Numeric")
 
     pts = scenario.grid_points()
     if isinstance(force, HalfSpaceStep):
@@ -1289,18 +1159,17 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT, n_particles=N
                 if t_c <= horizon:
                     events.append((i, "plane", float(t_c)))
         return EnsembleTrajectory(times=times, x0=pts, y=y, v=v, events=events,
-                                  mode="Exact", scenario=scenario)
+                                  mode="Exact")
     if isinstance(force, ConstantVec):
         vel0 = np.array([np.asarray(scenario.init.velocity(p), dtype=float)
                          for p in pts])
         y = pts[None] + vel0[None] * times[:, None, None] \
             + 0.5 * force.vector[None, None] * times[:, None, None] ** 2
         v = vel0[None] + force.vector[None, None] * times[:, None, None]
-        return EnsembleTrajectory(times=times, x0=pts, y=y, v=v, mode="Exact",
-                                  scenario=scenario)
+        return EnsembleTrajectory(times=times, x0=pts, y=y, v=v, mode="Exact")
     flow = NumericFlowMultiD(scenario, pts, horizon, n_out)
     return EnsembleTrajectory(times=flow.times, x0=pts, y=flow.y, v=flow.v,
-                              mode="Numeric", scenario=scenario)
+                              mode="Numeric")
 
 
 class _ColumnText:

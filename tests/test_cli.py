@@ -241,6 +241,18 @@ def test_validate_directory_sorted_and_deterministic(tmp_path):
     ("variable_mass_collide", [
         "analytic margin: -2.1320071634933564",
         "oracle found: yes t_first: 1.4142784251327483 mode: Exact"]),
+    # micro-pair witnesses and asymptotic verdicts of the exact arcs
+    ("one_gap_collide", [
+        "analytic witness: pair=(0.9999999, 1.0) time=3.0000000766453523",
+        "oracle found: yes t_first: 3.000000078247786 mode: Asymptotic"]),
+    ("two_gap_collide", [
+        "analytic witness: pair=(0.9999999, 1.0) time=14.430144910815372",
+        "oracle found: yes t_first: 14.430144710038 mode: Asymptotic"]),
+    ("halfspace_collide", [
+        "oracle found: yes t_first: 4.329260560141602 mode: Exact"]),
+    ("arctan_collide", [
+        "analytic witness: pair=(0.0, 1e-06) time=1.0000000000003333",
+        "oracle found: yes t_first: 1.0000000000003333 mode: Asymptotic"]),
 ])
 def test_validate_prints_the_recorded_smooth_force_digits(tmp_path, name,
                                                           lines):

@@ -28,8 +28,9 @@ from regularflow.field import (
 )
 from regularflow.regularity import COLLISION, INCONCLUSIVE
 from regularflow.scenario import OneGap, TwoGap
-from regularflow.simulator import detect_collisions_1d, propagate_piecewise_1d
+from regularflow.simulator import detect_collisions_1d
 
+import scalar_arcs
 from conftest import load_bundled, make_scenario
 
 
@@ -112,7 +113,7 @@ def test_arctan_profile_residual_gate(scenario_dir):
 
 
 class _ScalarReference:
-    """One label at a time: the exact arcs of propagate_piecewise_1d or the
+    """One label at a time: the scalar reference arcs of a gap force or the
     constant-force parabola, a scalar bisection per image point and a
     central-difference Jacobian; the batched path must give its bits."""
 
@@ -122,10 +123,12 @@ class _ScalarReference:
 
     def state(self, t, x):
         if isinstance(self.s.force, (OneGap, TwoGap)):
-            traj = propagate_piecewise_1d(self.s, x)
-            return traj.position(t), traj.velocity(t)
+            segs = scalar_arcs.gap_segments(
+                self.s.force, x, float(self.s.init.velocity(x)),
+                float(self.s.init.mass(x)))
+            return scalar_arcs.position(segs, t), scalar_arcs.velocity(segs, t)
         v0 = float(self.s.init.velocity(x))
-        a = self.flow.const / float(self.s.init.mass(x))
+        a = self.flow.levels / float(self.s.init.mass(x))
         return x + v0 * t + 0.5 * a * t * t, v0 + a * t
 
     def invert(self, t, y):
@@ -192,7 +195,7 @@ def _closed_form_case(name):
 def test_batched_inversion_has_the_bits_of_the_scalar_reference(name):
     s, horizon = _closed_form_case(name)
     flow = FlowMap(s, horizon=horizon)
-    assert flow.mode in ("gap", "const")
+    assert flow.mode == "exact"
     ref = _ScalarReference(s, flow)
     ev = _StencilEval(s, flow)
     labels = np.linspace(flow.x_lo, flow.x_hi, 37)

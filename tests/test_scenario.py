@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from regularflow.errors import (
+    DimensionMismatch,
     InvalidParameter,
     NotMonotone,
     ScenarioFormatError,
@@ -14,12 +15,16 @@ from regularflow.errors import (
 from regularflow.scenario import (
     Annulus,
     Box,
+    Constant,
+    ConstantVec,
     HalfSpaceStep,
+    InitialData,
     Linear,
     OneGap,
     TwoGap,
     assumptions_report,
     build_blowup_scenario,
+    build_scenario,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -239,6 +244,17 @@ def test_mass_rejected_for_multid():
             "force": {"kind": "constant", "vector": [0.0, 1.0]},
             "mass": "1 + x",
         })
+
+
+def test_build_scenario_rejects_a_mass_profile_in_multid():
+    # no multi-d integrator or criterion reads a mass; a profile given to
+    # one would be silently ignored
+    box = Box(lower=(0.0, 0.0), upper=(1.0, 1.0))
+    force = ConstantVec(vector=np.array([0.0, 1.0]))
+    with pytest.raises(DimensionMismatch, match="one-dimensional"):
+        build_scenario(domain=box, force=force,
+                       init=InitialData(mass=Constant(2.0)))
+    assert build_scenario(domain=box, force=force).dim == 2
 
 
 def test_bad_horizon_rejected():

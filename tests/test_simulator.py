@@ -23,6 +23,7 @@ from regularflow.simulator import (
 )
 
 import oracles
+import scalar_arcs
 from conftest import load_bundled, make_scenario
 
 
@@ -68,20 +69,20 @@ def test_gap_trajectory_scales_with_mass():
 def test_pair_first_crossing_against_dense_sampling():
     s = _gap_scenario(2.0, 1.0)
     xi, xj = 0.90, 0.91
-    seg_i = simulator._gap_segments(s.force, xi, 0.0)
-    seg_j = simulator._gap_segments(s.force, xj, 0.0)
-    t = simulator._pair_first_crossing(seg_i, seg_j, 20.0)
-    tr_i = simulator.Parabolic1D(x0=xi, segments=seg_i)
-    tr_j = simulator.Parabolic1D(x0=xj, segments=seg_j)
+    arcs = simulator._gap_segments(s.force, np.array([xi, xj]), np.zeros(2),
+                                   1.0)
+    (t,) = simulator._first_crossings(arcs, [0], [1], 20.0)
+    tr_i = propagate_piecewise_1d(s, xi)
+    tr_j = propagate_piecewise_1d(s, xj)
     ref = oracles.first_meeting_time(tr_i.position, tr_j.position, 20.0)
     assert ref is not None
     assert t == pytest.approx(ref, abs=1e-9)
-    ref_roots = oracles.pair_first_crossing_by_roots(seg_i, seg_j, 20.0)
+    ref_roots = oracles.pair_first_crossing_by_roots(tr_i.arcs, tr_j.arcs, 20.0)
     assert t == pytest.approx(ref_roots, rel=1e-12)
 
 
 #############################################################
-# Array kinematics against the scalar arcs
+# Array kinematics against the scalar references
 #############################################################
 
 
@@ -89,30 +90,34 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
-def _exact_segments(name):
-    """(segs, times) of a bundled gap or constant-force scenario on every
-    eighth label: 256 output times plus every arc start, so some times sit
+def _exact_arcs(name):
+    """(arcs, segs, times) of a bundled gap or constant-force scenario on
+    every eighth label: the array arcs, the scalar reference arcs of each
+    label, and 256 output times plus every arc start, so some times sit
     exactly on one."""
     s = load_bundled(name)
     xs = s.grid_1d()[::8]
-    const = None
-    if not isinstance(s.force, (OneGap, TwoGap)):
-        const = simulator._constant_force_value(s, s.horizon)
-        assert const is not None
-    segs = simulator._segments_for_grid(s, xs, const_force=const)
+    levels = s.force
+    if not isinstance(levels, (OneGap, TwoGap)):
+        levels = simulator._constant_force_value(s, s.horizon)
+        assert levels is not None
+    arcs = simulator._label_arcs(s, xs, levels)
+    segs = [scalar_arcs.gap_segments(levels, float(x),
+                                     float(s.init.velocity(float(x))),
+                                     float(s.init.mass(float(x))))
+            for x in xs]
     starts = sorted({arc[0] for sg in segs for arc in sg[1:]})
     horizon = s.horizon if math.isfinite(s.horizon) else 1.5 * max(starts)
     times = np.union1d(np.linspace(0.0, horizon, 256), starts)
-    return segs, times
+    return arcs, segs, times
 
 
 def _positions_by_loop(segs, times):
     ys = np.empty((len(times), len(segs)))
     vs = np.empty((len(times), len(segs)))
     for i, sg in enumerate(segs):
-        tr = simulator.Parabolic1D(x0=0.0, segments=sg)
-        ys[:, i] = [tr.position(float(t)) for t in times]
-        vs[:, i] = [tr.velocity(float(t)) for t in times]
+        ys[:, i] = [scalar_arcs.position(sg, float(t)) for t in times]
+        vs[:, i] = [scalar_arcs.velocity(sg, float(t)) for t in times]
     return ys, vs
 
 
@@ -121,51 +126,122 @@ EXACT_SCENARIOS = ["one_gap_collide", "one_gap_regular", "two_gap_collide",
 
 
 @pytest.mark.parametrize("name", EXACT_SCENARIOS)
+def test_gap_segments_have_the_bits_of_the_scalar_arcs(name):
+    arcs, segs, _ = _exact_arcs(name)
+    assert len(arcs) == len(segs[0])
+    for k, arc in enumerate(arcs):
+        for c, column in enumerate(arc):
+            want = [sg[k][c] for sg in segs]
+            got = np.broadcast_to(column, len(segs))
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("name", EXACT_SCENARIOS)
 def test_arc_states_have_the_bits_of_the_scalar_arcs(name):
-    segs, times = _exact_segments(name)
-    y, v = simulator._arc_states(segs, times)
+    arcs, segs, times = _exact_arcs(name)
+    y, v, _ = simulator._eval_arcs(arcs, times[:, None])
     y_ref, v_ref = _positions_by_loop(segs, times)
     assert y.shape == (len(times), len(segs))
     np.testing.assert_array_equal(_bits(y), _bits(y_ref))
     np.testing.assert_array_equal(_bits(v), _bits(v_ref))
 
 
-def test_arc_states_pad_uneven_arc_lists():
-    # three, two and one arcs side by side; times on every arc start
-    two, _ = _exact_segments("two_gap_collide")
-    one, _ = _exact_segments("one_gap_collide")
-    const, _ = _exact_segments("variable_mass_collide")
-    segs = two[::13] + one[::11] + const[::17]
-    starts = [arc[0] for sg in segs for arc in sg[1:]]
-    times = np.union1d(np.linspace(0.0, 1.2 * max(starts), 64), starts)
-    y, v = simulator._arc_states(segs, times)
-    y_ref, v_ref = _positions_by_loop(segs, times)
-    np.testing.assert_array_equal(_bits(y), _bits(y_ref))
-    np.testing.assert_array_equal(_bits(v), _bits(v_ref))
-
-
 @pytest.mark.parametrize("name", EXACT_SCENARIOS)
 def test_gap_history_matches_the_per_particle_loop(name):
-    segs, times = _exact_segments(name)
+    arcs, segs, times = _exact_arcs(name)
     y_ref, _ = _positions_by_loop(segs, times)
     want = np.min(np.diff(y_ref, axis=1), axis=1)
-    np.testing.assert_array_equal(_bits(simulator._gap_history(segs, times)),
+    np.testing.assert_array_equal(_bits(simulator._gap_history(arcs, times)),
                                   _bits(want))
 
 
-@pytest.mark.parametrize("name", ["halfspace_collide", "halfspace_regular"])
+@pytest.mark.parametrize("name", EXACT_SCENARIOS)
+def test_first_crossings_have_the_bits_of_the_scalar_pair_kernel(name):
+    # adjacent and far pairs; windows that end on arc starts, inside the
+    # first output step, on the last output time and past every arc
+    arcs, segs, times = _exact_arcs(name)
+    n = len(segs)
+    i = np.concatenate([np.arange(n - 1), np.zeros(n - 1, dtype=int)])
+    j = np.concatenate([np.arange(1, n), np.arange(1, n)])
+    starts = [arc[0] for sg in segs for arc in sg[1:]]
+    for t_end in sorted(set(starts[:3])) + [0.1 * times[1], times[-1], 1e3]:
+        got = simulator._first_crossings(arcs, i, j, float(t_end))
+        want = [scalar_arcs.pair_first_crossing(segs[a], segs[b], float(t_end))
+                for a, b in zip(i, j)]
+        assert [t is None for t in got] == [t is None for t in want]
+        assert _bits([t for t in got if t is not None]).tolist() == \
+            _bits([t for t in want if t is not None]).tolist()
+        assert all(type(t) is float for t in got if t is not None)
+
+
+# uniform masses other than one, moving particles, every force kind
+_UNIFORM_MASS_CASES = {
+    "one_gap": {"force": {"kind": "one_gap", "f1": 2.0, "f2": 0.7, "a": 2.0},
+                "velocity": "0.3 + 0.2*sin(3*x)", "mass": "2"},
+    "two_gap": {"force": {"kind": "two_gap", "f1": 2.0, "f2": 1.0, "f3": 3.0,
+                          "a": 2.0, "b": 3.8},
+                "velocity": "0.3 - 0.25*x", "mass": "1.5"},
+    "constant": {"force": {"kind": "smooth1d", "f": "-0.5"},
+                 "velocity": "1 + sin(x)*exp(x) - 2*x", "mass": "3"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNIFORM_MASS_CASES))
+def test_pair_collisions_have_the_bits_of_the_scalar_reference(name):
+    # adjacent pairs and micro pairs, as the asymptotic verdict forms them
+    s = make_scenario(horizon="inf", **_UNIFORM_MASS_CASES[name])
+    levels = simulator._force_levels(s, 1.0)
+    m = uniform_mass_value(s)
+    xs = s.domain.axis_nodes(0, 33)
+    labels = np.concatenate([xs, xs[:-1] + 1e-7])
+    arcs = simulator._label_arcs(s, labels, levels, m)
+    segs = [scalar_arcs.gap_segments(levels, x, float(s.init.velocity(x)), m)
+            for x in labels.tolist()]
+    t_star = max(sg[-1][0] for sg in segs[:33])
+    i = np.concatenate([np.arange(32), np.arange(32)])
+    j = np.concatenate([np.arange(1, 33), np.arange(33, 65)])
+    times, dv = simulator._pair_collisions(levels, m, arcs, i, j, t_star)
+    want = [scalar_arcs.pair_collision(levels, m, segs[a], segs[b], t_star)
+            for a, b in zip(i, j)]
+    assert _bits(dv).tolist() == _bits([w[1] for w in want]).tolist()
+    assert [t is None for t in times] == [w[0] is None for w in want]
+    assert _bits([t for t in times if t is not None]).tolist() == \
+        _bits([w[0] for w in want if w[0] is not None]).tolist()
+    assert any(t is not None for t in times)
+
+
+# particles launched upward against a far normal force that pushes them
+# back: they cross the plane again and again, up to the phase cap
+_BOUNCING = {
+    "domain": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "force": {"kind": "halfspace_step", "f1": [0.0, 1.0], "f2": [0.5, -2.0],
+              "a": 1.5, "axis": 1},
+    "velocity": {"matrix": [[0.0, 0.0], [0.3, 0.0]], "offset": [0.1, 0.5]},
+    "horizon": 40.0, "grid": [9, 9]}
+
+
+@pytest.mark.parametrize("name", ["halfspace_collide", "halfspace_regular",
+                                  "bouncing"])
 def test_phased_states_have_the_bits_of_position_and_velocity(name):
-    s = load_bundled(name)
+    s = scenario_from_dict(_BOUNCING) if name == "bouncing" \
+        else load_bundled(name)
     for p in s.grid_points()[::7]:
         tr = propagate_halfspace(s, p, s.horizon)
+        phases = scalar_arcs.halfspace_phases(
+            s.force, p, s.init.velocity(p), s.horizon)
+        assert len(tr.arcs) == len(phases)
+        for got, want in zip(tr.arcs, phases):
+            assert _bits(got[0]) == _bits(want[0])
+            for c in (1, 2, 3):
+                np.testing.assert_array_equal(_bits(got[c]), _bits(want[c]))
         times = np.union1d(np.linspace(0.0, s.horizon, 256),
                            tr.crossing_times())
         y, v = tr.states(times)
         assert y.shape == v.shape == (len(times), 2)
         np.testing.assert_array_equal(
-            _bits(y), _bits([tr.position(t) for t in times]))
+            _bits(y), _bits([scalar_arcs.position(phases, t) for t in times]))
         np.testing.assert_array_equal(
-            _bits(v), _bits([tr.velocity(t) for t in times]))
+            _bits(v), _bits([scalar_arcs.velocity(phases, t) for t in times]))
 
 
 #############################################################
@@ -424,8 +500,6 @@ def test_ensemble_exact_mode_for_gap_force():
     traj = simulate_ensemble(s)
     assert traj.mode == "Exact"
     assert traj.y.shape == (256, 33)
-    state = traj.state_at(0, 0)
-    assert state.region == 0
     assert float(traj.y[0, 5]) == pytest.approx(float(traj.x0[5]), rel=1e-12)
     # conserved energy along one exact trajectory
     tr = propagate_piecewise_1d(s, float(traj.x0[5]))
