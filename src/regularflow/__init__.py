@@ -61,7 +61,6 @@ from .quadrature import (
 )
 from .regularity import (
     COLLISION,
-    GapDiagnostics,
     INCONCLUSIVE,
     REGULAR,
     Verdict,

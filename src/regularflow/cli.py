@@ -30,17 +30,7 @@ from .errors import (
     RegularFlowError,
     ScenarioFormatError,
 )
-from .scenario import (
-    Central,
-    ConstantVec,
-    HalfSpaceStep,
-    Linear,
-    OneGap,
-    Smooth1D,
-    TwoGap,
-    assumptions_report,
-    load_scenario,
-)
+from .scenario import Smooth1D, assumptions_report, load_scenario
 
 EXIT_REGULAR = 0
 EXIT_COLLISION = 1
@@ -184,11 +174,9 @@ def cmd_simulate(config):
     s = _load(config)
     horizon = _simulation_horizon(config, s)
     if s.dim == 1:
-        detect_h = s.horizon if config.horizon is None else float(config.horizon)
-        if not math.isfinite(detect_h) and not isinstance(
-                s.force, (OneGap, TwoGap, ConstantVec)):
-            detect_h = horizon
-        report = simulator.detect_collisions_1d(s, horizon=detect_h)
+        # s.horizon already holds --horizon (see _load)
+        report = simulator.detect_collisions_1d(
+            s, horizon=s.horizon if simulator.asymptotic_applies(s) else horizon)
     else:
         report = simulator.detect_collisions_multid(
             s, horizon=horizon, eps_rel=config.tol_collision)
@@ -231,11 +219,7 @@ def _estimate_collision_horizon(s, verdict):
 def _oracle_report(s, verdict, config):
     """Simulation result matched to the scenario class."""
     if s.dim == 1:
-        # infinite-horizon verdicts exist only for shared-acceleration
-        # ensembles: step or constant force with uniform mass
-        exact = isinstance(s.force, (OneGap, TwoGap)) or \
-            simulator._constant_force_value(s, 1.0) is not None
-        if exact and simulator.uniform_mass_value(s) is not None:
+        if simulator.asymptotic_applies(s):
             return simulator.detect_collisions_1d(s, horizon=math.inf)
         horizon = _simulation_horizon(config, s)
         est = None

@@ -120,6 +120,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.constants = {}
+        self.names_variable = False
 
     def peek(self):
         return self.tokens[self.pos]
@@ -181,6 +182,7 @@ class _Parser:
             self.advance()
             name = tok.value
             if name in VARIABLES:
+                self.names_variable = True
                 return "t"
             if name in FUNCTIONS:
                 self.expect("(")
@@ -239,6 +241,8 @@ class Expression:
     ``divide="raise"`` makes an array call raise ``FloatingPointError``
     wherever an element divides by zero, since a later operation can turn
     that inf into a finite value (``exp(-1/0)``) where a scalar call raises.
+    ``names_variable`` is False for a text that never names its variable,
+    whose value is then one number.
     """
 
     def __init__(self, text):
@@ -255,6 +259,7 @@ class Expression:
             )
         self._fn, self._array_fn = _compile(src, parser.constants)
         self.text = text
+        self.names_variable = parser.names_variable
 
     def __call__(self, t, *, divide="ignore"):
         if isinstance(t, float) or np.isscalar(t):

@@ -36,6 +36,7 @@ from .regularity import (
     COLLISION,
     EQUALITY_BAND,
     INCONCLUSIVE,
+    PAIR_GRID,
     REGULAR,
     Verdict,
     _minimize_pair_margin,
@@ -116,7 +117,7 @@ class FlowMap:
         self.horizon = horizon
         self.x_lo = scenario.domain.lower[0]
         self.x_hi = scenario.domain.upper[0]
-        self.levels = simulator._force_levels(scenario, horizon)
+        self.levels = simulator._force_levels(scenario)
         self.mode = "numeric" if self.levels is None else "exact"
         self._ivp_cache = {}
         self._dense = None
@@ -619,7 +620,7 @@ def write_field_csv(grid, path):
 
 
 def check_euler_global(force, velocity, velocity_deriv=None, force_deriv=None,
-                       cutoff=10.0, n_x=17, n_y=17):
+                       cutoff=10.0):
     """Global-in-time smooth solvability of the compressible Euler system
     built from these characteristics, for unit masses on the line.
 
@@ -656,14 +657,15 @@ def check_euler_global(force, velocity, velocity_deriv=None, force_deriv=None,
                                           m_one, dm_zero, f, df)
 
     rng = np.random.default_rng(912699)
-    min_val, xy = _minimize_pair_margin(margin, -X, X, X, n_x, n_y, rng)
+    min_val, xy = _minimize_pair_margin(margin, -X, X, X, PAIR_GRID,
+                                        PAIR_GRID, rng)
     band = EQUALITY_BAND * max(1.0, abs(min_val))
     if min_val < -band:
         return Verdict(outcome=COLLISION, criterion=EULER_GLOBAL,
                        margin=min_val,
                        witness={"x": xy[0], "y": xy[1]},
                        reason="characteristics cross; no global smooth solution")
-    h_x = 2.0 * X / max(n_x - 1, 1)
+    h_x = 2.0 * X / (PAIR_GRID - 1)
     at_edge = xy[0] <= -X + h_x or xy[1] >= X - h_x
     if min_val > band and not at_edge:
         return Verdict(outcome=REGULAR, criterion=EULER_GLOBAL, margin=min_val)

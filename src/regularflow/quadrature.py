@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
@@ -502,7 +502,6 @@ def _target_and_s_points(x, y):
 @dataclass
 class FlightResult:
     time: float
-    dt_dx: Optional[float] = None
     error: float = 0.0
     singular_endpoint: bool = False
 

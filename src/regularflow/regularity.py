@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .scenario import (
     CONSTANT_PAIR,
     Central,
     ConstantVec,
+    GAP_KINDS,
     HALFSPACE_STEP,
     HalfSpaceStep,
     LINEAR_SPECTRUM,
@@ -58,6 +59,24 @@ TOL_PARALLEL = 1e-10
 TOL_EIG = 1e-10
 _MICRO = 1e-7
 
+# Sampling resolutions of the "for all" quantifiers.  A pair margin is
+# minimized over a PAIR_GRID x PAIR_GRID tensor scan of (x, y), then
+# PAIR_REFINE random probes around the worst point and PATTERN_STEPS halving
+# pattern-search steps; a label margin over LINE_GRID labels plus
+# PATTERN_STEPS steps.
+PAIR_GRID = 17
+PAIR_REFINE = 64
+PATTERN_STEPS = 20
+LINE_GRID = 513
+# random point pairs per monotonicity quantifier, from fixed seeds
+MONOTONE_PROBES = 256
+# central criterion: anchor radii x targets, and the relative step of the
+# flight-time difference (at least the scenario's fd_step)
+CENTRAL_GRID = 13
+CENTRAL_STEP = 1e-5
+# random label pairs added to the adjacent ones of the constant-force scan
+CONSTANT_PAIR_PROBES = 512
+
 IFF_CRITERIA = frozenset({
     SMOOTH_POSITIVE_V,
     SMOOTH_GENERAL,
@@ -79,26 +98,12 @@ class Verdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass
-class GapDiagnostics:
-    """Closed-form ingredients of the gap-force analysis."""
-
-    D: Callable[[float], float]
-    T_A: Callable[[float], float]
-    T_B: Optional[Callable[[float], float]] = None
-    s: Optional[Callable[[float], float]] = None
-    beta: Optional[float] = None
-    alpha: Optional[float] = None
-    final_velocity_profile: Optional[Callable[[float], float]] = None
-
-
 #############################################################
 # Grid minimization helpers
 #############################################################
 
 
-def _minimize_pair_margin(fn, x_lo, x_hi, y_hi, n_x, n_y, rng,
-                          refine=64, polish=20):
+def _minimize_pair_margin(fn, x_lo, x_hi, y_hi, n_x, n_y, rng):
     """Minimum of fn(x, y) over x in [x_lo, x_hi], y in (x, y_hi].
 
     Tensor scan, then random probes around the worst cell, then a pattern
@@ -119,7 +124,7 @@ def _minimize_pair_margin(fn, x_lo, x_hi, y_hi, n_x, n_y, rng,
                 best_val, best_xy = val, (x, y)
     hx = (x_hi - x_lo) / max(n_x - 1, 1)
     hy = (y_hi - x_lo) / max(n_y, 1)
-    for _ in range(refine):
+    for _ in range(PAIR_REFINE):
         x = float(np.clip(best_xy[0] + rng.uniform(-hx, hx), x_lo, x_hi))
         y = float(np.clip(best_xy[1] + rng.uniform(-hy, hy), x + tiny, y_hi))
         if y <= x:
@@ -128,7 +133,7 @@ def _minimize_pair_margin(fn, x_lo, x_hi, y_hi, n_x, n_y, rng,
         if val < best_val:
             best_val, best_xy = val, (x, y)
     sx, sy = hx / 2, hy / 2
-    for _ in range(polish):
+    for _ in range(PATTERN_STEPS):
         improved = False
         x0, y0 = best_xy
         for cand in ((x0 - sx, y0), (x0 + sx, y0), (x0, y0 - sy), (x0, y0 + sy)):
@@ -145,14 +150,14 @@ def _minimize_pair_margin(fn, x_lo, x_hi, y_hi, n_x, n_y, rng,
     return best_val, best_xy
 
 
-def _minimize_line_margin(fn, lo, hi, n, polish=20):
+def _minimize_line_margin(fn, lo, hi):
     """Minimum of fn(x) over [lo, hi]: grid scan plus halving pattern search."""
-    xs = np.linspace(lo, hi, n)
+    xs = np.linspace(lo, hi, LINE_GRID)
     vals = [fn(float(x)) for x in xs]
     k = int(np.argmin(vals))
     best_val, best_x = vals[k], float(xs[k])
-    step = (hi - lo) / max(n - 1, 1) / 2
-    for _ in range(polish):
+    step = (hi - lo) / (LINE_GRID - 1) / 2
+    for _ in range(PATTERN_STEPS):
         improved = False
         for cand in (best_x - step, best_x + step):
             x = float(np.clip(cand, lo, hi))
@@ -205,7 +210,7 @@ def _require_unit_mass(scenario):
                 criterion=SMOOTH_POSITIVE_V, witness=float(x))
 
 
-def check_smooth_positive_v(scenario, n_x=17, n_y=17):
+def check_smooth_positive_v(scenario):
     """Strictly-positive-velocity criterion for a smooth 1D force.
 
     Flight times to every downstream point must strictly decrease in the
@@ -244,11 +249,12 @@ def check_smooth_positive_v(scenario, n_x=17, n_y=17):
                                      witness=x)
 
     rng = _pair_rng(scenario, 1)
-    min_val, xy = _minimize_pair_margin(margin, x_lo, x_hi, y_hi, n_x, n_y, rng)
+    min_val, xy = _minimize_pair_margin(margin, x_lo, x_hi, y_hi,
+                                        PAIR_GRID, PAIR_GRID, rng)
     return _band_verdict(SMOOTH_POSITIVE_V, min_val, xy)
 
 
-def check_smooth_general(scenario, n_x=17, n_y=17):
+def check_smooth_general(scenario):
     """General smooth 1D criterion for nonnegative velocity and positive force.
 
     Decides on the sign of the x-derivative of the physical flight time.  For
@@ -289,7 +295,8 @@ def check_smooth_general(scenario, n_x=17, n_y=17):
                 criterion=SMOOTH_GENERAL, witness=(x, y))
 
     rng = _pair_rng(scenario, 2)
-    min_val, xy = _minimize_pair_margin(margin, x_lo, x_hi, y_hi, n_x, n_y, rng)
+    min_val, xy = _minimize_pair_margin(margin, x_lo, x_hi, y_hi,
+                                        PAIR_GRID, PAIR_GRID, rng)
     return _band_verdict(SMOOTH_GENERAL, min_val, xy)
 
 
@@ -321,21 +328,14 @@ def check_one_gap_zero_v(f1, f2, a):
     """
     force = OneGap(f1=float(f1), f2=float(f2), a=float(a))
     margin = force.f2 - force.f1
-    t_a = lambda x: math.sqrt(2.0 * (force.a - x) / force.f1)
-    diag = GapDiagnostics(
-        D=lambda x: 2.0 * force.f1 * (force.a - x),
-        T_A=t_a,
-        final_velocity_profile=lambda x: force.f1 * t_a(x),
-    )
     if margin >= 0.0:
-        return Verdict(outcome=REGULAR, criterion=ONE_GAP_ZERO_V, margin=margin,
-                       diagnostics={"gap": diag})
+        return Verdict(outcome=REGULAR, criterion=ONE_GAP_ZERO_V, margin=margin)
     witness = _gap_micro_witness(force, lambda x: 0.0, 1.0)
     return Verdict(outcome=COLLISION, criterion=ONE_GAP_ZERO_V, margin=margin,
-                   witness=witness, diagnostics={"gap": diag})
+                   witness=witness)
 
 
-def check_one_gap_general(f1, f2, a, velocity, velocity_deriv, n=513):
+def check_one_gap_general(f1, f2, a, velocity, velocity_deriv):
     """Single-step criterion for nonnegative initial velocity.
 
     No collisions iff for every label x both hold, with
@@ -369,15 +369,9 @@ def check_one_gap_general(f1, f2, a, velocity, velocity_deriv, n=513):
         return dv(x) * ((f1 - f2) * v(x) + f2 * math.sqrt(dfn(x))) \
             - f1 * (f1 - f2)
 
-    min_entry, x_entry = _minimize_line_margin(entry_margin, 0.0, 1.0, n)
-    min_profile, x_profile = _minimize_line_margin(profile_margin, 0.0, 1.0, n)
-    t_a = lambda x: (-v(x) + math.sqrt(dfn(x))) / f1
-    diag = GapDiagnostics(
-        D=dfn, T_A=t_a,
-        final_velocity_profile=lambda x: math.sqrt(dfn(x)),
-    )
-    diagnostics = {"entry_min": min_entry, "profile_min": min_profile,
-                   "gap": diag}
+    min_entry, x_entry = _minimize_line_margin(entry_margin, 0.0, 1.0)
+    min_profile, x_profile = _minimize_line_margin(profile_margin, 0.0, 1.0)
+    diagnostics = {"entry_min": min_entry, "profile_min": min_profile}
     entry_ok = min_entry > 0.0
     profile_ok = min_profile >= 0.0
     if entry_ok and profile_ok:
@@ -394,7 +388,7 @@ def check_one_gap_general(f1, f2, a, velocity, velocity_deriv, n=513):
                    witness=witness, diagnostics=diagnostics)
 
 
-def check_corollary_sufficient(f1, a, velocity, velocity_deriv, n=513):
+def check_corollary_sufficient(f1, a, velocity, velocity_deriv):
     """Sufficient slope bound for the force-free far region (f2 = 0):
     v'(x) >= f1 / sqrt(f1 x + v(0)^2) at every label.  Not necessary, so a
     failure is Inconclusive.
@@ -410,7 +404,7 @@ def check_corollary_sufficient(f1, a, velocity, velocity_deriv, n=513):
             return -math.inf
         return float(velocity_deriv(x)) - f1 / math.sqrt(denom)
 
-    min_val, x_star = _minimize_line_margin(margin, 0.0, 1.0, n)
+    min_val, x_star = _minimize_line_margin(margin, 0.0, 1.0)
     if min_val >= 0.0:
         return Verdict(outcome=REGULAR, criterion=ONE_GAP_SLOPE, margin=min_val)
     return Verdict(
@@ -436,31 +430,8 @@ def check_two_gap(f1, f2, f3, a, b):
              / ((f1 - f2) ** 2 * f3 ** 2))
     beta = (f1 - f2) * f3 / ((f3 - f2) * f1 ** 2)
     margin = alpha * (a - 1.0) - (b - a)
-
-    def d_fn(x):
-        return 2.0 * f1 * (a - x)
-
-    def t_a(x):
-        return math.sqrt(d_fn(x)) / f1
-
-    def s_fn(x):
-        va = math.sqrt(d_fn(x))
-        return (-va + math.sqrt(va * va + 2.0 * f2 * (b - a))) / f2
-
-    def t_b(x):
-        return t_a(x) + s_fn(x)
-
-    t_star = t_b(0.0)
-
-    def final_profile(x):
-        tb = t_b(x)
-        vb = math.sqrt(d_fn(x) + 2.0 * f2 * (b - a))
-        return vb + f3 * (t_star - tb)
-
-    diag = GapDiagnostics(D=d_fn, T_A=t_a, T_B=t_b, s=s_fn, beta=beta,
-                          alpha=alpha, final_velocity_profile=final_profile)
     diagnostics = {"alpha": alpha, "beta": beta,
-                   "necessary_far_exceeds_near": f3 > f1, "gap": diag}
+                   "necessary_far_exceeds_near": f3 > f1}
     if margin >= 0.0:
         return Verdict(outcome=REGULAR, criterion=TWO_GAP_BOUND, margin=margin,
                        diagnostics=diagnostics)
@@ -485,10 +456,11 @@ def _sample_box(rng, lo, hi):
     return np.array([rng.uniform(l, h) for l, h in zip(lo, hi)])
 
 
-def _monotone_margin(fn, lo, hi, rng, probes, dim):
-    """Worst normalized inner product (fn(b) - fn(a), b - a) / |b - a|^2."""
+def _monotone_margin(fn, lo, hi, rng, dim):
+    """Worst normalized inner product (fn(b) - fn(a), b - a) / |b - a|^2
+    over MONOTONE_PROBES random pairs (a, b) of the box."""
     worst, pair = math.inf, None
-    for _ in range(probes):
+    for _ in range(MONOTONE_PROBES):
         p = _sample_box(rng, lo, hi)
         q = _sample_box(rng, lo, hi)
         d = q - p
@@ -496,8 +468,9 @@ def _monotone_margin(fn, lo, hi, rng, probes, dim):
         if nrm < 1e-24:
             continue
         if dim == 1:
-            fp = float(fn(float(p[0])))
-            fq = float(fn(float(q[0])))
+            # a 1D constant force answers with its 1-vector
+            fp = float(np.ravel(fn(float(p[0])))[0])
+            fq = float(np.ravel(fn(float(q[0])))[0])
             val = (fq - fp) * float(d[0]) / nrm
         else:
             fp = _as_vec(fn(p), dim)
@@ -508,11 +481,11 @@ def _monotone_margin(fn, lo, hi, rng, probes, dim):
     return worst, pair
 
 
-def check_monotone_multi(scenario, probes=256, seed=None):
+def check_monotone_multi(scenario):
     """Sufficient criterion in any dimension: a monotone force field
     ((F(b) - F(a), b - a) >= 0 everywhere) plus a monotone initial velocity
     field keeps every pair distance convex in time, hence positive."""
-    rng = np.random.default_rng(20240 + probes if seed is None else seed)
+    rng = np.random.default_rng(20240 + MONOTONE_PROBES)
     d = scenario.dim
     if isinstance(scenario.domain, Annulus):
         r_in, r_out = scenario.domain.r_inner, scenario.domain.r_outer
@@ -537,9 +510,8 @@ def check_monotone_multi(scenario, probes=256, seed=None):
         force_fn = force.f if isinstance(force, Smooth1D) else force
     else:
         force_fn = force
-    f_margin, f_pair = _monotone_margin(force_fn, f_lo, f_hi, rng, probes, d)
-    v_margin, v_pair = _monotone_margin(scenario.init.velocity, lo, hi, rng,
-                                        probes, d)
+    f_margin, f_pair = _monotone_margin(force_fn, f_lo, f_hi, rng, d)
+    v_margin, v_pair = _monotone_margin(scenario.init.velocity, lo, hi, rng, d)
     margin = min(f_margin, v_margin)
     diagnostics = {"force_min": f_margin, "velocity_min": v_margin}
     if margin >= 0.0:
@@ -555,7 +527,7 @@ def check_monotone_multi(scenario, probes=256, seed=None):
     )
 
 
-def check_linear(scenario, probes=256, seed=None):
+def check_linear(scenario):
     """Spectral sufficient criterion for an affine force F(y) = M y + c:
     real nonnegative eigenvalues with a full eigenbasis, plus a monotone
     initial velocity field.
@@ -589,10 +561,10 @@ def check_linear(scenario, probes=256, seed=None):
         return Verdict(outcome=INCONCLUSIVE, criterion=LINEAR_SPECTRUM,
                        margin=min_eig, reason="negative eigenvalue",
                        diagnostics=diagnostics)
-    rng = np.random.default_rng(20241 + probes if seed is None else seed)
+    rng = np.random.default_rng(20241 + MONOTONE_PROBES)
     v_margin, v_pair = _monotone_margin(
         scenario.init.velocity, list(scenario.domain.lower),
-        list(scenario.domain.upper), rng, probes, scenario.dim)
+        list(scenario.domain.upper), rng, scenario.dim)
     diagnostics["velocity_min"] = v_margin
     if v_margin < 0.0:
         return Verdict(outcome=INCONCLUSIVE, criterion=LINEAR_SPECTRUM,
@@ -645,14 +617,14 @@ def check_constant_force_pair(x1, x2, v1, v2):
                    margin=max(cross_ratio, cos), diagnostics=diagnostics)
 
 
-def check_constant_force_profile(scenario, n=None):
+def check_constant_force_profile(scenario):
     """Continuum version of the constant-force pair test in 1D: trajectories
     are parallel parabolas, so collisions happen iff the initial velocity
     profile strictly decreases somewhere; the first collision time is the
     infimum of gap / velocity-excess over decreasing pairs."""
     if scenario.dim != 1:
         raise InvalidParameter("the 1D profile test needs a one-dimensional scenario")
-    n = n or max(scenario.samples[0], 513)
+    n = max(scenario.samples[0], LINE_GRID)
     xs = scenario.domain.axis_nodes(0, n)
     v = np.array([float(scenario.init.velocity(float(x))) for x in xs])
     span = scenario.domain.upper[0] - scenario.domain.lower[0]
@@ -724,7 +696,7 @@ def check_halfspace_step(f1, f2, a):
     )
 
 
-def check_central(scenario, n_r1=13, n_r2=13, eta=None):
+def check_central(scenario):
     """Sufficient flight-time criterion for a central force on an annulus.
 
     With conserved angular momentum M(r) = r^2 h(r), outward energy
@@ -742,7 +714,7 @@ def check_central(scenario, n_r1=13, n_r2=13, eta=None):
     force = scenario.force
     if not isinstance(force, Central) or not isinstance(scenario.domain, Annulus):
         raise InvalidParameter("check_central needs a central force on an annulus")
-    eta = eta or max(scenario.fd_step, 1e-5)
+    eta = max(scenario.fd_step, CENTRAL_STEP)
     g = scenario.init.radial_speed
     h = scenario.init.angular_rate
     u = force.u
@@ -794,7 +766,8 @@ def check_central(scenario, n_r1=13, n_r2=13, eta=None):
     rng = _pair_rng(scenario, 3)
     inset = 1e-6 * (r1_hi - r1_lo)
     min_val, xy = _minimize_pair_margin(
-        margin, r1_lo + inset, r1_hi - inset, r_cut, n_r1, n_r2, rng)
+        margin, r1_lo + inset, r1_hi - inset, r_cut, CENTRAL_GRID,
+        CENTRAL_GRID, rng)
     if bad[0] is not None:
         return Verdict(outcome=INCONCLUSIVE, criterion=CENTRAL_FLIGHT,
                        reason="kinetic term vanished while probing the bound",
@@ -845,36 +818,32 @@ def check_auto(scenario):
         trace.append((criterion_id, v))
         return v
 
-    if isinstance(force, OneGap):
-        m0 = simulator.uniform_mass_value(scenario)
-        if m0 is None:
-            trace.append((ONE_GAP_GENERAL, _verdict_inconclusive(
-                "step-force criteria need a uniform particle mass; varying "
-                "mass breaks the shared-acceleration kinematics",
-                ONE_GAP_GENERAL)))
-        else:
-            # uniform mass folds into the levels: accelerations f_i / m0
-            a1, a2 = force.f1 / m0, force.f2 / m0
-            if scenario.velocity_is_zero():
-                run(ONE_GAP_ZERO_V,
-                    lambda: check_one_gap_zero_v(a1, a2, force.a))
-            run(ONE_GAP_GENERAL,
-                lambda: check_one_gap_general(a1, a2, force.a,
-                                              scenario.init.velocity,
-                                              scenario.init.velocity_deriv))
-            if force.f2 == 0.0:
-                run(ONE_GAP_SLOPE,
-                    lambda: check_corollary_sufficient(a1, force.a,
-                                                       scenario.init.velocity,
-                                                       scenario.init.velocity_deriv))
+    m0 = simulator.uniform_mass_value(scenario)
+    if isinstance(force, GAP_KINDS + (ConstantVec,)) and m0 is None:
+        # a 1D constant force may carry a mass profile too
+        cid, kind = {OneGap: (ONE_GAP_GENERAL, "step"),
+                     TwoGap: (TWO_GAP_BOUND, "step")}.get(
+                         type(force), (CONSTANT_PAIR, "constant"))
+        trace.append((cid, _verdict_inconclusive(
+            f"{kind}-force criteria need a uniform particle mass; varying "
+            "mass breaks the shared-acceleration kinematics", cid)))
+    elif isinstance(force, OneGap):
+        # uniform mass folds into the levels: accelerations f_i / m0
+        a1, a2 = force.f1 / m0, force.f2 / m0
+        if scenario.velocity_is_zero():
+            run(ONE_GAP_ZERO_V,
+                lambda: check_one_gap_zero_v(a1, a2, force.a))
+        run(ONE_GAP_GENERAL,
+            lambda: check_one_gap_general(a1, a2, force.a,
+                                          scenario.init.velocity,
+                                          scenario.init.velocity_deriv))
+        if force.f2 == 0.0:
+            run(ONE_GAP_SLOPE,
+                lambda: check_corollary_sufficient(a1, force.a,
+                                                   scenario.init.velocity,
+                                                   scenario.init.velocity_deriv))
     elif isinstance(force, TwoGap):
-        m0 = simulator.uniform_mass_value(scenario)
-        if m0 is None:
-            trace.append((TWO_GAP_BOUND, _verdict_inconclusive(
-                "step-force criteria need a uniform particle mass; varying "
-                "mass breaks the shared-acceleration kinematics",
-                TWO_GAP_BOUND)))
-        elif scenario.velocity_is_zero():
+        if scenario.velocity_is_zero():
             run(TWO_GAP_BOUND,
                 lambda: check_two_gap(force.f1 / m0, force.f2 / m0,
                                       force.f3 / m0, force.a, force.b))
@@ -883,10 +852,7 @@ def check_auto(scenario):
                 "no criterion covers a double-step force with nonzero "
                 "initial velocity", TWO_GAP_BOUND)))
     elif isinstance(force, Smooth1D):
-        window = scenario.horizon if math.isfinite(scenario.horizon) \
-            else scenario.cutoff_factor
-        const = simulator._constant_force_value(scenario, window)
-        if const is not None and simulator.uniform_mass_value(scenario) is not None:
+        if simulator.asymptotic_applies(scenario):
             # uniform mass keeps the parabolas parallel, so the profile
             # criterion and its collision times hold unchanged
             run(CONSTANT_PAIR, lambda: check_constant_force_profile(scenario))
@@ -942,7 +908,7 @@ def check_auto(scenario):
     return final, trace
 
 
-def _constant_vec_pair_scan(scenario, extra_pairs=512):
+def _constant_vec_pair_scan(scenario):
     """Sampled pair scan under a constant force: any antiparallel
     label/velocity-difference pair is an exact collision witness."""
     pts = scenario.grid_points()
@@ -953,7 +919,7 @@ def _constant_vec_pair_scan(scenario, extra_pairs=512):
     idx_pairs = []
     for i in range(n - 1):
         idx_pairs.append((i, i + 1))
-    for _ in range(extra_pairs):
+    for _ in range(CONSTANT_PAIR_PROBES):
         i, j = rng.integers(0, n, size=2)
         if i != j:
             idx_pairs.append((int(i), int(j)))

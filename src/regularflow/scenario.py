@@ -26,7 +26,7 @@ from .errors import (
     NotMonotone,
     ScenarioFormatError,
 )
-from .expressions import parse_expression
+from .expressions import Expression, parse_expression
 
 # Stable criterion identifiers, shared by the checkers, the assumptions
 # report and the CLI.  Named after what each criterion does.
@@ -46,6 +46,8 @@ EULER_GLOBAL = "euler-global-smooth"
 DEFAULT_CUTOFF_FACTOR = 10.0
 DEFAULT_FD_STEP = 1e-6
 _ZERO_TOL = 1e-12
+# random point pairs per sampled monotonicity quantifier of the report
+PAIR_PROBES = 128
 
 
 #############################################################
@@ -328,6 +330,19 @@ class Constant:
         return self.value
 
 
+def constant_value(profile):
+    """The one value of a profile that is a Constant or an Expression whose
+    text never names its variable; None for any other profile and for a
+    value that is not finite."""
+    if isinstance(profile, Constant):
+        value = profile.value
+    elif isinstance(profile, Expression) and not profile.names_variable:
+        value = profile(0.0)
+    else:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _const_vec_fn(vec):
     v = np.asarray(vec, dtype=float)
     return lambda x: v
@@ -388,9 +403,7 @@ class InitialData:
     mass_deriv: Optional[Callable] = None
     density: Optional[Callable] = None
     radial_speed: Optional[Callable] = None
-    radial_speed_deriv: Optional[Callable] = None
     angular_rate: Optional[Callable] = None
-    angular_rate_deriv: Optional[Callable] = None
 
 
 @dataclass
@@ -437,17 +450,23 @@ class Scenario:
         span = self.span_1d()
         return self.domain.upper[0] + self.cutoff_factor * span
 
+    def velocity_points(self):
+        """The labels of ``velocity_samples``: the 1D grid, or every
+        (N // 256)-th of the N grid points in more dimensions."""
+        if self.dim == 1:
+            return self.grid_1d()
+        pts = self.grid_points()
+        return pts[::max(1, len(pts) // 256)]
+
     def velocity_samples(self):
         if self.dim == 1:
-            g = self.grid_1d()
-            return np.array([self.init.velocity(float(x)) for x in g])
-        pts = self.grid_points()
-        step = max(1, len(pts) // 256)
+            return np.array([self.init.velocity(float(x))
+                             for x in self.velocity_points()])
         return np.array([np.asarray(self.init.velocity(p), dtype=float)
-                         for p in pts[::step]])
+                         for p in self.velocity_points()])
 
-    def velocity_is_zero(self, tol=_ZERO_TOL):
-        return bool(np.max(np.abs(self.velocity_samples())) <= tol)
+    def velocity_is_zero(self):
+        return bool(np.max(np.abs(self.velocity_samples())) <= _ZERO_TOL)
 
 
 #############################################################
@@ -557,11 +576,6 @@ def build_scenario(
         init.velocity_deriv = central_difference(init.velocity, fd_step)
     if init.mass_deriv is None:
         init.mass_deriv = central_difference(init.mass, fd_step)
-    if isinstance(force, Central):
-        if init.radial_speed_deriv is None:
-            init.radial_speed_deriv = central_difference(init.radial_speed, fd_step, lower=0.0)
-        if init.angular_rate_deriv is None:
-            init.angular_rate_deriv = central_difference(init.angular_rate, fd_step, lower=0.0)
 
     _check_finite_fields(scenario)
     return scenario
@@ -689,7 +703,7 @@ def build_blowup_scenario(z, dz=None, d2z=None, samples=512, horizon=math.inf,
         return float(out[0]) if np.isscalar(y) or isinstance(y, float) else out
 
     domain = Box(lower=(0.0,), upper=(1.0,), lower_open=(True,), upper_open=(False,))
-    scenario = build_scenario(
+    return build_scenario(
         domain=domain,
         force=Smooth1D(f=force_fn),
         init=InitialData(velocity=velocity),
@@ -697,8 +711,6 @@ def build_blowup_scenario(z, dz=None, d2z=None, samples=512, horizon=math.inf,
         samples=(int(samples),),
         fd_step=fd_step,
     )
-    scenario.curve = z
-    return scenario
 
 
 #############################################################
@@ -737,7 +749,7 @@ def _report_velocity_sign(s, require_zero):
     return "yes", None, label
 
 
-def assumptions_report(s, pair_probes=128):
+def assumptions_report(s):
     """Sampled hypothesis judgments for every criterion matching the force kind.
 
     Judgments over the bounded initial region are "yes"/"no"; hypotheses that
@@ -798,7 +810,7 @@ def assumptions_report(s, pair_probes=128):
             witness,
             "same hypotheses as the general smooth criterion, on the truncated line",
         ))
-        checks.append(_monotone_check(s, pair_probes))
+        checks.append(_monotone_check(s))
 
     elif isinstance(force, OneGap):
         status, witness, label = _report_velocity_sign(s, require_zero=True)
@@ -826,13 +838,13 @@ def assumptions_report(s, pair_probes=128):
             status, witness = "no", (float(force.f2[force.axis]),)
             detail = "receiving normal force is negative (oscillation regime)"
         else:
-            pts = s.grid_points()
-            for p in pts[:: max(1, len(pts) // pair_probes)]:
-                v = np.asarray(s.init.velocity(p), dtype=float)
-                if np.max(np.abs(v)) > _ZERO_TOL:
-                    status, witness = "no", tuple(float(c) for c in p)
-                    detail = "initial velocity is not identically zero"
-                    break
+            pts = s.velocity_points()
+            speeds = np.abs(s.velocity_samples()).reshape(len(pts), -1)
+            moving = np.max(speeds, axis=1) > _ZERO_TOL
+            if np.any(moving):
+                p = np.atleast_1d(pts[int(np.argmax(moving))])
+                status, witness = "no", tuple(float(c) for c in p)
+                detail = "initial velocity is not identically zero"
         checks.append(AssumptionCheck(HALFSPACE_STEP, status, witness, detail))
 
     elif isinstance(force, Linear):
@@ -849,7 +861,7 @@ def assumptions_report(s, pair_probes=128):
             witness = (float(np.min(eigvals.real)),)
             detail = "negative eigenvalue"
         checks.append(AssumptionCheck(LINEAR_SPECTRUM, status, witness, detail))
-        checks.append(_monotone_check(s, pair_probes))
+        checks.append(_monotone_check(s))
 
     elif isinstance(force, Central):
         radii = s.domain.radial_nodes(s.samples[0])
@@ -879,7 +891,7 @@ def assumptions_report(s, pair_probes=128):
     return checks
 
 
-def _monotone_check(s, pair_probes):
+def _monotone_check(s):
     """Sampled monotonicity of the force (box+cutoff) and the velocity (domain)."""
     rng = np.random.default_rng(20240 + int(np.sum(s.samples)))
     d = s.dim
@@ -889,7 +901,7 @@ def _monotone_check(s, pair_probes):
     box_lo, box_hi = lo - pad, hi + pad
 
     witness = None
-    for _ in range(pair_probes):
+    for _ in range(PAIR_PROBES):
         p = box_lo + (box_hi - box_lo) * rng.random(d)
         q = box_lo + (box_hi - box_lo) * rng.random(d)
         if d == 1:
@@ -900,7 +912,7 @@ def _monotone_check(s, pair_probes):
             witness = tuple(float(c) for c in np.concatenate([p, q]))
             break
     if witness is None:
-        for _ in range(pair_probes):
+        for _ in range(PAIR_PROBES):
             p = lo + (hi - lo) * rng.random(d)
             q = lo + (hi - lo) * rng.random(d)
             if d == 1:

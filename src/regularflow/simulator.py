@@ -36,13 +36,13 @@ from .scenario import (
     OneGap,
     Smooth1D,
     TwoGap,
+    constant_value,
 )
 
 DEFAULT_N_OUT = 256
 RTOL = 1e-10
 ATOL = 1e-12
 ENERGY_DRIFT_BUDGET = 1e-8
-_CONST_FORCE_TOL = 1e-12
 MICRO_PAIR_STEP = 1e-7
 REFINE_PASSES = 5
 HISTORY_FRAMES = 64
@@ -305,7 +305,9 @@ def _vectorize_scalar(fn):
                 return out
         except Exception:
             pass
-        return np.array([float(fn(float(a))) for a in np.atleast_1d(arr)])
+        # a 1D constant force answers with its 1-vector
+        return np.array([float(np.ravel(fn(float(a)))[0])
+                         for a in np.atleast_1d(arr)])
 
     return wrapped
 
@@ -604,64 +606,30 @@ class RadialEnsemble:
 #############################################################
 
 
-def _sample_constant_force(scenario, lo, hi, n=257):
+def _force_levels(scenario):
+    """The force levels of exact arcs: a gap force, the value of a constant
+    1D force (see ``constant_value``), or None."""
     force = scenario.force
-    f = _vectorize_scalar(force.f if isinstance(force, Smooth1D) else force)
-    vals = f(np.linspace(lo, hi, n))
-    c = float(vals[0])
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.max(np.abs(vals - c)) <= _CONST_FORCE_TOL * scale:
-        return c
-    return None
-
-
-def _constant_force_value(scenario, horizon):
-    """Detect a constant 1D force on the range the ensemble can reach."""
-    force = scenario.force
+    if isinstance(force, (OneGap, TwoGap)):
+        return force
     if isinstance(force, ConstantVec) and force.dim == 1:
         return float(force.vector[0])
-    if not isinstance(force, Smooth1D):
-        return None
-    lo, hi = scenario.domain.lower[0], scenario.domain.upper[0]
-    span = hi - lo
-    c = _sample_constant_force(scenario, lo - span, hi + span)
-    if c is None:
-        return None
-    xs = scenario.grid_1d()
-    v0 = np.array([float(scenario.init.velocity(float(x))) for x in xs])
-    t = min(horizon, 1e6)
-    ys = np.concatenate([xs, xs + v0 * t + 0.5 * c * t * t,
-                         xs + v0 * (t / 2) + 0.5 * c * (t / 2) ** 2])
-    reach_lo, reach_hi = float(np.min(ys)), float(np.max(ys))
-    if c != 0.0:
-        tv = -v0 / c
-        ok = (tv > 0) & (tv < t)
-        if np.any(ok):
-            yv = xs[ok] + v0[ok] * tv[ok] + 0.5 * c * tv[ok] ** 2
-            reach_lo = min(reach_lo, float(np.min(yv)))
-            reach_hi = max(reach_hi, float(np.max(yv)))
-    c2 = _sample_constant_force(scenario, reach_lo, reach_hi)
-    return c2
-
-
-def _force_levels(scenario, horizon):
-    """The force levels of exact arcs: a gap force, the value of a 1D force
-    that is constant on the range reached by the horizon, or None."""
-    if isinstance(scenario.force, (OneGap, TwoGap)):
-        return scenario.force
-    return _constant_force_value(scenario, horizon)
-
-
-def uniform_mass_value(scenario, xs=None, n=257, rel_tol=1e-12):
-    """Common particle mass if the mass profile is constant, else None."""
-    if xs is None:
-        lo, hi = scenario.domain.lower[0], scenario.domain.upper[0]
-        xs = np.linspace(lo, hi, n)
-    vals = np.array([float(scenario.init.mass(float(x))) for x in xs])
-    m = float(vals[0])
-    if np.max(np.abs(vals - m)) <= rel_tol * max(1.0, abs(m)):
-        return m
+    if isinstance(force, Smooth1D):
+        return constant_value(force.f)
     return None
+
+
+def uniform_mass_value(scenario):
+    """Common particle mass if the mass profile is constant, else None."""
+    return constant_value(scenario.init.mass)
+
+
+def asymptotic_applies(scenario):
+    """Whether a 1D scenario has infinite-horizon verdicts: exact arcs under
+    one shared acceleration per force level, so constant force levels and a
+    uniform mass."""
+    return (_force_levels(scenario) is not None
+            and uniform_mass_value(scenario) is not None)
 
 
 def _exact_first_collision(arcs, horizon):
@@ -694,16 +662,16 @@ def detect_collisions_1d(scenario, n_particles=None, horizon=None,
         raise InvalidParameter("detect_collisions_1d needs a one-dimensional scenario")
     horizon = scenario.horizon if horizon is None else float(horizon)
     if not math.isfinite(horizon):
-        if _force_levels(scenario, 1.0) is not None:
+        if asymptotic_applies(scenario):
             return asymptotic_verdict_1d(scenario, n=n_particles)
         raise InvalidParameter(
-            "infinite horizon needs a piecewise-constant force; give a finite horizon")
+            "infinite horizon needs a piecewise-constant force and uniform "
+            "particle mass; give a finite horizon")
+    levels = _force_levels(scenario)
 
     n = n_particles or scenario.samples[0]
     xs = scenario.domain.axis_nodes(0, n)
     times = np.linspace(0.0, horizon, n_out)
-
-    levels = _force_levels(scenario, horizon)
     if levels is not None:
         arcs = _label_arcs(scenario, xs, levels)
         t_first, pair = _exact_first_collision(arcs, horizon)
@@ -806,20 +774,16 @@ def asymptotic_verdict_1d(scenario, n=None):
     """
     if scenario.dim != 1:
         raise InvalidParameter("asymptotic_verdict_1d needs a 1D scenario")
-    levels = _force_levels(scenario, 1.0)
-    if levels is None:
-        raise InvalidParameter(
-            "asymptotic verdicts need a piecewise-constant or constant force")
+    levels, m0 = _force_levels(scenario), uniform_mass_value(scenario)
+    if levels is None or m0 is None:
+        # the final-profile argument assumes a shared acceleration in the
+        # last force region
+        raise InvalidParameter("asymptotic verdicts need a piecewise-constant"
+                               " or constant force and uniform particle mass")
     n = n or scenario.samples[0]
     xs = scenario.domain.axis_nodes(0, n)
     span = scenario.domain.upper[0] - scenario.domain.lower[0]
     delta = MICRO_PAIR_STEP * span
-
-    m0 = uniform_mass_value(scenario, xs)
-    if m0 is None:
-        raise InvalidParameter(
-            "asymptotic verdicts need uniform particle mass; the final-profile"
-            " argument assumes a shared acceleration in the last force region")
 
     arcs = _label_arcs(scenario, xs, levels, m0)
     t_star = float(np.max(arcs[-1][0]))
@@ -1040,12 +1004,7 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
             details={"criterion": "straight relative motion"},
         )
 
-    zero_v = True
-    for p in pts[:: max(1, len(pts) // 64)]:
-        if np.max(np.abs(np.asarray(scenario.init.velocity(p), dtype=float))) > 1e-12:
-            zero_v = False
-            break
-    if isinstance(force, HalfSpaceStep) and zero_v:
+    if isinstance(force, HalfSpaceStep) and scenario.velocity_is_zero():
         t, pair = _detect_halfspace_exact(scenario, pts, horizon, eps_rel)
         return CollisionReport(
             found=t is not None and t <= horizon, t_first=t,

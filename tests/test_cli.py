@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,12 @@ from regularflow.cli import main
 from regularflow.regularity import REGULAR, Verdict
 from regularflow.scenario import TWO_GAP_BOUND
 
-from conftest import SCENARIO_DIR, scenario_path
+from conftest import REPO_ROOT, SCENARIO_DIR, scenario_path
+
+# SHA-256 of the artifacts of the bundled scenarios, recorded for the
+# benchmark's byte gate; read only
+DIGESTS = json.loads(
+    (REPO_ROOT / "perfbench" / "baseline" / "digests.json").read_text())
 
 
 def _write_json(tmp_path, name, payload):
@@ -29,6 +35,10 @@ def _variable_mass_gap_payload():
     return {"domain": {"kind": "box", "lower": [0.0], "upper": [1.0]},
             "force": {"kind": "one_gap", "f1": 1.0, "f2": 2.0, "a": 2.0},
             "velocity": "0", "mass": "1 + x", "horizon": 3.0, "grid": [11]}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _grab(path, key):
@@ -191,6 +201,48 @@ def test_simulate_runs_are_byte_identical_on_every_bundled_scenario(
     assert outs[0] == outs[1]
 
 
+def test_simulate_without_uniform_mass_detects_on_the_default_horizon(
+        tmp_path):
+    # no infinite-horizon verdict without a shared acceleration: simulate
+    # detects on horizon 10, as validate's oracle does
+    payload = dict(_variable_mass_gap_payload(), horizon="inf")
+    p = _write_json(tmp_path, "vm.json", payload)
+    code = main(["simulate", "--scenario", p, "--out", str(tmp_path / "sim")])
+    assert code == 1
+    main(["validate", "--scenario", p, "--out", str(tmp_path / "val")])
+    t_first = _grab(tmp_path / "sim" / "collision.txt", "t_first")
+    assert f"oracle found: yes t_first: {t_first} mode: Exact" in \
+        (tmp_path / "val" / "validate.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("horizon,code", [("2", 0), ("5", 1)])
+def test_simulate_horizon_flag_bounds_the_detection(tmp_path, horizon, code):
+    # one_gap_collide collides at t = 3.0 on its infinite horizon; a
+    # --horizon is the detection horizon, not the asymptotic verdict's
+    assert main(["simulate", "--scenario", scenario_path("one_gap_collide"),
+                 "--horizon", horizon, "--out", str(tmp_path)]) == code
+    if code:
+        t_first = float(_grab(tmp_path / "collision.txt", "t_first"))
+        assert t_first == pytest.approx(3.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("extra,codes", [
+    ({"velocity": "-x"}, {"check": 1, "validate": 0, "simulate": 1}),
+    # no criterion covers a constant force on varying mass
+    ({"velocity": "0", "mass": "1 + x"},
+     {"check": 2, "validate": 0, "simulate": 1}),
+])
+def test_one_dimensional_constant_force_exit_codes(tmp_path, extra, codes):
+    # a 1D constant force answers with its 1-vector
+    p = _write_json(tmp_path, "c.json", dict(
+        {"domain": {"kind": "box", "lower": [0.0], "upper": [1.0]},
+         "force": {"kind": "constant", "vector": [1.0]}, "horizon": "inf"},
+        **extra))
+    for command, code in codes.items():
+        assert main([command, "--scenario", p,
+                     "--out", str(tmp_path / command)]) == code
+
+
 #############################################################
 # validate
 #############################################################
@@ -253,17 +305,25 @@ def test_validate_directory_sorted_and_deterministic(tmp_path):
     ("arctan_collide", [
         "analytic witness: pair=(0.0, 1e-06) time=1.0000000000003333",
         "oracle found: yes t_first: 1.0000000000003333 mode: Asymptotic"]),
+    ("one_gap_regular", ["oracle found: no t_first: none mode: Asymptotic"]),
+    ("two_gap_regular", ["oracle found: no t_first: none mode: Asymptotic"]),
+    ("blowup", ["oracle found: no t_first: none mode: Numeric"]),
+    ("linear_monotone", ["oracle found: no t_first: none mode: Numeric"]),
+    ("central_regular", ["oracle found: no t_first: none mode: Numeric"]),
+    ("halfspace_regular", ["oracle found: no t_first: none mode: Exact"]),
 ])
 def test_validate_prints_the_recorded_smooth_force_digits(tmp_path, name,
                                                           lines):
     # margins and times printed with repr: every bit of the smooth-force
-    # quadrature shows here
+    # quadrature shows here, and every other byte in the recorded digest
     code = main(["validate", "--scenario", scenario_path(name),
                  "--out", str(tmp_path)])
     assert code == 0
     text = (tmp_path / "validate.txt").read_text().splitlines()
     for line in lines:
         assert line in text
+    assert _sha256(tmp_path / "validate.txt") == \
+        DIGESTS[f"validate/{name}"]["validate.txt"]
 
 
 def test_validate_disagreement_exit(tmp_path, monkeypatch):
@@ -344,3 +404,12 @@ def test_report_lists_assumptions(tmp_path):
     rows = [l for l in lines if l.startswith("criterion: ")]
     assert rows
     assert all("satisfied:" in r for r in rows)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_EXIT))
+def test_report_writes_the_recorded_digest(tmp_path, name):
+    code = main(["report", "--scenario", scenario_path(name),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert _sha256(tmp_path / "assumptions.txt") == \
+        DIGESTS[f"report/{name}"]["assumptions.txt"]

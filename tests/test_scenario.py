@@ -12,6 +12,7 @@ from regularflow.errors import (
     NotMonotone,
     ScenarioFormatError,
 )
+from regularflow.expressions import parse_expression
 from regularflow.scenario import (
     Annulus,
     Box,
@@ -25,6 +26,7 @@ from regularflow.scenario import (
     assumptions_report,
     build_blowup_scenario,
     build_scenario,
+    constant_value,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -168,6 +170,21 @@ def test_velocity_is_zero_multid():
         "grid": [5, 5],
     })
     assert not s2.velocity_is_zero()
+
+
+@pytest.mark.parametrize("profile,value", [
+    (Constant(2.0), 2.0),
+    (parse_expression("2"), 2.0),
+    (parse_expression("-0.5"), -0.5),
+    (parse_expression("y"), None),
+    # constant in value, but the text names its variable
+    (parse_expression("0*y"), None),
+    (Constant(math.inf), None),
+    # a Python callable is never taken for a constant
+    (lambda y: 1.0, None),
+])
+def test_constant_value_reads_the_profile_not_samples(profile, value):
+    assert constant_value(profile) == value
 
 
 #############################################################
@@ -315,6 +332,18 @@ def test_assumptions_unbounded_hypotheses_stay_unknown():
     s = make_scenario(force={"kind": "smooth1d", "f": "1"}, velocity="1 + x")
     rows = {c.criterion: c for c in assumptions_report(s)}
     assert rows["smooth-positive-velocity"].satisfied == "unknown"
+
+
+def test_assumptions_halfspace_row_in_one_dimension():
+    # 1D velocity samples are a flat array; the witness is a 1-tuple
+    force = {"kind": "halfspace_step", "f1": [1.0], "f2": [1.0], "a": 2.0}
+    rows = {c.criterion: c for c in assumptions_report(
+        make_scenario(force=force, velocity="x", horizon=3.0))}
+    assert rows["halfspace-step"].satisfied == "no"
+    assert rows["halfspace-step"].witness == (1.0 / 511,)
+    rows = {c.criterion: c for c in assumptions_report(
+        make_scenario(force=force, velocity="0", horizon=3.0))}
+    assert rows["halfspace-step"].satisfied == "yes"
 
 
 def test_assumptions_gap_velocity_rows():

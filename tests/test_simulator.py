@@ -99,7 +99,7 @@ def _exact_arcs(name):
     xs = s.grid_1d()[::8]
     levels = s.force
     if not isinstance(levels, (OneGap, TwoGap)):
-        levels = simulator._constant_force_value(s, s.horizon)
+        levels = simulator._force_levels(s)
         assert levels is not None
     arcs = simulator._label_arcs(s, xs, levels)
     segs = [scalar_arcs.gap_segments(levels, float(x),
@@ -190,7 +190,7 @@ _UNIFORM_MASS_CASES = {
 def test_pair_collisions_have_the_bits_of_the_scalar_reference(name):
     # adjacent pairs and micro pairs, as the asymptotic verdict forms them
     s = make_scenario(horizon="inf", **_UNIFORM_MASS_CASES[name])
-    levels = simulator._force_levels(s, 1.0)
+    levels = simulator._force_levels(s)
     m = uniform_mass_value(s)
     xs = s.domain.axis_nodes(0, 33)
     labels = np.concatenate([xs, xs[:-1] + 1e-7])
@@ -407,6 +407,17 @@ def test_asymptotic_rejects_genuinely_smooth_force():
     s = make_scenario(force={"kind": "smooth1d", "f": "y"}, horizon="inf")
     with pytest.raises(InvalidParameter):
         asymptotic_verdict_1d(s)
+
+
+def test_infinite_horizon_needs_a_force_constant_everywhere():
+    # the force steps from 2 down to about 0 near y = 5: constant on the
+    # range reached by t = 1, but the particles collide at t = 9.47
+    s = make_scenario(force={"kind": "smooth1d",
+                             "f": "2/(1 + exp(1000*(y - 5)))"},
+                      velocity="x", horizon="inf")
+    with pytest.raises(InvalidParameter):
+        detect_collisions_1d(s, horizon=math.inf)
+    assert simulator._force_levels(s) is None
 
 
 def test_uniform_mass_detection():
