@@ -102,9 +102,11 @@ class FlowMap:
 
     Gap and constant forces evaluate in closed form, a whole array of
     labels per call; smooth forces combine a dense cached ensemble (for
-    vectorized grid queries, Jacobians and bracketing) with per-label
-    high-accuracy integrations for bisection probes.  ``ensure_regular``
-    refuses times at or past the first collision detected on [0, horizon].
+    vectorized grid queries, Jacobians, bracketing and the per-time splines
+    that stencil legs are solved on, a whole leg per array Brent iteration)
+    with per-label high-accuracy integrations for bisection probes.
+    ``ensure_regular`` refuses times at or past the first collision detected
+    on [0, horizon].
     """
 
     def __init__(self, scenario, horizon):
@@ -494,8 +496,9 @@ class _StencilEval:
     time.
 
     Gap and constant forces invert the whole leg in closed form at once;
-    smooth forces solve each point on the per-time spline over the dense
-    cache.  Points outside the image or the regular range come back as nan.
+    smooth forces solve the whole leg on the per-time spline over the dense
+    cache in one array Brent iteration with the bits of scipy's brentq.
+    Points outside the image or the regular range come back as nan.
     """
 
     def __init__(self, scenario, flow):
@@ -528,12 +531,98 @@ class _StencilEval:
         y_lo = float(spl_y(flow.x_lo))
         y_hi = float(spl_y(flow.x_hi))
         x = np.full(ys.shape, math.nan)
-        for i, y in enumerate(ys):
-            y = float(y)
-            if y_lo <= y <= y_hi:
-                x[i] = brentq(lambda xx, yy=y: float(spl_y(xx)) - yy,
-                              flow.x_lo, flow.x_hi, xtol=1e-13)
+        inside = (y_lo <= ys) & (ys <= y_hi)
+        x[inside] = _brentq_many(spl_y, flow.x_lo, flow.x_hi, ys[inside])
         return x
+
+
+_BRENT_XTOL = 1e-13
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _nan_raise(fx, x):
+    bad = np.flatnonzero(np.isnan(fx))
+    if bad.size:
+        x = float(np.broadcast_to(x, fx.shape)[bad[0]])
+        raise ValueError(f"The function value at x={x} is NaN; solver "
+                         "cannot continue.")
+    return fx
+
+
+def _brentq_many(f, lo, hi, ys):
+    """Roots of f(x) = y on [lo, hi], one per element of the 1-D array ys,
+    by scipy's Brent iteration (brentq.c) run on every element at once.
+
+    f maps an array of points to an array of values.  Each element takes
+    the steps of ``brentq(lambda x: float(f(x)) - y, lo, hi, xtol=1e-13)``
+    in the same floating-point operations, so its root has the same bits.
+    Each iteration calls f once, on the elements still active.  A nan value
+    raises ValueError and an element left unconverged after scipy's 100
+    iterations raises RuntimeError, as brentq does.
+    """
+    ys = np.asarray(ys, dtype=float)
+    roots = np.empty(ys.shape)
+    ends = np.array([float(lo), float(hi)])
+    f_lo, f_hi = f(ends)
+    fpre = _nan_raise(f_lo - ys, ends[0])
+    fcur = _nan_raise(f_hi - ys, ends[1])
+    at_lo = fpre == 0.0
+    at_hi = ~at_lo & (fcur == 0.0)
+    roots[at_lo] = ends[0]
+    roots[at_hi] = ends[1]
+    idx = np.flatnonzero(~(at_lo | at_hi))
+    if np.any(np.signbit(fpre[idx]) == np.signbit(fcur[idx])):
+        raise ValueError("f(a) and f(b) must have different signs")
+    y, fpre, fcur = ys[idx], fpre[idx], fcur[idx]
+    xpre = np.full(idx.shape, ends[0])
+    xcur = np.full(idx.shape, ends[1])
+    xblk, fblk, spre, scur = (np.zeros(idx.shape) for _ in range(4))
+    for _ in range(_BRENT_MAXITER):
+        flip = ((fpre != 0.0) & (fcur != 0.0)
+                & (np.signbit(fpre) != np.signbit(fcur)))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre),
+                            np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre),
+                            np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[idx[done]] = xcur[done]
+            keep = ~done
+            (idx, y, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+             delta, sbis) = (a[keep] for a in (
+                 idx, y, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                 delta, sbis))
+        if not idx.size:
+            return roots
+        with np.errstate(all="ignore"):  # each element uses one of the two
+            interpolated = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolated = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+        stry = np.where(xpre == xblk, interpolated, extrapolated)
+        # spre and sbis stay finite, so np.minimum is brentq.c's MIN
+        cap = np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2.0 * np.abs(stry) < cap))
+        spre = np.where(short, scur, sbis)
+        scur = np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                        xcur + np.where(sbis > 0.0, delta, -delta))
+        fcur = _nan_raise(f(xcur) - y, xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} "
+                       f"iterations, value is {xcur[0]:f}")
 
 
 def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):

@@ -48,6 +48,7 @@ from .scenario import (
     Smooth1D,
     TWO_GAP_BOUND,
     TwoGap,
+    varying_mass_reason,
 )
 
 REGULAR = "Regular"
@@ -821,12 +822,10 @@ def check_auto(scenario):
     m0 = simulator.uniform_mass_value(scenario)
     if isinstance(force, GAP_KINDS + (ConstantVec,)) and m0 is None:
         # a 1D constant force may carry a mass profile too
-        cid, kind = {OneGap: (ONE_GAP_GENERAL, "step"),
-                     TwoGap: (TWO_GAP_BOUND, "step")}.get(
-                         type(force), (CONSTANT_PAIR, "constant"))
-        trace.append((cid, _verdict_inconclusive(
-            f"{kind}-force criteria need a uniform particle mass; varying "
-            "mass breaks the shared-acceleration kinematics", cid)))
+        cid = {OneGap: ONE_GAP_GENERAL, TwoGap: TWO_GAP_BOUND}.get(
+            type(force), CONSTANT_PAIR)
+        trace.append((cid, _verdict_inconclusive(varying_mass_reason(force),
+                                                 cid)))
     elif isinstance(force, OneGap):
         # uniform mass folds into the levels: accelerations f_i / m0
         a1, a2 = force.f1 / m0, force.f2 / m0

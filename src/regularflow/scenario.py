@@ -343,6 +343,14 @@ def constant_value(profile):
     return value if math.isfinite(value) else None
 
 
+def varying_mass_reason(force):
+    """Why the criteria of a gap or constant force leave a varying particle
+    mass undecided."""
+    kind = "constant" if isinstance(force, ConstantVec) else "step"
+    return (f"{kind}-force criteria need a uniform particle mass; varying "
+            "mass breaks the shared-acceleration kinematics")
+
+
 def _const_vec_fn(vec):
     v = np.asarray(vec, dtype=float)
     return lambda x: v
@@ -888,6 +896,13 @@ def assumptions_report(s):
                     break
         checks.append(AssumptionCheck(CENTRAL_FLIGHT, status, witness, detail))
 
+    if (isinstance(force, GAP_KINDS + (ConstantVec,))
+            and constant_value(s.init.mass) is None):
+        # as check_auto decides: no criterion of these forces covers a
+        # varying mass
+        checks = [AssumptionCheck(c.criterion, "no", None,
+                                  varying_mass_reason(force))
+                  for c in checks]
     return checks
 
 

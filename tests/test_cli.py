@@ -357,9 +357,27 @@ def test_field_artifacts(tmp_path):
     assert float(_grab(info, "mass_final")) == pytest.approx(1.0, abs=1e-6)
 
 
+# SHA-256 of the parent's field.csv and field.txt; the benchmark's digests
+# cover blowup but none of the other smooth-force runs
+_SMOOTH_FIELD_DIGESTS = {
+    "smooth_regular": {
+        "field.csv":
+            "ff0d2df0840dfea5c2c65f04ca8c1ea5fea8fc7c3aff8cc17b9decac73497da5",
+        "field.txt":
+            "77af1655bd22bf6b1edb6be75042c95ddfc76729965716e563736df7adeabcd0"},
+    "smooth_collide": {
+        "field.csv":
+            "d80e8b07e0e889dfcb2e91fb7c13071f6175e2abea52826d83bc341c790c1718",
+        "field.txt":
+            "f60bb8540fce3522499e16abffd733e32e56d60bfd673ae55ad4cdbbb79af933"},
+    "blowup": DIGESTS["field/blowup"],
+}
+
+
 @pytest.mark.parametrize("name,extra", [
     ("smooth_regular", []),
     ("smooth_collide", ["--horizon", "1.45"]),
+    ("blowup", []),
 ])
 def test_field_on_smooth_bundled_scenarios(tmp_path, name, extra):
     # the dense flow's energy check integrates the potential over a panel
@@ -370,6 +388,8 @@ def test_field_on_smooth_bundled_scenarios(tmp_path, name, extra):
     info = tmp_path / "field.txt"
     mass0 = float(_grab(info, "mass_initial"))
     assert float(_grab(info, "mass_final")) == pytest.approx(mass0, rel=1e-6)
+    for f, digest in _SMOOTH_FIELD_DIGESTS[name].items():
+        assert _sha256(tmp_path / f) == digest
 
 
 @pytest.mark.parametrize("name,horizon", [
@@ -379,14 +399,13 @@ def test_field_on_smooth_bundled_scenarios(tmp_path, name, extra):
 ])
 def test_field_runs_are_byte_identical_on_closed_form_flows(tmp_path, name,
                                                            horizon):
-    outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
         code = main(["field", "--scenario", scenario_path(name),
                      "--out", str(out), "--horizon", horizon])
         assert code == 0
-        outs.append([(out / f).read_bytes() for f in ("field.csv", "field.txt")])
-    assert outs[0] == outs[1]
+        for f in ("field.csv", "field.txt"):
+            assert _sha256(out / f) == DIGESTS[f"field/{name}"][f]
 
 
 def test_field_requires_finite_horizon(tmp_path, capsys):

@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
+import regularflow.field as field
 from regularflow.errors import (
     HypothesisViolated,
     InvalidParameter,
@@ -16,6 +21,7 @@ from regularflow.field import (
     FieldGrid,
     FlowMap,
     _invert,
+    _brentq_many,
     _StencilEval,
     check_euler_global,
     continuity_residual,
@@ -243,6 +249,82 @@ def test_batched_inversion_refuses_times_past_the_collision(name, t_collide):
     # past the prepared horizon: nan as well
     u, _ = _StencilEval(s, flow).u_rho(1.3 * t_collide, np.array([L]))
     assert np.isnan(u).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       x0=st.floats(min_value=-3.0, max_value=3.0),
+       gaps=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1,
+                     max_size=12),
+       rises=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=12,
+                      max_size=12),
+       fractions=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                          max_size=30))
+def test_array_brent_has_the_bits_of_scipy_brentq(scale, x0, gaps, rises,
+                                                  fractions):
+    knots = x0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    data = scale * np.concatenate([[0.0], np.cumsum(rises[:len(gaps)])])
+    spl = CubicSpline(knots, data)
+    lo, hi = float(knots[0]), float(knots[-1])
+    y_lo, y_hi = float(spl(lo)), float(spl(hi))
+    # the leg's filter: knot values, both bracket ends, random points
+    queries = np.concatenate([data, [y_lo, y_hi],
+                              y_lo + (y_hi - y_lo) * np.array(fractions)])
+    queries = queries[(y_lo <= queries) & (queries <= y_hi)]
+    want = [brentq(lambda x, y=float(y): float(spl(x)) - y, lo, hi,
+                   xtol=1e-13) for y in queries]
+    assert _same_bits(_brentq_many(spl, lo, hi, queries), want)
+    assert _same_bits(_brentq_many(spl, lo, hi, queries[:1]), want[:1])
+    assert _brentq_many(spl, lo, hi, queries[:0]).shape == (0,)
+
+
+def test_array_brent_takes_the_steps_of_scipy_brentq_on_a_tie():
+    # f(0) - f(1) rounds to 2, so the first secant step is exactly half the
+    # bracket: Brent must bisect on that tie, which changes later steps
+    def f(x):
+        return np.interp(x, [0.0, 0.5, 1.0], [-(1.0 + 2.0**-52), 0.5, 1.0])
+
+    want, got = [], []
+
+    def scalar(x):
+        want.append(x)
+        return float(f(x))
+
+    def many(x):
+        got.extend(x)
+        return f(x)
+
+    root = brentq(scalar, 0.0, 1.0, xtol=1e-13)
+    assert _same_bits(_brentq_many(many, 0.0, 1.0, np.array([0.0])), [root])
+    assert _same_bits(got, want)
+
+
+def test_array_brent_raises_on_nan_as_scipy_does():
+    def nan_inside(x):
+        return np.where(np.abs(x - 0.5) < 0.3, math.nan, x - 0.5)
+
+    def nan_at_ends(x):
+        return np.full(np.shape(x), math.nan)
+
+    for f in (nan_inside, nan_at_ends):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: float(f(x)), 0.0, 1.0, xtol=1e-13)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq_many(f, 0.0, 1.0, np.array([0.0, 0.1]))
+
+
+def test_smooth_field_runs_no_scalar_brentq(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(field, "brentq", counted)
+    grid = sample_field(load_bundled("smooth_regular"))
+    assert not calls
+    assert grid.mass(len(grid.times) - 1) == \
+        pytest.approx(grid.mass(0), abs=1e-6)
 
 
 def test_out_of_image_point_names_itself():

@@ -13,6 +13,7 @@ from regularflow.errors import (
     ScenarioFormatError,
 )
 from regularflow.expressions import parse_expression
+from regularflow.regularity import check_auto
 from regularflow.scenario import (
     Annulus,
     Box,
@@ -344,6 +345,27 @@ def test_assumptions_halfspace_row_in_one_dimension():
     rows = {c.criterion: c for c in assumptions_report(
         make_scenario(force=force, velocity="0", horizon=3.0))}
     assert rows["halfspace-step"].satisfied == "yes"
+
+
+@pytest.mark.parametrize("force,rows", [
+    ({"kind": "constant", "vector": [1.0]}, ["constant-force-pair"]),
+    ({"kind": "one_gap", "f1": 1.0, "f2": 0.0, "a": 2.0},
+     ["one-gap-zero-velocity", "one-gap-general",
+      "one-gap-slope-sufficient"]),
+    ({"kind": "two_gap", "f1": 2.0, "f2": 1.0, "f3": 3.0, "a": 2.0, "b": 3.0},
+     ["two-gap-bound"]),
+])
+def test_assumptions_level_forces_refuse_a_varying_mass(force, rows):
+    # check leaves these forces Inconclusive for a varying mass, so no row
+    # may claim its hypotheses hold
+    s = make_scenario(force=force, velocity="0", mass="1 + x", horizon=3.0)
+    report = assumptions_report(s)
+    assert [c.criterion for c in report] == rows
+    verdict, _ = check_auto(s)
+    assert verdict.outcome == "Inconclusive"
+    for c in report:
+        assert (c.satisfied, c.witness) == ("no", None)
+        assert verdict.reason.endswith(": " + c.detail)
 
 
 def test_assumptions_gap_velocity_rows():
