@@ -71,14 +71,15 @@ def build_parser():
                        help="scenario JSON file (validate also accepts a directory)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--grid", type=int, default=None,
-                       help="override the per-axis sample count")
+                       help="override the per-axis sample count (at least 3)")
         p.add_argument("--horizon", type=float, default=None,
-                       help="override the time horizon")
+                       help="override the time horizon (positive, or inf)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded in outputs; probes are counter-seeded")
         p.add_argument("--tol-collision", type=float, default=1e-3,
                        dest="tol_collision",
-                       help="relative pair-distance threshold (multi-d)")
+                       help="relative pair-distance threshold (multi-d), "
+                            "in (0, 1)")
     return parser
 
 
@@ -96,7 +97,11 @@ def _load(config, path=None):
         s = dataclasses.replace(
             s, samples=tuple(config.grid for _ in s.samples))
     if config.horizon is not None:
+        if not config.horizon > 0.0:
+            raise ScenarioFormatError("--horizon must be positive or inf")
         s = dataclasses.replace(s, horizon=float(config.horizon))
+    if not 0.0 < config.tol_collision < 1.0:
+        raise ScenarioFormatError("--tol-collision must lie in (0, 1)")
     return s
 
 

@@ -23,7 +23,8 @@ from typing import List
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+# unused here; perfbench/tracer.py and its tests read field.brentq by name
+from scipy.optimize import brentq  # noqa: F401
 
 from . import quadrature, simulator
 from .errors import (
@@ -101,12 +102,11 @@ class FlowMap:
     """Queryable 1D flow (t, x) -> (y, v) with regularity gating.
 
     Gap and constant forces evaluate in closed form, a whole array of
-    labels per call; smooth forces combine a dense cached ensemble (for
-    vectorized grid queries, Jacobians, bracketing and the per-time splines
-    that stencil legs are solved on, a whole leg per array Brent iteration)
-    with per-label high-accuracy integrations for bisection probes.
-    ``ensure_regular`` refuses times at or past the first collision detected
-    on [0, horizon].
+    labels per call.  Smooth forces answer grid queries, Jacobians and the
+    image that inversion searches from per-time cubic splines over a dense
+    cached ensemble; ``states`` integrates each label on its own, for the
+    material endpoints that ``track_boundary`` follows.  ``ensure_regular``
+    refuses times at or past the first collision detected on [0, horizon].
     """
 
     def __init__(self, scenario, horizon):
@@ -172,9 +172,6 @@ class FlowMap:
     def position(self, t, x):
         return self.state(t, x)[0]
 
-    def velocity(self, t, x):
-        return self.state(t, x)[1]
-
     def boundaries(self, t):
         ys, _ = self.states(t, (self.x_lo, self.x_hi))
         return float(ys[0]), float(ys[1])
@@ -215,30 +212,31 @@ class FlowMap:
         return self._dense
 
     def _splines(self, t):
+        """(spl_y, spl_v, increasing) at time t: cubic splines of position
+        and velocity over the dense cache's labels, and whether its node
+        positions are strictly increasing."""
         t = float(t)
         hit = self._t_cache.get(t)
         if hit is not None:
             return hit
         dense = self._dense_flow()
         ys, vs = dense.states(t)
-        spl_y = CubicSpline(dense.xs, ys)
-        spl_v = CubicSpline(dense.xs, vs)
-        hit = (spl_y, spl_v)
+        hit = (CubicSpline(dense.xs, ys), CubicSpline(dense.xs, vs),
+               bool(np.all(ys[1:] > ys[:-1])))
         if len(self._t_cache) > 4096:
             self._t_cache.clear()
         self._t_cache[t] = hit
         return hit
 
-    def jacobian(self, t, x, step=None):
+    def jacobian(self, t, x):
         """dy/dx at fixed t for a label or an array of labels, by the cached
         spline for smooth forces and by a narrow central difference of the
         closed form otherwise."""
         x = np.asarray(x, dtype=float)
         if self.mode == "numeric":
-            spl_y, _ = self._splines(t)
-            jac = spl_y(x, 1)
+            jac = self._splines(t)[0](x, 1)
         else:
-            h = step or max(1e-6 * (self.x_hi - self.x_lo), 1e-9)
+            h = max(1e-6 * (self.x_hi - self.x_lo), 1e-9)
             xc = np.minimum(np.maximum(x, self.x_lo + h), self.x_hi - h)
             jac = (self.states(t, xc + h)[0]
                    - self.states(t, xc - h)[0]) / (2.0 * h)
@@ -248,22 +246,22 @@ class FlowMap:
         """Vectorized (y, v) over an array of labels at one time; smooth
         forces answer from the per-time splines of the dense cache."""
         if self.mode == "numeric":
-            spl_y, spl_v = self._splines(t)
+            spl_y, spl_v, _ = self._splines(t)
             return spl_y(xs), spl_v(xs)
         return self.states(t, xs)
 
-    def bracket(self, t, ys):
-        """Label intervals (lo, hi), one per image point of the array ys at
-        time t; for smooth forces widened by one cache node each side to
-        absorb integration-accuracy mismatch, else the whole domain."""
-        if self.mode == "numeric":
-            dense = self._dense_flow()
-            dense_ys, _ = dense.states(t)
-            k = np.searchsorted(dense_ys, ys)
-            lo = np.maximum(k - 2, 0)
-            hi = np.minimum(k + 1, len(dense_ys) - 1)
-            return dense.xs[lo], dense.xs[hi]
-        return np.full(ys.shape, self.x_lo), np.full(ys.shape, self.x_hi)
+    def image(self, t):
+        """Ends (L, R) of the image at time t that inversion searches: the
+        closed-form material endpoints, or for smooth forces the per-time
+        spline at x_lo and x_hi.  Raises NotRegular when a smooth flow's
+        cache nodes are not strictly increasing at t."""
+        if self.mode != "numeric":
+            return self.boundaries(t)
+        spl_y, _, increasing = self._splines(t)
+        if not increasing:
+            raise NotRegular(
+                f"the flow is not increasing in the label at t = {t}")
+        return float(spl_y(self.x_lo)), float(spl_y(self.x_hi))
 
 
 def _flow_for(scenario, t, flow):
@@ -272,126 +270,112 @@ def _flow_for(scenario, t, flow):
     return FlowMap(scenario, horizon=max(float(t), 1e-9) * (1.0 + 1e-9))
 
 
-def invert_flow_1d(scenario, t, y, flow=None, tol=INVERT_TOL):
-    """Label x with y(t, x) = y, by monotone bisection.
+def invert_flow_1d(scenario, t, y, flow=None):
+    """Label x with y(t, x) = y, by the one inversion ``_invert``.
 
-    Smooth forces first solve on the cached spline and polish the root with
-    Newton steps against the true flow, falling back to plain bisection if
-    the polish stalls.  Raises OutOfImage when y lies outside [L(t), R(t)]
-    and NotRegular when the bracketing probes are not increasing (the flow
-    has folded) or t is past the first detected collision.
+    Raises OutOfImage when y lies outside the image [L(t), R(t)] and
+    NotRegular when t is at or past the first detected collision or the
+    flow is no longer increasing at t.
     """
     t = float(t)
-    y = float(y)
+    ys = np.array([float(y)])
     flow = _flow_for(scenario, t, flow)
-    return float(_labels_in_image(flow, t, np.array([y]), tol)[0])
+    xs = _invert(flow, t, ys)
+    _require_image(flow, t, ys, xs)
+    return float(xs[0])
 
 
-def _labels_in_image(flow, t, ys, tol=INVERT_TOL):
-    """Labels of the image points ys at time t, gated and refused as
-    invert_flow_1d gates and refuses one point; OutOfImage names the first
-    point outside the image."""
-    if t > 0.0:
-        flow.ensure_regular(t)
-    xs = _invert(flow, t, ys, tol)
+def _require_image(flow, t, ys, xs):
+    """Raise OutOfImage naming the first point of ys that has no label in
+    xs, quoting the image that ``_invert`` searched."""
     outside = np.flatnonzero(np.isnan(xs))
     if outside.size:
-        L, R = flow.boundaries(t)
+        L, R = flow.image(t)
         raise OutOfImage(f"y = {float(ys[outside[0]])} is outside the image "
                          f"[{L}, {R}] at t = {t}")
-    return xs
 
 
-def _invert(flow, t, ys, tol=INVERT_TOL):
-    """Labels of an array of image points ys at time t, nan where a point
-    lies outside [L(t), R(t)] by more than a relative 1e-9.
+def _invert(flow, t, ys):
+    """Labels of an array of image points ys at time t, the only route
+    from an image point to a label.
 
-    Raises NotRegular when some point is inside and the material endpoints
-    have crossed, or its bracket is not increasing.  A point at or past an
-    end of its bracket gets that end; smooth forces try the polished spline
-    root; every other point is bisected.
+    The image [L, R] is ``flow.image(t)``.  A point outside it by more than
+    a relative 1e-9 gets nan; one inside that slack is clamped into [L, R],
+    and a point at an end gets that end's label.  Closed-form flows bisect
+    every other point on their arcs; smooth flows solve them on the
+    per-time spline in one array Brent iteration.  Raises NotRegular when t
+    is at or past the first detected collision, the material endpoints
+    have crossed, or a smooth flow has folded.
     """
-    L, R = flow.boundaries(t)
+    if t > 0.0:
+        flow.ensure_regular(t)
+    L, R = flow.image(t)
     slack = 1e-9 * max(1.0, R - L)
+    if R < L - slack:
+        raise NotRegular(f"the material endpoints have crossed at t = {t}")
     xs = np.full(ys.shape, math.nan)
     inside = np.flatnonzero(~((ys < L - slack) | (ys > R + slack)))
-    if not inside.size:
-        return xs
-    if R < L - slack:
-        raise NotRegular("the material endpoints have crossed")
     y = np.minimum(np.maximum(ys[inside], L), R)
-    lo, hi = flow.bracket(t, y)
-    y_lo, _ = flow.states(t, lo)
-    y_hi, _ = flow.states(t, hi)
-    folded = np.flatnonzero(y_lo > y_hi + slack)
-    if folded.size:
-        k = folded[0]
-        raise NotRegular(f"flow is not increasing across "
-                         f"[{float(lo[k])}, {float(hi[k])}] at t = {t}")
-    x = np.where(y <= y_lo, lo, np.where(y >= y_hi, hi, math.nan))
+    x = np.where(y <= L, flow.x_lo, np.where(y >= R, flow.x_hi, math.nan))
     todo = np.isnan(x)
     if flow.mode == "numeric":
-        for k in np.flatnonzero(todo):
-            x_hat = _polished_spline_root(flow, t, float(y[k]),
-                                          float(lo[k]), float(hi[k]))
-            if x_hat is not None:
-                x[k] = x_hat
-                todo[k] = False
-    x[todo] = _bisect(lambda mid: flow.states(t, mid)[0], y[todo], lo[todo],
-                      hi[todo], tol)
+        x[todo] = _brentq_many(flow._splines(t)[0], flow.x_lo, flow.x_hi,
+                               y[todo])
+    else:
+        x[todo] = _bisect(lambda mid: flow.states(t, mid)[0], y[todo],
+                          flow.x_lo, flow.x_hi)
     xs[inside] = x
     return xs
 
 
-def _bisect(position, y, lo, hi, tol):
-    """Solve position(x) = y for an increasing position, one bracket
-    [lo, hi] per element of y.
+def _bisect(position, y, lo, hi):
+    """Solve position(x) = y for an increasing position on [lo, hi], one
+    element of y at a time.
 
-    Each element takes the midpoints of a scalar bisection of its own
-    bracket and stops once the bracket is no wider than tol; the answer is
+    Each element takes the midpoints of a scalar bisection of the bracket
+    and stops once its bracket is no wider than INVERT_TOL; the answer is
     the final midpoint.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    active = np.flatnonzero(hi - lo > tol)
+    lo = np.full(y.shape, float(lo))
+    hi = np.full(y.shape, float(hi))
+    active = np.flatnonzero(hi - lo > INVERT_TOL)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
         below = position(mid) < y[active]
         lo[active[below]] = mid[below]
         hi[active[~below]] = mid[~below]
-        active = active[hi[active] - lo[active] > tol]
+        active = active[hi[active] - lo[active] > INVERT_TOL]
     return 0.5 * (lo + hi)
 
 
-def _polished_spline_root(flow, t, y, lo, hi, max_newton=4):
-    """Spline presolve plus Newton polish against the true flow of a smooth
-    force; None when not applicable or when the polish leaves the bracket."""
-    spl_y, _ = flow._splines(t)
-    f_lo = float(spl_y(lo)) - y
-    f_hi = float(spl_y(hi)) - y
-    if not (f_lo <= 0.0 <= f_hi):
-        return None
-    x = brentq(lambda xx: float(spl_y(xx)) - y, lo, hi, xtol=1e-13)
-    pad = 1e-7 * max(hi - lo, 1.0)
-    for _ in range(max_newton):
-        err = flow.position(t, x) - y
-        if abs(err) <= 1e-11 * max(1.0, abs(y)):
-            return min(max(x, flow.x_lo), flow.x_hi)
-        jac = float(spl_y(x, 1))
-        if not math.isfinite(jac) or jac <= JACOBIAN_FLOOR:
-            return None
-        x_new = x - err / jac
-        if not lo - pad <= x_new <= hi + pad:
-            return None
-        x = min(max(x_new, flow.x_lo), flow.x_hi)
-    return None
+def _field_row(flow, rho0, t, ys):
+    """(labels, u, pushforward density) at the image points ys at time t,
+    nan where a point lies outside the image; raises as ``_invert``."""
+    x = _invert(flow, t, ys)
+    u = np.full(ys.shape, math.nan)
+    rho = np.full(ys.shape, math.nan)
+    found = ~np.isnan(x)
+    if found.any():
+        _, u[found] = flow.grid_states(t, x[found])
+        rho[found] = _pushforward(_on_labels(rho0, x[found]),
+                                  flow.jacobian(t, x[found]))
+    return x, u, rho
+
+
+def _stencil_leg(flow, rho0, t, ys):
+    """(u, pushforward density) along a stencil leg, nan off the image and
+    wherever t is outside the regular range."""
+    try:
+        return _field_row(flow, rho0, t, ys)[1:]
+    except (NotRegular, InvalidParameter):
+        return np.full(ys.shape, math.nan), np.full(ys.shape, math.nan)
 
 
 def reconstruct_velocity(scenario, t, y, flow=None):
     """u(t, y): the velocity of the unique particle sitting at y at time t."""
     flow = _flow_for(scenario, t, flow)
     x = invert_flow_1d(scenario, t, y, flow=flow)
-    return flow.velocity(t, x)
+    return float(flow.grid_states(t, np.array([x]))[1][0])
 
 
 def _density0(scenario):
@@ -410,7 +394,10 @@ def _pushforward(rho0_vals, jac):
 #############################################################
 
 
-def _window_grids(t_window, y_window, n_t, n_y):
+def _window_field(scenario, t_window, y_window, n_t, n_y, flow):
+    """Node grids ts, ys of a space-time window, then its labels, u and
+    pushforward density, one row per time and each row by ``_field_row``;
+    OutOfImage names the first window node outside the image."""
     t0, t1 = map(float, t_window)
     y0, y1 = map(float, y_window)
     if not (t1 > t0 >= 0.0):
@@ -419,26 +406,35 @@ def _window_grids(t_window, y_window, n_t, n_y):
         raise InvalidParameter("space window must satisfy y0 < y1")
     if n_t < 3 or n_y < 3:
         raise InvalidParameter("windows need at least 3 nodes per axis")
-    return np.linspace(t0, t1, n_t), np.linspace(y0, y1, n_y)
+    ts, ys = np.linspace(t0, t1, n_t), np.linspace(y0, y1, n_y)
+    flow = _flow_for(scenario, ts[-1], flow)
+    flow.ensure_regular(ts[-1])
+    rho0 = _density0(scenario)
+    rows = []
+    for t in map(float, ts):
+        rows.append(_field_row(flow, rho0, t, ys))
+        _require_image(flow, t, ys, rows[-1][0])
+    return (ts, ys, *map(np.array, zip(*rows)))
+
+
+def _central(a, ts, ys):
+    """Second-order central differences (d/dt, d/dy) of a window array, on
+    the interior nodes."""
+    return ((a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * (ts[1] - ts[0])),
+            (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * (ys[1] - ys[0])))
 
 
 def euler_residual(scenario, t_window, y_window, n_t=9, n_y=9, flow=None):
     """Max |du/dt + u du/dy - F(y)| on the interior of a space-time window.
 
-    The field u is reconstructed pointwise by flow inversion; derivatives are
-    second-order central differences on the window grid, so the returned
-    value decays like h^2 on smooth regular scenarios.  Returns the maximum
-    and its (t, y) location.
+    The field u is the velocity of the particle found at each window node
+    by flow inversion; derivatives are second-order central differences on
+    the window grid, so the returned value decays like h^2 on smooth
+    regular scenarios.  Returns the maximum and its (t, y) location.
     """
-    ts, ys = _window_grids(t_window, y_window, n_t, n_y)
-    flow = _flow_for(scenario, ts[-1], flow)
-    flow.ensure_regular(ts[-1])
-    xs = np.array([_labels_in_image(flow, float(t), ys) for t in ts])
-    u = np.array([flow.states(t, x)[1] for t, x in zip(ts, xs)])
-    h_t = ts[1] - ts[0]
-    h_y = ys[1] - ys[0]
-    du_dt = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h_t)
-    du_dy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h_y)
+    ts, ys, _, u, _ = _window_field(scenario, t_window, y_window, n_t, n_y,
+                                    flow)
+    du_dt, du_dy = _central(u, ts, ys)
     fy = _on_labels(_scalar_force(scenario.force), ys[1:-1])
     res = du_dt + u[1:-1, 1:-1] * du_dy - fy[None, :]
     k = int(np.argmax(np.abs(res)))
@@ -451,27 +447,14 @@ def continuity_residual(scenario, t_window, y_window, n_t=9, n_y=9, flow=None):
 
     Returns (max transport defect, max continuity defect): the transport form
     d rho/dt + u d rho/dy for the composition density and the divergence form
-    d rho/dt + d(u rho)/dy for the pushforward density.
+    d rho/dt + d(u rho)/dy for the pushforward density, both at the labels
+    and velocities that flow inversion finds at the window nodes.
     """
-    ts, ys = _window_grids(t_window, y_window, n_t, n_y)
-    flow = _flow_for(scenario, ts[-1], flow)
-    flow.ensure_regular(ts[-1])
-    xs = np.array([_labels_in_image(flow, float(t), ys) for t in ts])
-    u = np.array([flow.states(t, x)[1] for t, x in zip(ts, xs)])
-    rho_t = _on_labels(_density0(scenario), xs)
-    rho_p = np.array([_pushforward(r, flow.jacobian(t, x))
-                      for t, x, r in zip(ts, xs, rho_t)])
-    h_t = ts[1] - ts[0]
-    h_y = ys[1] - ys[0]
-
-    def d_dt(a):
-        return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * h_t)
-
-    def d_dy(a):
-        return (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * h_y)
-
-    transport = d_dt(rho_t) + u[1:-1, 1:-1] * d_dy(rho_t)
-    continuity = d_dt(rho_p) + d_dy(u * rho_p)
+    ts, ys, xs, u, rho_p = _window_field(scenario, t_window, y_window, n_t,
+                                         n_y, flow)
+    drho_dt, drho_dy = _central(_on_labels(_density0(scenario), xs), ts, ys)
+    transport = drho_dt + u[1:-1, 1:-1] * drho_dy
+    continuity = _central(rho_p, ts, ys)[0] + _central(u * rho_p, ts, ys)[1]
     return float(np.max(np.abs(transport))), float(np.max(np.abs(continuity)))
 
 
@@ -489,51 +472,6 @@ def track_boundary(scenario, horizon, n_out=257, flow=None):
     times = np.linspace(0.0, horizon, n_out)
     ends = np.array([flow.boundaries(float(t)) for t in times])
     return BoundaryTrack(times=times, L=ends[:, 0], R=ends[:, 1])
-
-
-class _StencilEval:
-    """u and pushforward density along a stencil leg: image points at one
-    time.
-
-    Gap and constant forces invert the whole leg in closed form at once;
-    smooth forces solve the whole leg on the per-time spline over the dense
-    cache in one array Brent iteration with the bits of scipy's brentq.
-    Points outside the image or the regular range come back as nan.
-    """
-
-    def __init__(self, scenario, flow):
-        self.flow = flow
-        self.rho0 = _density0(scenario)
-
-    def u_rho(self, t, ys):
-        flow = self.flow
-        u = np.full(ys.shape, math.nan)
-        rho = np.full(ys.shape, math.nan)
-        try:
-            flow.ensure_regular(t)
-            if flow.mode == "numeric":
-                x = self._spline_roots(t, ys)
-            else:
-                x = _invert(flow, t, ys)
-        except (NotRegular, InvalidParameter):
-            return u, rho
-        found = ~np.isnan(x)
-        if found.any():
-            x = x[found]
-            _, u[found] = flow.grid_states(t, x)
-            rho[found] = _pushforward(_on_labels(self.rho0, x),
-                                      flow.jacobian(t, x))
-        return u, rho
-
-    def _spline_roots(self, t, ys):
-        flow = self.flow
-        spl_y, _ = flow._splines(t)
-        y_lo = float(spl_y(flow.x_lo))
-        y_hi = float(spl_y(flow.x_hi))
-        x = np.full(ys.shape, math.nan)
-        inside = (y_lo <= ys) & (ys <= y_hi)
-        x[inside] = _brentq_many(spl_y, flow.x_lo, flow.x_hi, ys[inside])
-        return x
 
 
 _BRENT_XTOL = 1e-13
@@ -652,8 +590,8 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
         flow = FlowMap(scenario, horizon=(t_max + 2.0 * dt) * (1.0 + 1e-9))
     flow.ensure_regular(t_max)
     xs = scenario.grid_1d()
-    rho0_vals = _on_labels(_density0(scenario), xs)
-    ev = _StencilEval(scenario, flow)
+    rho0 = _density0(scenario)
+    rho0_vals = _on_labels(rho0, xs)
     f = _scalar_force(scenario.force)
 
     grid = FieldGrid(times=[], y=[], u=[], rho_transport=[],
@@ -670,10 +608,10 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
         res_e = np.full(len(xs), math.nan)
         res_c = np.full(len(xs), math.nan)
         if t - dt >= 0.0:
-            u_tp, rho_tp = ev.u_rho(t + dt, ys)
-            u_tm, rho_tm = ev.u_rho(t - dt, ys)
-            u_yp, rho_yp = ev.u_rho(t, ys + dy)
-            u_ym, rho_ym = ev.u_rho(t, ys - dy)
+            u_tp, rho_tp = _stencil_leg(flow, rho0, t + dt, ys)
+            u_tm, rho_tm = _stencil_leg(flow, rho0, t - dt, ys)
+            u_yp, rho_yp = _stencil_leg(flow, rho0, t, ys + dy)
+            u_ym, rho_ym = _stencil_leg(flow, rho0, t, ys - dy)
             du_dt = (u_tp - u_tm) / (2.0 * dt)
             du_dy = (u_yp - u_ym) / (2.0 * dy)
             res_e = du_dt + vs * du_dy - _on_labels(f, ys)

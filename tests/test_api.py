@@ -1,7 +1,12 @@
 """The public names of the package, pinned: removing or adding one shows up
 here as a test diff."""
 
+import importlib
+import importlib.util
+
 import regularflow
+
+from conftest import REPO_ROOT
 
 PUBLIC_NAMES = [
     "Annulus",
@@ -104,3 +109,17 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert regularflow.__all__ == PUBLIC_NAMES
+
+
+def test_perfbench_trace_targets_resolve():
+    # the benchmark's tracer wraps these attributes by name; a rename in
+    # the package would only show in a traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO_ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.SPAN_TARGETS + tracer.SCIPY_TARGETS
+    assert targets
+    for _, module, attr in targets:
+        mod = importlib.import_module(f"regularflow.{module}")
+        assert callable(getattr(mod, attr, None)), f"{module}.{attr}"

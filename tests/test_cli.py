@@ -112,6 +112,21 @@ def test_check_missing_file_and_bad_grid(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate", "field"])
+@pytest.mark.parametrize("flag,value", [
+    ("--horizon", "-1"), ("--horizon", "0"), ("--horizon", "nan"),
+    ("--horizon", "-inf"), ("--tol-collision", "0"),
+    ("--tol-collision", "-0.5"), ("--tol-collision", "nan"),
+    ("--tol-collision", "1"),
+])
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, command, flag,
+                                             value):
+    assert main([command, "--scenario", scenario_path("smooth_regular"),
+                 "--out", str(tmp_path), f"{flag}={value}"]) == 3
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_check_runs_are_byte_identical(tmp_path):
     outs = []
     for sub in ("a", "b"):

@@ -22,7 +22,9 @@ from regularflow.field import (
     FlowMap,
     _invert,
     _brentq_many,
-    _StencilEval,
+    _density0,
+    _field_row,
+    _stencil_leg,
     check_euler_global,
     continuity_residual,
     euler_residual,
@@ -203,7 +205,6 @@ def test_batched_inversion_has_the_bits_of_the_scalar_reference(name):
     flow = FlowMap(s, horizon=horizon)
     assert flow.mode == "exact"
     ref = _ScalarReference(s, flow)
-    ev = _StencilEval(s, flow)
     labels = np.linspace(flow.x_lo, flow.x_hi, 37)
     for t in (0.0, 0.31 * horizon, 0.77 * horizon, horizon):
         ys, vs = flow.states(t, labels)
@@ -225,7 +226,7 @@ def test_batched_inversion_has_the_bits_of_the_scalar_reference(name):
                           [ref.jacobian(t, x) for x in found])
         assert flow.jacobian(t, found[3]) == ref.jacobian(t, found[3])
         # one stencil leg: nan exactly where the reference finds no label
-        u, rho = ev.u_rho(t, queries)
+        u, rho = _stencil_leg(flow, _density0(s), t, queries)
         want_u = [math.nan if x is None else ref.state(t, x)[1]
                   for x in want_x]
         want_rho = [math.nan if x is None else float(s.init.density(x))
@@ -244,10 +245,10 @@ def test_batched_inversion_refuses_times_past_the_collision(name, t_collide):
     L, R = flow.boundaries(0.5 * t_collide)
     with pytest.raises(NotRegular):
         invert_flow_1d(s, t, 0.5 * (L + R), flow=flow)
-    u, rho = _StencilEval(s, flow).u_rho(t, np.linspace(L, R, 17))
+    u, rho = _stencil_leg(flow, _density0(s), t, np.linspace(L, R, 17))
     assert np.isnan(u).all() and np.isnan(rho).all()
     # past the prepared horizon: nan as well
-    u, _ = _StencilEval(s, flow).u_rho(1.3 * t_collide, np.array([L]))
+    u, _ = _stencil_leg(flow, _density0(s), 1.3 * t_collide, np.array([L]))
     assert np.isnan(u).all()
 
 
@@ -325,6 +326,79 @@ def test_smooth_field_runs_no_scalar_brentq(monkeypatch):
     assert not calls
     assert grid.mass(len(grid.times) - 1) == \
         pytest.approx(grid.mass(0), abs=1e-6)
+
+
+def test_library_inversion_makes_no_scalar_solve(monkeypatch):
+    # every library route from an image point to a label is _invert: once
+    # the dense cache is built, no scalar brentq and no per-label solve_ivp
+    s = load_bundled("smooth_regular")
+    flow = FlowMap(s, horizon=6.0)
+    flow.regular_until()
+    flow._dense_flow()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(field, "brentq", counted("brentq", field.brentq))
+    monkeypatch.setattr(field, "solve_ivp",
+                        counted("solve_ivp", field.solve_ivp))
+    invert_flow_1d(s, 1.5, 2.9, flow=flow)
+    reconstruct_velocity(s, 1.5, 2.9, flow=flow)
+    euler_residual(s, (1.0, 2.0), (2.81, 3.05), flow=flow)
+    continuity_residual(s, (1.0, 2.0), (2.81, 3.05), flow=flow)
+    assert calls == []
+
+
+def test_smooth_inversion_has_the_bits_of_the_field_row():
+    s = load_bundled("smooth_regular")
+    flow = FlowMap(s, horizon=6.0)
+    t = 1.5
+    L, R = flow.image(t)
+    ys = np.linspace(L, R, 23)
+    xs, u, _ = _field_row(flow, _density0(s), t, ys)
+    assert _same_bits([invert_flow_1d(s, t, y, flow=flow) for y in ys], xs)
+    assert _same_bits([reconstruct_velocity(s, t, y, flow=flow) for y in ys],
+                      u)
+    # inside the slack: clamped to the end; past it: refused, quoting the
+    # image that was searched
+    assert invert_flow_1d(s, t, R + 1e-12, flow=flow) == flow.x_hi
+    with pytest.raises(OutOfImage, match=f"image \\[{L!r}, {R!r}\\]"):
+        invert_flow_1d(s, t, R + 1e-3, flow=flow)
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, 2.5])
+def test_folded_smooth_flow_is_refused(t):
+    # v = sin(2 pi x) / 2 folds the interior while the ends stay ordered
+    s = make_scenario(force={"kind": "smooth1d", "f": "1/(2 + y*y)"},
+                      velocity="0.5*sin(6.283185307179586*x)", horizon=3.0,
+                      grid=[129])
+    flow = FlowMap(s, horizon=3.0)
+    flow._regular_until = math.inf     # let the inversion itself decide
+    L, R = flow.boundaries(t)
+    assert L < R
+    with pytest.raises(NotRegular):
+        invert_flow_1d(s, t, flow.position(t, 0.5), flow=flow)
+
+
+@pytest.mark.parametrize("name,t,y", [
+    ("smooth_collide", 1.7, 2.0),
+    ("collapsing", 2.0, 0.5),
+])
+def test_crossed_ends_are_not_regular(name, t, y):
+    # past the collision the ends have crossed and no point is inside the
+    # image; that is a flow that is not regular, not a point off the image
+    if name == "collapsing":
+        s = make_scenario(velocity="-x", horizon=3.0)
+    else:
+        s = load_bundled(name)
+    flow = FlowMap(s, horizon=s.horizon)
+    flow._regular_until = math.inf     # let the inversion itself decide
+    with pytest.raises(NotRegular):
+        invert_flow_1d(s, t, y, flow=flow)
 
 
 def test_out_of_image_point_names_itself():
