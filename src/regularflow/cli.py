@@ -42,17 +42,6 @@ EXIT_INTERNAL = 5
 _DEFAULT_ORACLE_HORIZON = 10.0
 
 
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    scenario: str
-    out: str = "."
-    grid: int = None
-    horizon: float = None
-    seed: int = 0
-    tol_collision: float = 1e-3
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="regularflow",
@@ -81,12 +70,6 @@ def build_parser():
                        help="relative pair-distance threshold (multi-d), "
                             "in (0, 1)")
     return parser
-
-
-def _config(args):
-    return RunConfig(command=args.command, scenario=args.scenario,
-                     out=args.out, grid=args.grid, horizon=args.horizon,
-                     seed=args.seed, tol_collision=args.tol_collision)
 
 
 def _load(config, path=None):
@@ -167,25 +150,32 @@ def cmd_check(config):
     return _exit_for(verdict.outcome)
 
 
-def _simulation_horizon(config, s):
-    if config.horizon is not None:
-        return float(config.horizon)
+def _simulation_horizon(s):
+    """The horizon of trajectories and finite-horizon detection: the
+    scenario's, which holds --horizon (see _load), or the default where it
+    is infinite."""
     if math.isfinite(s.horizon):
         return float(s.horizon)
     return _DEFAULT_ORACLE_HORIZON
 
 
+def _detection_horizon(s):
+    """The horizon collisions are detected on: the scenario's, infinite
+    or not, where detection decides on an infinite horizon, else the
+    simulation horizon."""
+    if simulator.infinite_horizon_applies(s):
+        return s.horizon
+    return _simulation_horizon(s)
+
+
 def cmd_simulate(config):
     s = _load(config)
-    horizon = _simulation_horizon(config, s)
     if s.dim == 1:
-        # s.horizon already holds --horizon (see _load)
-        report = simulator.detect_collisions_1d(
-            s, horizon=s.horizon if simulator.asymptotic_applies(s) else horizon)
+        report = simulator.detect_collisions_1d(s, horizon=_detection_horizon(s))
     else:
         report = simulator.detect_collisions_multid(
-            s, horizon=horizon, eps_rel=config.tol_collision)
-    traj = simulator.simulate_ensemble(s, horizon=horizon)
+            s, horizon=_detection_horizon(s), eps_rel=config.tol_collision)
+    traj = simulator.simulate_ensemble(s, horizon=_simulation_horizon(s))
     os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, "trajectory.csv")
     simulator.write_trajectory_csv(traj, csv_path)
@@ -226,16 +216,15 @@ def _oracle_report(s, verdict, config):
     if s.dim == 1:
         if simulator.asymptotic_applies(s):
             return simulator.detect_collisions_1d(s, horizon=math.inf)
-        horizon = _simulation_horizon(config, s)
+        horizon = _simulation_horizon(s)
         est = None
         if verdict.outcome == regularity.COLLISION:
             est = _estimate_collision_horizon(s, verdict)
         if est is not None:
             horizon = max(horizon, est)
         return simulator.detect_collisions_1d(s, horizon=horizon)
-    horizon = _simulation_horizon(config, s)
     return simulator.detect_collisions_multid(
-        s, horizon=horizon, eps_rel=config.tol_collision)
+        s, horizon=_detection_horizon(s), eps_rel=config.tol_collision)
 
 
 def _validate_one(config, path):
@@ -294,12 +283,11 @@ def cmd_validate(config):
 
 def cmd_field(config):
     s = _load(config)
-    horizon = config.horizon
-    if horizon is None:
-        if not math.isfinite(s.horizon):
-            raise ScenarioFormatError(
-                "field needs --horizon or a finite scenario horizon")
-        horizon = float(s.horizon)
+    if not math.isfinite(s.horizon):
+        raise ScenarioFormatError(
+            "field needs a finite horizon: give a finite --horizon or "
+            "scenario horizon")
+    horizon = float(s.horizon)
     n_times = config.grid or 9
     grid = field_mod.sample_field(s, horizon=horizon, n_times=n_times)
     os.makedirs(config.out, exist_ok=True)
@@ -347,8 +335,7 @@ _COMMANDS = {
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config(args)
+    config = parser.parse_args(argv)
     try:
         # inf and nan are data here; expressions and arrays alike run with
         # numpy's floating-point warnings off for the whole command

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# unused here; perfbench/tracer.py wraps field.solve_ivp and field.brentq
+# by name, and its tests read them
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.interpolate import CubicSpline
-# unused here; perfbench/tracer.py and its tests read field.brentq by name
 from scipy.optimize import brentq  # noqa: F401
 
 from . import quadrature, simulator
@@ -104,9 +105,11 @@ class FlowMap:
     Gap and constant forces evaluate in closed form, a whole array of
     labels per call.  Smooth forces answer grid queries, Jacobians and the
     image that inversion searches from per-time cubic splines over a dense
-    cached ensemble; ``states`` integrates each label on its own, for the
-    material endpoints that ``track_boundary`` follows.  ``ensure_regular``
-    refuses times at or past the first collision detected on [0, horizon].
+    cached ensemble; ``states`` integrates each label on its own, a
+    one-label NumericFlow1D, for the material endpoints that
+    ``track_boundary`` follows.  ``ensure_regular`` refuses times at or past
+    the first collision on [0, horizon]: the first fold of the dense cache
+    for smooth forces, the exact detection otherwise.
     """
 
     def __init__(self, scenario, horizon):
@@ -121,7 +124,7 @@ class FlowMap:
         self.x_hi = scenario.domain.upper[0]
         self.levels = simulator._force_levels(scenario)
         self.mode = "numeric" if self.levels is None else "exact"
-        self._ivp_cache = {}
+        self._label_flows = {}
         self._dense = None
         self._t_cache = {}
         self._regular_until = None
@@ -131,8 +134,12 @@ class FlowMap:
     def regular_until(self):
         """First detected collision time on [0, horizon], or +inf."""
         if self._regular_until is None:
-            report = simulator.detect_collisions_1d(self.scenario,
-                                                    horizon=self.horizon)
+            if self.mode == "numeric":
+                report = simulator._numeric_first_collision(
+                    self._dense_flow())
+            else:
+                report = simulator.detect_collisions_1d(self.scenario,
+                                                        horizon=self.horizon)
             self._regular_until = report.t_first if report.found else math.inf
         return self._regular_until
 
@@ -161,7 +168,7 @@ class FlowMap:
             ys = np.empty(xs.shape)
             vs = np.empty(xs.shape)
             for i, x in np.ndenumerate(xs):
-                ys[i], vs[i] = self._single_flow(float(x))(t)
+                (ys[i],), (vs[i],) = self._single_flow(float(x)).states(t)
             return ys, vs
         return _eval_arcs(_label_arcs(self.scenario, xs, self.levels), t)[:2]
 
@@ -177,30 +184,14 @@ class FlowMap:
         return float(ys[0]), float(ys[1])
 
     def _single_flow(self, x):
-        sol = self._ivp_cache.get(x)
-        if sol is None:
-            sol = self._integrate_single(x)
-            if len(self._ivp_cache) > 20000:
-                self._ivp_cache.clear()
-            self._ivp_cache[x] = sol
-        return sol
-
-    def _integrate_single(self, x):
-        force = self.scenario.force
-        f = force.f if isinstance(force, Smooth1D) else force
-        m = float(self.scenario.init.mass(x))
-
-        def rhs(t, s):
-            return (s[1], float(f(s[0])) / m)
-
-        v0 = float(self.scenario.init.velocity(x))
-        sol = solve_ivp(rhs, (0.0, self.horizon), (x, v0), method="DOP853",
-                        rtol=simulator.RTOL, atol=simulator.ATOL,
-                        dense_output=True)
-        if not sol.success:
-            raise InvalidParameter(
-                f"single-particle integration failed at label {x}: {sol.message}")
-        return sol.sol
+        flow = self._label_flows.get(x)
+        if flow is None:
+            flow = simulator.NumericFlow1D(self.scenario, [x], self.horizon,
+                                           check_energy=False)
+            if len(self._label_flows) > 20000:
+                self._label_flows.clear()
+            self._label_flows[x] = flow
+        return flow
 
     # -- dense cache for smooth forces --------------------------------------
 

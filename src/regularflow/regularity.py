@@ -48,6 +48,7 @@ from .scenario import (
     Smooth1D,
     TWO_GAP_BOUND,
     TwoGap,
+    constant_value,
     varying_mass_reason,
 )
 
@@ -819,7 +820,7 @@ def check_auto(scenario):
         trace.append((criterion_id, v))
         return v
 
-    m0 = simulator.uniform_mass_value(scenario)
+    m0 = constant_value(scenario.init.mass)
     if isinstance(force, GAP_KINDS + (ConstantVec,)) and m0 is None:
         # a 1D constant force may carry a mass profile too
         cid = {OneGap: ONE_GAP_GENERAL, TwoGap: TWO_GAP_BOUND}.get(

@@ -2,7 +2,7 @@
 
 Gap and constant forces admit exact piecewise-parabolic trajectories, so
 collision queries reduce to root finding on per-pair quadratic segments; every
-other force is integrated with an adaptive high-order embedded pair.  All
+other force is integrated by NewtonFlow, the one DOP853 solve.  All
 detectors return a CollisionReport whose ``mode`` records which route decided
 ("Exact", "Numeric", or "Asymptotic" for infinite-horizon gap verdicts).
 """
@@ -312,56 +312,82 @@ def _vectorize_scalar(fn):
     return wrapped
 
 
-class NumericFlow1D:
-    """Dense numeric flow of a 1D ensemble; shared by detectors and fields."""
+class NewtonFlow:
+    """Newton flow y'' = accel(y) of the positions y0, started with the
+    velocities v0: the package's one ODE solve.
+
+    Positions have any shape, (n,) on the line or (n, d) in d dimensions,
+    and ``accel`` maps positions of that shape to accelerations.  DOP853
+    with dense output gives ``sol``, and frames ``y`` and ``v`` shaped
+    (len(times), *shape) at ``times`` = linspace(0, horizon, n_out); a
+    terminal event ends the frames early.  Event functions see the packed
+    state [y.ravel(), v.ravel()].  Raises StepFailure when DOP853 fails.
+    """
+
+    def __init__(self, accel, y0, v0, horizon, n_out=DEFAULT_N_OUT,
+                 events=(), rtol=RTOL, atol=ATOL):
+        y0 = np.asarray(y0, dtype=float)
+        shape, size = y0.shape, y0.size
+
+        def rhs(t, state):
+            y = state[:size].reshape(shape)
+            return np.concatenate([state[size:], np.ravel(accel(y))])
+
+        self.times = np.linspace(0.0, horizon, n_out)
+        # solve_ivp is looked up at call time: perfbench/tracer.py wraps
+        # simulator.solve_ivp by name
+        sol = solve_ivp(
+            rhs, (0.0, horizon), np.concatenate([y0.ravel(), np.ravel(v0)]),
+            method="DOP853", rtol=rtol, atol=atol, dense_output=True,
+            t_eval=self.times, events=list(events) or None,
+        )
+        if not sol.success:
+            raise StepFailure(
+                f"DOP853 failed for n = {shape[0] if shape else 1} particles "
+                f"on [0, {horizon}]: {sol.message}")
+        self.shape = shape
+        self.sol = sol
+        self.y = sol.y[:size].T.reshape(-1, *shape).copy()
+        self.v = sol.y[size:].T.reshape(-1, *shape).copy()
+
+    def states(self, t):
+        """(positions, velocities) at one time t, each shaped as y0."""
+        state = self.sol.sol(t)
+        size = len(state) // 2
+        return state[:size].reshape(self.shape), state[size:].reshape(self.shape)
+
+
+class NumericFlow1D(NewtonFlow):
+    """Newton flow of the 1D labels xs under the scenario's force and
+    masses, with an energy guard: where the energy drifts past
+    ENERGY_DRIFT_BUDGET the flow is solved once more at rtol 1e-12 and
+    atol 1e-14, and StepFailure is raised if it still drifts."""
 
     def __init__(self, scenario, xs, horizon, n_out=DEFAULT_N_OUT,
                  check_energy=True):
         force = scenario.force
         f_vec = _vectorize_scalar(force.f if isinstance(force, Smooth1D) else force)
         xs = np.asarray(xs, dtype=float)
-        n = len(xs)
         v0 = np.array([float(scenario.init.velocity(float(x))) for x in xs])
         m = np.array([float(scenario.init.mass(float(x))) for x in xs])
 
-        def rhs(t, state):
-            y = state[:n]
-            return np.concatenate([state[n:], f_vec(y) / m])
+        def accel(y):
+            return f_vec(y) / m
 
-        times = np.linspace(0.0, horizon, n_out)
-        sol = solve_ivp(
-            rhs, (0.0, horizon), np.concatenate([xs, v0]),
-            method="DOP853", rtol=RTOL, atol=ATOL, dense_output=True, t_eval=times,
-        )
-        if not sol.success:
-            raise StepFailure(f"integration failed: {sol.message}")
+        super().__init__(accel, xs, v0, horizon, n_out)
         self.scenario = scenario
         self.xs = xs
         self.v0 = v0
         self.mass = m
-        self.n = n
-        self.sol = sol
-        self.times = times
-        self.y = sol.y[:n].T.copy()
-        self.v = sol.y[n:].T.copy()
+        self.n = len(xs)
         self.energy0 = 0.5 * m * v0 * v0 + np.array(
             quadrature.potentials(force, xs))
-        if check_energy:
-            drift = self._energy_drift()
-            if drift > ENERGY_DRIFT_BUDGET:
-                sol2 = solve_ivp(
-                    rhs, (0.0, horizon), np.concatenate([xs, v0]),
-                    method="DOP853", rtol=1e-12, atol=1e-14,
-                    dense_output=True, t_eval=times,
-                )
-                if not sol2.success:
-                    raise StepFailure(f"integration failed: {sol2.message}")
-                self.sol = sol2
-                self.y = sol2.y[:n].T.copy()
-                self.v = sol2.y[n:].T.copy()
-                if self._energy_drift() > ENERGY_DRIFT_BUDGET:
-                    raise StepFailure(
-                        "energy drift exceeds the 1e-8 budget even at tightened tolerances")
+        if check_energy and self._energy_drift() > ENERGY_DRIFT_BUDGET:
+            super().__init__(accel, xs, v0, horizon, n_out, rtol=1e-12,
+                             atol=1e-14)
+            if self._energy_drift() > ENERGY_DRIFT_BUDGET:
+                raise StepFailure(
+                    "energy drift exceeds the 1e-8 budget even at tightened tolerances")
 
     def _energy_drift(self):
         force = self.scenario.force
@@ -375,10 +401,6 @@ class NumericFlow1D:
             scale = 1.0 + abs(self.energy0[i])
             worst = max(worst, abs(h - self.energy0[i]) / scale)
         return worst
-
-    def states(self, t):
-        state = self.sol.sol(t)
-        return state[: self.n], state[self.n:]
 
     def ensemble(self):
         return EnsembleTrajectory(
@@ -396,52 +418,35 @@ def _smooth_single_with_events(scenario, x0, horizon, n_out):
               else [force.f1, force.f2, force.f3])
     m = float(scenario.init.mass(float(x0)))
     times = np.linspace(0.0, horizon, n_out)
-    t_cur = 0.0
-    state = np.array([float(x0), float(scenario.init.velocity(float(x0)))])
-    region = sum(1 for c in cuts if state[0] >= c)
     ys = np.empty_like(times)
     vs = np.empty_like(times)
-    done = np.zeros(len(times), dtype=bool)
+    t_cur, y, v = 0.0, float(x0), float(scenario.init.velocity(float(x0)))
+    region = sum(1 for c in cuts if y >= c)
     events_log = []
-    sol = None
-    while region <= len(cuts):
-        accel = levels[region] / m
-
-        def rhs(t, st):
-            return [st[1], accel]
-
+    while True:
         evs = []
         if region < len(cuts):
-            cut = cuts[region]
-
-            def boundary(t, st, cc=cut):
-                return st[0] - cc
+            def boundary(t, state, cut=cuts[region]):
+                return state[0] - cut
 
             boundary.terminal = True
             boundary.direction = 1.0
             evs.append(boundary)
-        sol = solve_ivp(rhs, (t_cur, horizon), state, method="DOP853",
-                        rtol=RTOL, atol=ATOL, dense_output=True, events=evs)
-        if not sol.success:
-            raise StepFailure(sol.message)
-        t_stop = sol.t[-1]
-        mask = (~done) & (times <= t_stop + 1e-15)
-        if np.any(mask):
-            vals = sol.sol(times[mask])
-            ys[mask] = vals[0]
-            vs[mask] = vals[1]
-            done |= mask
+        a = levels[region] / m
+        flow = NewtonFlow(lambda pos: np.full(pos.shape, a), [y], [v],
+                          horizon - t_cur, n_out=2, events=evs)
+        # this region's frames, from its start on; a later region overwrites
+        on = times >= t_cur
+        ys[on], vs[on] = flow.sol.sol(times[on] - t_cur)
+        if flow.sol.status != 1:  # the horizon came before the next step
+            break
+        t_stop = t_cur + float(flow.sol.t_events[0][0])
         if t_stop >= horizon * (1.0 - 1e-14):
             break
-        state = sol.sol(t_stop)
-        state[0] = cuts[region]
-        region += 1
-        events_log.append((0, "boundary", float(t_stop)))
+        events_log.append((0, "boundary", t_stop))
+        y, v = cuts[region], float(flow.sol.y_events[0][0][1])
         t_cur = t_stop
-    if not np.all(done):
-        vals = sol.sol(times[~done])
-        ys[~done] = vals[0]
-        vs[~done] = vals[1]
+        region += 1
     return EnsembleTrajectory(
         times=times, x0=np.array([x0]), y=ys[:, None], v=vs[:, None],
         events=events_log, mode="Numeric",
@@ -457,42 +462,16 @@ def propagate_smooth(scenario, x0, horizon=None, n_out=DEFAULT_N_OUT):
     horizon = scenario.horizon if horizon is None else float(horizon)
     if not math.isfinite(horizon):
         raise InvalidParameter("propagate_smooth needs a finite horizon")
-    force = scenario.force
-    if isinstance(force, (OneGap, TwoGap)):
+    if isinstance(scenario.force, (OneGap, TwoGap)):
         return _smooth_single_with_events(scenario, float(x0), horizon, n_out)
     if scenario.dim == 1:
-        flow = NumericFlow1D(scenario, np.array([float(x0)]), horizon, n_out)
-        traj = flow.ensemble()
+        traj = NumericFlow1D(scenario, [float(x0)], horizon, n_out).ensemble()
         traj.events = []
         return traj
-
-    x0 = np.asarray(x0, dtype=float)
-    d = scenario.dim
-    f_eval = _vector_force_single(force)
-    v0 = np.asarray(scenario.init.velocity(x0), dtype=float)
-
-    def rhs(t, state):
-        return np.concatenate([state[d:], f_eval(state[:d])])
-
-    times = np.linspace(0.0, horizon, n_out)
-    sol = solve_ivp(rhs, (0.0, horizon), np.concatenate([x0, v0]),
-                    method="DOP853", rtol=RTOL, atol=ATOL, t_eval=times)
-    if not sol.success:
-        raise StepFailure(sol.message)
-    return EnsembleTrajectory(
-        times=times, x0=x0[None, :], y=sol.y[:d].T[:, None, :],
-        v=sol.y[d:].T[:, None, :], mode="Numeric",
-    )
-
-
-def _vector_force_single(force):
-    if isinstance(force, Linear):
-        return lambda y: force.matrix @ y + force.offset
-    if isinstance(force, ConstantVec):
-        return lambda y: force.vector
-    if isinstance(force, HalfSpaceStep):
-        return lambda y: force.f1 if y[force.axis] < force.a else force.f2
-    return lambda y: np.asarray(force(y), dtype=float)
+    x0 = np.asarray(x0, dtype=float)[None, :]
+    flow = _multid_flow(scenario, x0, horizon, n_out)
+    return EnsembleTrajectory(times=flow.times, x0=x0, y=flow.y, v=flow.v,
+                              mode="Numeric")
 
 
 def propagate_halfspace(scenario, x0, horizon=math.inf):
@@ -571,10 +550,6 @@ class RadialEnsemble:
         mom = radii**2 * np.array(
             [float(scenario.init.angular_rate(float(r))) for r in radii])
 
-        def rhs(t, state):
-            r = state[:n]
-            return np.concatenate([state[n:], -du(r) + mom**2 / r**3])
-
         r_floor = 1e-9 * float(np.min(radii))
 
         def origin_event(t, state):
@@ -582,23 +557,17 @@ class RadialEnsemble:
 
         origin_event.terminal = True
 
-        times = np.linspace(0.0, horizon, n_out)
-        sol = solve_ivp(rhs, (0.0, horizon), np.concatenate([radii, g0]),
-                        method="DOP853", rtol=RTOL, atol=ATOL,
-                        t_eval=times, dense_output=True, events=[origin_event])
-        if not sol.success:
-            raise StepFailure(sol.message)
-        if sol.status == 1:
+        flow = NewtonFlow(lambda r: -du(r) + mom**2 / r**3, radii, g0,
+                          horizon, n_out, events=[origin_event])
+        if flow.sol.status == 1:
             raise OriginApproach("a radial trajectory collapsed toward the origin")
-        self.times = times
+        self.times = flow.times
         self.radii = radii
         self.momentum = mom
-        self.r = sol.y[:n].T.copy()
-        self.r_dot = sol.y[n:].T.copy()
-        self.dphi = cumulative_trapezoid(mom[None, :] / self.r**2, times,
+        self.r = flow.y
+        self.r_dot = flow.v
+        self.dphi = cumulative_trapezoid(mom[None, :] / self.r**2, self.times,
                                          axis=0, initial=0.0)
-        self.sol = sol
-        self.n = n
 
 
 #############################################################
@@ -619,17 +588,25 @@ def _force_levels(scenario):
     return None
 
 
-def uniform_mass_value(scenario):
-    """Common particle mass if the mass profile is constant, else None."""
-    return constant_value(scenario.init.mass)
-
-
 def asymptotic_applies(scenario):
     """Whether a 1D scenario has infinite-horizon verdicts: exact arcs under
     one shared acceleration per force level, so constant force levels and a
     uniform mass."""
     return (_force_levels(scenario) is not None
-            and uniform_mass_value(scenario) is not None)
+            and constant_value(scenario.init.mass) is not None)
+
+
+def infinite_horizon_applies(scenario):
+    """Whether collision detection decides the scenario on an infinite
+    horizon: the asymptotic verdict in 1D, the exact pair tests of a
+    constant force or a half-space step released at rest in d dimensions
+    (see ``detect_collisions_multid``)."""
+    if scenario.dim == 1:
+        return asymptotic_applies(scenario)
+    force = scenario.force
+    return not isinstance(scenario.domain, Annulus) and (
+        isinstance(force, ConstantVec)
+        or (isinstance(force, HalfSpaceStep) and scenario.velocity_is_zero()))
 
 
 def _exact_first_collision(arcs, horizon):
@@ -648,8 +625,7 @@ def _gap_history(arcs, times):
     return np.min(np.diff(ys, axis=1), axis=1)
 
 
-def detect_collisions_1d(scenario, n_particles=None, horizon=None,
-                         n_out=DEFAULT_N_OUT):
+def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
     """First coordinate collision of the sampled 1D ensemble.
 
     Gap and constant forces use exact per-pair quadratic crossings; smooth
@@ -663,14 +639,13 @@ def detect_collisions_1d(scenario, n_particles=None, horizon=None,
     horizon = scenario.horizon if horizon is None else float(horizon)
     if not math.isfinite(horizon):
         if asymptotic_applies(scenario):
-            return asymptotic_verdict_1d(scenario, n=n_particles)
+            return asymptotic_verdict_1d(scenario)
         raise InvalidParameter(
             "infinite horizon needs a piecewise-constant force and uniform "
             "particle mass; give a finite horizon")
     levels = _force_levels(scenario)
 
-    n = n_particles or scenario.samples[0]
-    xs = scenario.domain.axis_nodes(0, n)
+    xs = scenario.domain.axis_nodes(0, scenario.samples[0])
     times = np.linspace(0.0, horizon, n_out)
     if levels is not None:
         arcs = _label_arcs(scenario, xs, levels)
@@ -761,7 +736,7 @@ def _refine_1d(scenario, report, horizon, levels):
 #############################################################
 
 
-def asymptotic_verdict_1d(scenario, n=None):
+def asymptotic_verdict_1d(scenario):
     """Decide collisions on [0, infinity) for gap or constant 1D forces.
 
     Exact entry states into the final constant-force region are computed for
@@ -774,13 +749,13 @@ def asymptotic_verdict_1d(scenario, n=None):
     """
     if scenario.dim != 1:
         raise InvalidParameter("asymptotic_verdict_1d needs a 1D scenario")
-    levels, m0 = _force_levels(scenario), uniform_mass_value(scenario)
+    levels, m0 = _force_levels(scenario), constant_value(scenario.init.mass)
     if levels is None or m0 is None:
         # the final-profile argument assumes a shared acceleration in the
         # last force region
         raise InvalidParameter("asymptotic verdicts need a piecewise-constant"
                                " or constant force and uniform particle mass")
-    n = n or scenario.samples[0]
+    n = scenario.samples[0]
     xs = scenario.domain.axis_nodes(0, n)
     span = scenario.domain.upper[0] - scenario.domain.lower[0]
     delta = MICRO_PAIR_STEP * span
@@ -908,48 +883,26 @@ def _detect_halfspace_exact(scenario, pts, horizon, eps_rel):
     return t_best, pair_best
 
 
-class NumericFlowMultiD:
-    def __init__(self, scenario, pts, horizon, n_out=DEFAULT_N_OUT):
-        d = scenario.dim
-        n = len(pts)
-        force = scenario.force
-        if isinstance(force, Linear):
-            def f_all(y):
-                return y @ force.matrix.T + force.offset
-        elif isinstance(force, ConstantVec):
-            def f_all(y):
-                return np.broadcast_to(force.vector, y.shape)
-        elif isinstance(force, HalfSpaceStep):
-            def f_all(y):
-                below = y[:, force.axis] < force.a
-                return np.where(below[:, None], force.f1, force.f2)
-        else:
-            def f_all(y):
-                return np.array([np.asarray(force(p), dtype=float) for p in y])
-
-        vel0 = np.array([np.asarray(scenario.init.velocity(p), dtype=float)
-                         for p in pts])
-
-        def rhs(t, state):
-            y = state[: n * d].reshape(n, d)
-            return np.concatenate([state[n * d:], f_all(y).ravel()])
-
-        times = np.linspace(0.0, horizon, n_out)
-        sol = solve_ivp(rhs, (0.0, horizon),
-                        np.concatenate([pts.ravel(), vel0.ravel()]),
-                        method="DOP853", rtol=RTOL, atol=ATOL,
-                        dense_output=True, t_eval=times)
-        if not sol.success:
-            raise StepFailure(sol.message)
-        self.times = times
-        self.n, self.d = n, d
-        self.sol = sol
-        self.y = sol.y[: n * d].T.reshape(len(times), n, d).copy()
-        self.v = sol.y[n * d:].T.reshape(len(times), n, d).copy()
-        self.pts = pts
-
-    def positions(self, t):
-        return self.sol.sol(t)[: self.n * self.d].reshape(self.n, self.d)
+def _multid_flow(scenario, pts, horizon, n_out=DEFAULT_N_OUT):
+    """NewtonFlow of the d-dimensional labels pts, shaped (n, d), under the
+    scenario's force with unit masses."""
+    force = scenario.force
+    if isinstance(force, Linear):
+        def accel(y):
+            return y @ force.matrix.T + force.offset
+    elif isinstance(force, ConstantVec):
+        def accel(y):
+            return np.broadcast_to(force.vector, y.shape)
+    elif isinstance(force, HalfSpaceStep):
+        def accel(y):
+            below = y[:, force.axis] < force.a
+            return np.where(below[:, None], force.f1, force.f2)
+    else:
+        def accel(y):
+            return np.array([np.asarray(force(p), dtype=float) for p in y])
+    vel0 = np.array([np.asarray(scenario.init.velocity(p), dtype=float)
+                     for p in pts])
+    return NewtonFlow(accel, pts, vel0, horizon, n_out)
 
 
 def _central_positions(scenario, horizon, n_out):
@@ -1016,7 +969,7 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
     if not math.isfinite(horizon):
         raise InvalidParameter(
             "infinite horizon needs an exactly solvable force in multi-d")
-    flow = NumericFlowMultiD(scenario, pts, horizon, n_out)
+    flow = _multid_flow(scenario, pts, horizon, n_out)
     return _frames_report(flow.times, flow.y, pts, eps_rel, flow=flow)
 
 
@@ -1047,7 +1000,7 @@ def _frames_report(times, frames, pts, eps_rel, flow=None):
         lo, hi = float(times[hit_k - 1]), t_hit
 
         def pair_dist(t):
-            y = flow.positions(t)
+            y = flow.states(t)[0]
             return float(np.linalg.norm(y[i] - y[j]))
 
         for _ in range(60):
@@ -1072,7 +1025,7 @@ def _frames_report(times, frames, pts, eps_rel, flow=None):
 #############################################################
 
 
-def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT, n_particles=None):
+def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT):
     """Trajectories of the sampled ensemble at n_out output times."""
     horizon = scenario.horizon if horizon is None else float(horizon)
     if not math.isfinite(horizon):
@@ -1081,8 +1034,7 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT, n_particles=N
     times = np.linspace(0.0, horizon, n_out)
 
     if scenario.dim == 1:
-        n = n_particles or scenario.samples[0]
-        xs = scenario.domain.axis_nodes(0, n)
+        xs = scenario.domain.axis_nodes(0, scenario.samples[0])
         if isinstance(force, (OneGap, TwoGap)):
             v0 = _on_labels(scenario.init.velocity, xs)
             m0 = _on_labels(scenario.init.mass, xs)
@@ -1126,7 +1078,7 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT, n_particles=N
             + 0.5 * force.vector[None, None] * times[:, None, None] ** 2
         v = vel0[None] + force.vector[None, None] * times[:, None, None]
         return EnsembleTrajectory(times=times, x0=pts, y=y, v=v, mode="Exact")
-    flow = NumericFlowMultiD(scenario, pts, horizon, n_out)
+    flow = _multid_flow(scenario, pts, horizon, n_out)
     return EnsembleTrajectory(times=flow.times, x0=pts, y=flow.y, v=flow.v,
                               mode="Numeric")
 

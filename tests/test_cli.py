@@ -216,6 +216,78 @@ def test_simulate_runs_are_byte_identical_on_every_bundled_scenario(
     assert outs[0] == outs[1]
 
 
+# the simulate runs that integrate Newton's equation (the 1D smooth
+# flows, the multi-d flow and the radial ensemble) and one with a mass
+# profile
+@pytest.mark.parametrize("name", ["smooth_collide", "variable_mass_collide",
+                                  "blowup", "linear_monotone",
+                                  "central_regular"])
+def test_simulate_writes_the_recorded_digest(tmp_path, name):
+    code = main(["simulate", "--scenario", scenario_path(name),
+                 "--out", str(tmp_path)])
+    assert code == SIMULATE_EXIT[name]
+    for f, digest in DIGESTS[f"simulate/{name}"].items():
+        assert _sha256(tmp_path / f) == digest
+
+
+def test_infinite_horizon_flag_matches_an_infinite_scenario_horizon(
+        tmp_path):
+    # one_gap_regular's file already says "inf"
+    outs = []
+    for sub, extra in (("file", []), ("flag", ["--horizon", "inf"])):
+        out = tmp_path / sub
+        assert main(["simulate", "--scenario",
+                     scenario_path("one_gap_regular"),
+                     "--out", str(out)] + extra) == 0
+        outs.append([(out / f).read_bytes()
+                     for f in ("trajectory.csv", "collision.txt")])
+    assert outs[0] == outs[1]
+
+
+def test_infinite_horizon_flag_simulates_on_the_default_horizon(tmp_path):
+    # linear_monotone has no infinite-horizon verdict: --horizon inf runs
+    # on the default horizon 10
+    outs = []
+    for horizon in ("inf", "10"):
+        out = tmp_path / horizon
+        assert main(["simulate", "--scenario",
+                     scenario_path("linear_monotone"),
+                     "--out", str(out), "--horizon", horizon]) == 0
+        outs.append([(out / f).read_bytes()
+                     for f in ("trajectory.csv", "collision.txt")])
+    assert outs[0] == outs[1]
+
+
+def test_exact_multid_detection_decides_an_infinite_horizon(tmp_path):
+    # halfspace_collide with forces a tenth as strong, released at rest:
+    # the first collision comes at t = 13.69, past the default horizon 10,
+    # and the exact half-space oracle finds it on an infinite horizon
+    with open(scenario_path("halfspace_collide"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["force"].update(f1=[0.0, 0.1], f2=[0.3, 0.05])
+    payload["horizon"] = "inf"
+    p = _write_json(tmp_path, "slow.json", payload)
+    texts = []
+    for sub, extra in (("file", []), ("flag", ["--horizon", "inf"])):
+        out = tmp_path / sub
+        assert main(["validate", "--scenario", p, "--out", str(out)]
+                    + extra) == 0
+        texts.append((out / "validate.txt").read_text())
+    assert texts[0] == texts[1]
+    assert "status: AGREE" in texts[0]
+    assert main(["simulate", "--scenario", p,
+                 "--out", str(tmp_path / "sim")]) == 1
+    t_first = float(_grab(tmp_path / "sim" / "collision.txt", "t_first"))
+    assert t_first == pytest.approx(13.69, abs=0.01)
+
+
+def test_infinite_horizon_flag_validates_on_the_default_horizon(tmp_path):
+    code = main(["validate", "--scenario", scenario_path("smooth_regular"),
+                 "--out", str(tmp_path), "--horizon", "inf"])
+    assert code == 0
+    assert "status: AGREE" in (tmp_path / "validate.txt").read_text()
+
+
 def test_simulate_without_uniform_mass_detects_on_the_default_horizon(
         tmp_path):
     # no infinite-horizon verdict without a shared acceleration: simulate
@@ -428,6 +500,14 @@ def test_field_requires_finite_horizon(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 3
     assert "horizon" in capsys.readouterr().err
+
+
+def test_field_refuses_an_infinite_horizon_flag(tmp_path, capsys):
+    code = main(["field", "--scenario", scenario_path("smooth_regular"),
+                 "--out", str(tmp_path), "--horizon", "inf"])
+    assert code == 3
+    assert "field needs a finite horizon" in capsys.readouterr().err
+    assert not (tmp_path / "field.csv").exists()
 
 
 def test_report_lists_assumptions(tmp_path):

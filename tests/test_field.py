@@ -330,7 +330,7 @@ def test_smooth_field_runs_no_scalar_brentq(monkeypatch):
 
 def test_library_inversion_makes_no_scalar_solve(monkeypatch):
     # every library route from an image point to a label is _invert: once
-    # the dense cache is built, no scalar brentq and no per-label solve_ivp
+    # the dense cache is built, no scalar brentq and no ODE solve
     s = load_bundled("smooth_regular")
     flow = FlowMap(s, horizon=6.0)
     flow.regular_until()
@@ -346,11 +346,38 @@ def test_library_inversion_makes_no_scalar_solve(monkeypatch):
     monkeypatch.setattr(field, "brentq", counted("brentq", field.brentq))
     monkeypatch.setattr(field, "solve_ivp",
                         counted("solve_ivp", field.solve_ivp))
+    monkeypatch.setattr(field.simulator, "solve_ivp",
+                        counted("simulator.solve_ivp",
+                                field.simulator.solve_ivp))
     invert_flow_1d(s, 1.5, 2.9, flow=flow)
     reconstruct_velocity(s, 1.5, 2.9, flow=flow)
     euler_residual(s, (1.0, 2.0), (2.81, 3.05), flow=flow)
     continuity_residual(s, (1.0, 2.0), (2.81, 3.05), flow=flow)
     assert calls == []
+
+
+def test_smooth_field_integrates_its_ensemble_once(monkeypatch):
+    # the regularity gate reads the first fold of the dense cache that the
+    # field is sampled from, so one ODE solve serves both
+    calls = []
+    solve_ivp = field.simulator.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(field.simulator, "solve_ivp", counted)
+    sample_field(load_bundled("smooth_regular"))
+    assert len(calls) == 1
+
+
+def test_smooth_gate_is_the_dense_cache_first_fold():
+    s = load_bundled("smooth_collide")
+    bound = FlowMap(s, horizon=8.0).regular_until()
+    t_first = detect_collisions_1d(s, horizon=8.0).t_first
+    assert bound == pytest.approx(t_first, rel=1e-8)
+    with pytest.raises(NotRegular):
+        FlowMap(s, horizon=8.0).ensure_regular(bound)
 
 
 def test_smooth_inversion_has_the_bits_of_the_field_row():

@@ -1,13 +1,19 @@
 """Simulation oracle: exact propagation, numeric flows, collision search."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from regularflow import simulator
-from regularflow.errors import InvalidParameter, OriginApproach
-from regularflow.scenario import OneGap, TwoGap, scenario_from_dict
+from regularflow import field, simulator
+from regularflow.errors import InvalidParameter, OriginApproach, StepFailure
+from regularflow.scenario import (
+    OneGap,
+    TwoGap,
+    constant_value,
+    scenario_from_dict,
+)
 from regularflow.simulator import (
     asymptotic_verdict_1d,
     detect_collisions_1d,
@@ -17,7 +23,6 @@ from regularflow.simulator import (
     propagate_piecewise_1d,
     propagate_smooth,
     simulate_ensemble,
-    uniform_mass_value,
     write_collision_report,
     write_trajectory_csv,
 )
@@ -191,7 +196,7 @@ def test_pair_collisions_have_the_bits_of_the_scalar_reference(name):
     # adjacent pairs and micro pairs, as the asymptotic verdict forms them
     s = make_scenario(horizon="inf", **_UNIFORM_MASS_CASES[name])
     levels = simulator._force_levels(s)
-    m = uniform_mass_value(s)
+    m = constant_value(s.init.mass)
     xs = s.domain.axis_nodes(0, 33)
     labels = np.concatenate([xs, xs[:-1] + 1e-7])
     arcs = simulator._label_arcs(s, labels, levels, m)
@@ -277,6 +282,38 @@ def test_smooth_variable_mass_slows_the_particle():
     traj = propagate_smooth(s, 0.5)
     # m = 1.5, F = 1, from rest: y = x0 + t^2 / (2 m)
     assert float(traj.y[-1, 0]) == pytest.approx(0.5 + 4.0 / 3.0, rel=1e-9)
+
+
+def test_every_ode_solve_is_the_newton_kernel(monkeypatch):
+    # 1D smooth, multi-d, radial, gap-event and single-label field flows
+    # all call solve_ivp from NewtonFlow, and field never calls its own
+    kernel = simulator.NewtonFlow.__init__.__code__
+    solve_ivp = simulator.solve_ivp
+    callers, field_calls = [], []
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "solve_ivp", spy)
+    monkeypatch.setattr(field, "solve_ivp",
+                        lambda *args, **kwargs: field_calls.append(args))
+    smooth = load_bundled("smooth_regular")
+    simulate_ensemble(smooth)
+    simulate_ensemble(load_bundled("linear_monotone"))
+    propagate_smooth(load_bundled("linear_monotone"), np.array([0.5, 0.5]))
+    propagate_central(load_bundled("central_regular"), np.array([1.2, 0.0]))
+    propagate_smooth(_gap_scenario(2.0, 1.0, horizon=4.0), 0.3)
+    field.FlowMap(smooth, horizon=6.0).boundaries(1.5)
+    assert len(callers) >= 6
+    assert all(code is kernel for code in callers)
+    assert field_calls == []
+
+
+def test_newton_kernel_failure_names_the_ensemble_and_interval():
+    # y'' = y^3 from y = v = 1 blows up before t = 10
+    with pytest.raises(StepFailure, match=r"n = 1 particles on \[0, 10.0\]"):
+        simulator.NewtonFlow(lambda y: y**3, [1.0], [1.0], 10.0)
 
 
 def test_halfspace_trajectory_against_vector_rk():
@@ -421,9 +458,9 @@ def test_infinite_horizon_needs_a_force_constant_everywhere():
 
 
 def test_uniform_mass_detection():
-    assert uniform_mass_value(make_scenario()) == 1.0
-    assert uniform_mass_value(make_scenario(mass="2")) == 2.0
-    assert uniform_mass_value(make_scenario(mass="1 + x")) is None
+    assert constant_value(make_scenario().init.mass) == 1.0
+    assert constant_value(make_scenario(mass="2").init.mass) == 2.0
+    assert constant_value(make_scenario(mass="1 + x").init.mass) is None
 
 
 def test_no_collision_for_spreading_smooth_flow():
