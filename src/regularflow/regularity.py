@@ -46,9 +46,18 @@ from .scenario import (
     SMOOTH_GENERAL,
     SMOOTH_POSITIVE_V,
     Smooth1D,
+    TOL_EIG,
     TWO_GAP_BOUND,
     TwoGap,
     constant_value,
+    gap_nonnegative_velocity,
+    net_outward_force,
+    nonnegative_velocity_positive_mass,
+    positive_force_ahead,
+    positive_radial_speed,
+    positive_velocity,
+    spectrum_failure,
+    unit_mass,
     varying_mass_reason,
 )
 
@@ -58,7 +67,6 @@ INCONCLUSIVE = "Inconclusive"
 
 EQUALITY_BAND = 1e-9
 TOL_PARALLEL = 1e-10
-TOL_EIG = 1e-10
 _MICRO = 1e-7
 
 # Sampling resolutions of the "for all" quantifiers.  A pair margin is
@@ -204,12 +212,13 @@ def _pair_rng(scenario, salt):
 #############################################################
 
 
-def _require_unit_mass(scenario):
-    for x in scenario.grid_1d():
-        if abs(float(scenario.init.mass(float(x))) - 1.0) > 1e-12:
-            raise HypothesisViolated(
-                "this criterion assumes unit particle mass",
-                criterion=SMOOTH_POSITIVE_V, witness=float(x))
+def _require(failure, criterion):
+    """Raise a hypothesis failure, a one-label witness as the bare label."""
+    if failure is not None:
+        message, witness = failure
+        raise HypothesisViolated(
+            message, criterion=criterion,
+            witness=witness[0] if len(witness) == 1 else witness)
 
 
 def check_smooth_positive_v(scenario):
@@ -227,14 +236,9 @@ def check_smooth_positive_v(scenario):
     force = scenario.force
     if not isinstance(force, Smooth1D):
         raise InvalidParameter("check_smooth_positive_v needs a smooth 1D force")
-    _require_unit_mass(scenario)
+    _require(unit_mass(scenario) or positive_velocity(scenario), SMOOTH_POSITIVE_V)
     v = scenario.init.velocity
     dv = scenario.init.velocity_deriv
-    for x in scenario.grid_1d():
-        if float(v(float(x))) <= 0.0:
-            raise HypothesisViolated(
-                "initial velocity must be strictly positive",
-                criterion=SMOOTH_POSITIVE_V, witness=float(x))
     profile = quadrature.energy_profile(scenario)
     x_lo, x_hi = scenario.domain.lower[0], scenario.domain.upper[0]
     y_hi = scenario.y_cutoff()
@@ -274,17 +278,8 @@ def check_smooth_general(scenario):
     dm = scenario.init.mass_deriv
     x_lo, x_hi = scenario.domain.lower[0], scenario.domain.upper[0]
     y_hi = scenario.y_cutoff()
-    for x in scenario.grid_1d():
-        if float(v(float(x))) < 0.0:
-            raise HypothesisViolated("initial velocity must be nonnegative",
-                                     criterion=SMOOTH_GENERAL, witness=float(x))
-        if float(m(float(x))) <= 0.0:
-            raise HypothesisViolated("mass must be positive",
-                                     criterion=SMOOTH_GENERAL, witness=float(x))
-    for z in np.linspace(x_lo, y_hi, 257):
-        if float(force(float(z))) <= 0.0:
-            raise HypothesisViolated("force must be positive on the reachable range",
-                                     criterion=SMOOTH_GENERAL, witness=float(z))
+    _require(nonnegative_velocity_positive_mass(scenario) or positive_force_ahead(scenario),
+             SMOOTH_GENERAL)
     profile = quadrature.energy_profile(scenario)
 
     def margin(x, y):
@@ -356,10 +351,7 @@ def check_one_gap_general(f1, f2, a, velocity, velocity_deriv):
     def dv(x):
         return float(velocity_deriv(x))
 
-    for x in np.linspace(0.0, 1.0, 65):
-        if v(float(x)) < 0.0:
-            raise HypothesisViolated("initial velocity must be nonnegative",
-                                     criterion=ONE_GAP_GENERAL, witness=float(x))
+    _require(gap_nonnegative_velocity(velocity), ONE_GAP_GENERAL)
 
     def dfn(x):
         return v(x) ** 2 + 2.0 * f1 * (a - x)
@@ -542,27 +534,19 @@ def check_linear(scenario):
     if not isinstance(force, Linear):
         raise InvalidParameter("check_linear needs an affine force")
     mat = force.matrix
-    eigvals, eigvecs = np.linalg.eig(mat)
+    eigvals = np.linalg.eig(mat)[0]
     scale = max(1.0, float(np.max(np.abs(eigvals))))
+    min_eig = float(np.min(eigvals.real))
     sym_min = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.T))))
     diagnostics = {
         "eigenvalues": [complex(ev) for ev in eigvals],
         "symmetric_part_min": sym_min,
     }
-    if float(np.max(np.abs(eigvals.imag))) > TOL_EIG * scale:
+    failure = spectrum_failure(mat)
+    if failure is not None:
         return Verdict(outcome=INCONCLUSIVE, criterion=LINEAR_SPECTRUM,
-                       reason="complex spectrum", diagnostics=diagnostics)
-    cond = float(np.linalg.cond(eigvecs))
-    diagnostics["eigenbasis_condition"] = cond
-    if not math.isfinite(cond) or cond > 1e12:
-        return Verdict(outcome=INCONCLUSIVE, criterion=LINEAR_SPECTRUM,
-                       reason="no well-conditioned eigenbasis",
-                       diagnostics=diagnostics)
-    min_eig = float(np.min(eigvals.real))
-    if min_eig < -TOL_EIG * scale:
-        return Verdict(outcome=INCONCLUSIVE, criterion=LINEAR_SPECTRUM,
-                       margin=min_eig, reason="negative eigenvalue",
-                       diagnostics=diagnostics)
+                       margin=min_eig if failure[0] == "negative eigenvalue" else None,
+                       reason=failure[0], diagnostics=diagnostics)
     rng = np.random.default_rng(20241 + MONOTONE_PROBES)
     v_margin, v_pair = _monotone_margin(
         scenario.init.velocity, list(scenario.domain.lower),
@@ -720,22 +704,10 @@ def check_central(scenario):
     g = scenario.init.radial_speed
     h = scenario.init.angular_rate
     u = force.u
-    du = force.du
     r1_lo = scenario.domain.r_inner
     r1_hi = scenario.domain.r_outer
     r_cut = scenario.y_cutoff()
-
-    for r in np.linspace(r1_lo, r1_hi, 65):
-        if float(g(float(r))) <= 0.0:
-            raise HypothesisViolated("outward radial speed must be positive",
-                                     criterion=CENTRAL_FLIGHT, witness=float(r))
-    for r1 in np.linspace(r1_lo, r1_hi, 17):
-        mom_sq = (float(r1) ** 2 * float(h(float(r1)))) ** 2
-        for r2 in np.linspace(float(r1), r_cut, 33):
-            if -float(du(float(r2))) + mom_sq / float(r2) ** 3 < -1e-12:
-                raise HypothesisViolated(
-                    "net outward radial force fails ahead of some anchor radius",
-                    criterion=CENTRAL_FLIGHT, witness=(float(r1), float(r2)))
+    _require(positive_radial_speed(scenario) or net_outward_force(scenario), CENTRAL_FLIGHT)
 
     def inv_speed(r1, z):
         hr = float(h(r1))
@@ -857,9 +829,7 @@ def check_auto(scenario):
             # criterion and its collision times hold unchanged
             run(CONSTANT_PAIR, lambda: check_constant_force_profile(scenario))
         else:
-            positive = all(float(scenario.init.velocity(float(x))) > 0.0
-                           for x in scenario.grid_1d())
-            if positive:
+            if positive_velocity(scenario) is None:
                 run(SMOOTH_POSITIVE_V, lambda: check_smooth_positive_v(scenario))
             run(SMOOTH_GENERAL, lambda: check_smooth_general(scenario))
     elif isinstance(force, ConstantVec):

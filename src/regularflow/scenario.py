@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,6 +48,14 @@ DEFAULT_FD_STEP = 1e-6
 _ZERO_TOL = 1e-12
 # random point pairs per sampled monotonicity quantifier of the report
 PAIR_PROBES = 128
+# sampling resolutions and tolerances of the criterion hypotheses (below)
+FORCE_POINTS = 257
+GAP_LABELS = 65
+CENTRAL_RADII = 65
+CENTRAL_ANCHORS = 17
+CENTRAL_TARGETS = 33
+TOL_EIG = 1e-10
+COND_MAX = 1e12
 
 
 #############################################################
@@ -458,23 +466,21 @@ class Scenario:
         span = self.span_1d()
         return self.domain.upper[0] + self.cutoff_factor * span
 
-    def velocity_points(self):
-        """The labels of ``velocity_samples``: the 1D grid, or every
+    def moving_label(self):
+        """The first label whose speed is not within 1e-12 of zero (nan
+        included) as a tuple, or None: of the 1D grid, or of every
         (N // 256)-th of the N grid points in more dimensions."""
         if self.dim == 1:
-            return self.grid_1d()
-        pts = self.grid_points()
-        return pts[::max(1, len(pts) // 256)]
-
-    def velocity_samples(self):
-        if self.dim == 1:
-            return np.array([self.init.velocity(float(x))
-                             for x in self.velocity_points()])
-        return np.array([np.asarray(self.init.velocity(p), dtype=float)
-                         for p in self.velocity_points()])
+            points, speed = self.grid_1d(), lambda x: abs(self.init.velocity(float(x)))
+        else:
+            points = self.grid_points()
+            points = points[::max(1, len(points) // 256)]
+            speed = lambda p: np.max(np.abs(self.init.velocity(p)))
+        label = first_failure(speed, points, lambda sp: not sp <= _ZERO_TOL)
+        return None if label is None else tuple(map(float, np.atleast_1d(label)))
 
     def velocity_is_zero(self):
-        return bool(np.max(np.abs(self.velocity_samples())) <= _ZERO_TOL)
+        return self.moving_label() is None
 
 
 #############################################################
@@ -722,6 +728,100 @@ def build_blowup_scenario(z, dz=None, d2z=None, samples=512, horizon=math.inf,
 
 
 #############################################################
+# Criterion hypotheses
+#############################################################
+
+# Each sampled hypothesis of a criterion is one function here, at the
+# criterion's points and tolerance.  It returns None, or the (message,
+# witness) of the first point where it fails; a nan value fails.  The
+# checkers raise it, check_auto routes on it, assumptions_report prints it.
+
+
+def first_failure(fn, points, bad):
+    """The first of ``points`` where ``bad(fn(point))`` holds, or None."""
+    return next((p for p in points if bad(fn(p))), None)
+
+
+def _scan(points, profile, bad, message):
+    x = first_failure(lambda x: float(profile(float(x))), points, bad)
+    return None if x is None else (message, (float(x),))
+
+
+def positive_velocity(s):
+    """v > 0 on the 1D grid."""
+    return _scan(s.grid_1d(), s.init.velocity, lambda v: not v > 0.0,
+                 "initial velocity must be strictly positive")
+
+
+def nonnegative_velocity_positive_mass(s):
+    """v >= 0, then m > 0, label by label on the 1D grid."""
+    def broken(x):
+        if not float(s.init.velocity(x)) >= 0.0:
+            return "initial velocity must be nonnegative"
+        if not float(s.init.mass(x)) > 0.0:
+            return "mass must be positive"
+        return None
+
+    x = first_failure(lambda x: broken(float(x)), s.grid_1d(), bool)
+    return None if x is None else (broken(float(x)), (float(x),))
+
+
+def unit_mass(s):
+    """|m - 1| <= 1e-12 on the 1D grid."""
+    return _scan(s.grid_1d(), s.init.mass, lambda m: not abs(m - 1.0) <= _ZERO_TOL,
+                 "this criterion assumes unit particle mass")
+
+
+def positive_force_ahead(s):
+    """F > 0 at FORCE_POINTS points from the domain to the cutoff."""
+    return _scan(np.linspace(s.domain.lower[0], s.y_cutoff(), FORCE_POINTS), s.force,
+                 lambda f: not f > 0.0, "force must be positive on the reachable range")
+
+
+def gap_nonnegative_velocity(velocity):
+    """v >= 0 at GAP_LABELS labels of [0, 1]."""
+    return _scan(np.linspace(0.0, 1.0, GAP_LABELS), velocity, lambda v: not v >= 0.0,
+                 "initial velocity must be nonnegative")
+
+
+def positive_radial_speed(s):
+    """g > 0 at CENTRAL_RADII radii of [r_inner, r_outer]."""
+    return _scan(np.linspace(s.domain.r_inner, s.domain.r_outer, CENTRAL_RADII),
+                 s.init.radial_speed, lambda g: not g > 0.0,
+                 "outward radial speed must be positive")
+
+
+def net_outward_force(s):
+    """-U'(r2) + M^2 / r2^3 >= -1e-12, M = r1^2 h(r1), at CENTRAL_ANCHORS
+    anchors r1 of [r_inner, r_outer] x CENTRAL_TARGETS targets r2 from r1 to
+    the cutoff; the witness is (r1, r2)."""
+    h, du = s.init.angular_rate, s.force.du
+    pairs = ((float(r1), float(r2))
+             for r1 in np.linspace(s.domain.r_inner, s.domain.r_outer, CENTRAL_ANCHORS)
+             for r2 in np.linspace(float(r1), s.y_cutoff(), CENTRAL_TARGETS))
+    hit = first_failure(lambda p: -float(du(p[1])) + (p[0] ** 2 * float(h(p[0]))) ** 2 / p[1] ** 3,
+                        pairs, lambda net: not net >= -_ZERO_TOL)
+    return hit and ("net outward radial force fails ahead of some anchor radius", hit)
+
+
+def spectrum_failure(matrix):
+    """Real eigenvalues with a well-conditioned eigenbasis, none negative;
+    the witness is the complex eigenvalue of largest imaginary part, the
+    condition number or the least eigenvalue."""
+    eigvals, eigvecs = np.linalg.eig(matrix)
+    tol = TOL_EIG * max(1.0, float(np.max(np.abs(eigvals))))
+    k = int(np.argmax(np.abs(eigvals.imag)))
+    if abs(float(eigvals.imag[k])) > tol:
+        return "complex spectrum", (float(eigvals[k].real), float(eigvals[k].imag))
+    cond = float(np.linalg.cond(eigvecs))
+    if not cond <= COND_MAX:
+        return "no well-conditioned eigenbasis", (cond,)
+    if float(np.min(eigvals.real)) < -tol:
+        return "negative eigenvalue", (float(np.min(eigvals.real)),)
+    return None
+
+
+#############################################################
 # Assumptions report
 #############################################################
 
@@ -734,36 +834,26 @@ class AssumptionCheck:
     detail: str = ""
 
 
-def _sampled_all(values, predicate, points):
-    """Return (ok, witness) for a sampled universally quantified predicate."""
-    for val, pt in zip(values, points):
-        if not predicate(val):
-            return False, pt
-    return True, None
+def _witness(failure):
+    return None if failure is None else failure[1]
 
 
-def _report_velocity_sign(s, require_zero):
-    xs = s.grid_1d()
-    vs = s.velocity_samples()
-    if require_zero:
-        bad = np.abs(vs) > _ZERO_TOL
-        label = "v = 0 on the initial interval"
-    else:
-        bad = vs < -_ZERO_TOL
-        label = "v >= 0 on the initial interval"
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        return "no", (float(xs[k]),), label
-    return "yes", None, label
+def _row(criterion, witness, holds, detail, broken=None):
+    """"no" at a witness (with the detail ``broken`` if given), else holds."""
+    if witness is None:
+        return AssumptionCheck(criterion, holds, None, detail)
+    return AssumptionCheck(criterion, "no", witness, broken or detail)
 
 
 def assumptions_report(s):
     """Sampled hypothesis judgments for every criterion matching the force kind.
 
-    Judgments over the bounded initial region are "yes"/"no"; hypotheses that
-    quantify over an unbounded range are sampled up to the scenario cutoff and
-    reported "unknown" when no violation was found.  Deterministic for a fixed
-    grid resolution.
+    The rows call the hypothesis functions that the criteria raise from, so
+    both sample the same points with the same tolerance.  Judgments over
+    the bounded initial region are "yes"/"no"; hypotheses over an unbounded
+    range are sampled up to the scenario cutoff and reported "unknown" when
+    no violation was found.  Two samples are the report's own: the
+    monotonicity pairs and the kinetic term ahead of a smooth-force label.
     """
     from . import quadrature  # late import; quadrature depends on this module
 
@@ -771,130 +861,69 @@ def assumptions_report(s):
     force = s.force
 
     if isinstance(force, Smooth1D):
-        xs = s.grid_1d()
-        vs = s.velocity_samples()
-        y_hi = s.y_cutoff()
-        ys = np.linspace(s.domain.lower[0], y_hi, 257)
-
-        status = "unknown"
-        witness = None
-        if np.any(vs <= 0):
-            k = int(np.argmax(vs <= 0))
-            status, witness = "no", (float(xs[k]),)
-        else:
+        witness = _witness(positive_velocity(s))
+        if witness is None:
+            # the kinetic term H0(x) - U(y) ahead of each label
+            xs = s.grid_1d()
+            ys = np.linspace(s.domain.lower[0], s.y_cutoff(), FORCE_POINTS)
             profile = quadrature.energy_profile(s)
             h0x = np.array([profile.h0(float(x)) for x in xs])
             uz = np.array(profile.u_many(ys))
-            diff = h0x[:, None] - uz[None, :]
-            ahead = ys[None, :] >= xs[:, None]
-            bad = ahead & (diff <= 0)
+            bad = (ys[None, :] >= xs[:, None]) & (h0x[:, None] - uz[None, :] <= 0)
             if np.any(bad):
                 i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                status, witness = "no", (float(xs[i]), float(ys[j]))
-        checks.append(AssumptionCheck(
-            SMOOTH_POSITIVE_V, status, witness,
-            "v > 0 on the initial interval and kinetic term positive ahead (up to cutoff)",
-        ))
-
-        f_vals = np.array([force(float(y)) for y in ys])
-        m_vals = np.array([s.init.mass(float(x)) for x in xs])
-        status, witness = "unknown", None
-        if np.any(vs < -_ZERO_TOL):
-            k = int(np.argmax(vs < -_ZERO_TOL))
-            status, witness = "no", (float(xs[k]),)
-        elif np.any(m_vals <= 0):
-            k = int(np.argmax(m_vals <= 0))
-            status, witness = "no", (float(xs[k]),)
-        elif np.any(f_vals <= 0):
-            k = int(np.argmax(f_vals <= 0))
-            status, witness = "no", (float(ys[k]),)
-        checks.append(AssumptionCheck(
-            SMOOTH_GENERAL, status, witness,
-            "v >= 0 and m > 0 on the initial interval, F > 0 ahead (up to cutoff)",
-        ))
-        checks.append(AssumptionCheck(
-            EULER_GLOBAL,
-            status,
-            witness,
-            "same hypotheses as the general smooth criterion, on the truncated line",
-        ))
-        checks.append(_monotone_check(s))
+                witness = (float(xs[i]), float(ys[j]))
+        general = _witness(nonnegative_velocity_positive_mass(s) or positive_force_ahead(s))
+        checks += [
+            _row(SMOOTH_POSITIVE_V, witness, "unknown",
+                 "v > 0 on the initial interval and kinetic term positive ahead (up to cutoff)"),
+            _row(SMOOTH_GENERAL, general, "unknown",
+                 "v >= 0 and m > 0 on the initial interval, F > 0 ahead (up to cutoff)"),
+            _row(EULER_GLOBAL, general, "unknown",
+                 "same hypotheses as the general smooth criterion, on the truncated line"),
+            _monotone_check(s),
+        ]
 
     elif isinstance(force, OneGap):
-        status, witness, label = _report_velocity_sign(s, require_zero=True)
-        checks.append(AssumptionCheck(ONE_GAP_ZERO_V, status, witness, label))
-        status, witness, label = _report_velocity_sign(s, require_zero=False)
-        checks.append(AssumptionCheck(ONE_GAP_GENERAL, status, witness, label))
+        witness = _witness(gap_nonnegative_velocity(s.init.velocity))
+        label = "v >= 0 on the initial interval"
+        checks += [_row(ONE_GAP_ZERO_V, s.moving_label(), "yes", "v = 0 on the initial interval"),
+                   _row(ONE_GAP_GENERAL, witness, "yes", label)]
         if force.f2 == 0.0:
-            checks.append(AssumptionCheck(
-                ONE_GAP_SLOPE, status, witness,
-                "vanishing far force; " + label,
-            ))
+            checks.append(_row(ONE_GAP_SLOPE, witness, "yes", "vanishing far force; " + label))
 
     elif isinstance(force, TwoGap):
-        status, witness, label = _report_velocity_sign(s, require_zero=True)
-        checks.append(AssumptionCheck(TWO_GAP_BOUND, status, witness, label))
+        checks.append(_row(TWO_GAP_BOUND, s.moving_label(), "yes",
+                           "v = 0 on the initial interval"))
 
     elif isinstance(force, ConstantVec):
         checks.append(AssumptionCheck(
             CONSTANT_PAIR, "yes", None, "constant forces need no hypotheses"))
 
     elif isinstance(force, HalfSpaceStep):
-        status, witness = "yes", None
-        detail = "initial region below the step plane, v = 0, receiving force nonnegative"
         if force.f2[force.axis] < 0:
-            status, witness = "no", (float(force.f2[force.axis]),)
-            detail = "receiving normal force is negative (oscillation regime)"
+            checks.append(AssumptionCheck(
+                HALFSPACE_STEP, "no", (float(force.f2[force.axis]),),
+                "receiving normal force is negative (oscillation regime)"))
         else:
-            pts = s.velocity_points()
-            speeds = np.abs(s.velocity_samples()).reshape(len(pts), -1)
-            moving = np.max(speeds, axis=1) > _ZERO_TOL
-            if np.any(moving):
-                p = np.atleast_1d(pts[int(np.argmax(moving))])
-                status, witness = "no", tuple(float(c) for c in p)
-                detail = "initial velocity is not identically zero"
-        checks.append(AssumptionCheck(HALFSPACE_STEP, status, witness, detail))
+            checks.append(_row(
+                HALFSPACE_STEP, s.moving_label(), "yes",
+                "initial region below the step plane, v = 0, receiving force nonnegative",
+                "initial velocity is not identically zero"))
 
     elif isinstance(force, Linear):
-        eigvals = np.linalg.eigvals(force.matrix)
-        status, witness = "yes", None
-        detail = "spectrum real and nonnegative"
-        if np.max(np.abs(eigvals.imag)) > 1e-10 * max(1.0, np.max(np.abs(eigvals))):
-            status = "no"
-            witness = (float(eigvals[np.argmax(np.abs(eigvals.imag))].real),
-                       float(eigvals[np.argmax(np.abs(eigvals.imag))].imag))
-            detail = "complex spectrum"
-        elif np.min(eigvals.real) < -1e-10:
-            status = "no"
-            witness = (float(np.min(eigvals.real)),)
-            detail = "negative eigenvalue"
-        checks.append(AssumptionCheck(LINEAR_SPECTRUM, status, witness, detail))
-        checks.append(_monotone_check(s))
+        failure = spectrum_failure(force.matrix)
+        checks += [_row(LINEAR_SPECTRUM, _witness(failure), "yes",
+                        "spectrum real and nonnegative", failure and failure[0]),
+                   _monotone_check(s)]
 
     elif isinstance(force, Central):
-        radii = s.domain.radial_nodes(s.samples[0])
-        g_vals = np.array([s.init.radial_speed(float(r)) for r in radii])
-        status, witness = "unknown", None
-        detail = "g > 0 on the annulus and net outward force ahead (up to cutoff)"
-        if np.any(g_vals <= 0):
-            k = int(np.argmax(g_vals <= 0))
-            status, witness = "no", (float(radii[k]),)
-            detail = "outward speed g is not positive"
-        else:
-            r_hi = s.y_cutoff()
-            outer = np.linspace(s.domain.r_inner, r_hi, 257)
-            du = np.array([force.du(float(rr)) for rr in outer])
-            for r1 in radii[:: max(1, len(radii) // 16)]:
-                mom = r1 * r1 * s.init.angular_rate(float(r1))
-                ahead = outer >= r1
-                net = -du + mom * mom / outer**3
-                bad = ahead & (net < -1e-12)
-                if np.any(bad):
-                    k = int(np.argmax(bad))
-                    status, witness = "no", (float(r1), float(outer[k]))
-                    detail = "force plus centrifugal term points inward somewhere ahead"
-                    break
-        checks.append(AssumptionCheck(CENTRAL_FLIGHT, status, witness, detail))
+        slow = positive_radial_speed(s)
+        checks.append(_row(
+            CENTRAL_FLIGHT, _witness(slow or net_outward_force(s)), "unknown",
+            "g > 0 on the annulus and net outward force ahead (up to cutoff)",
+            "outward speed g is not positive" if slow else
+            "force plus centrifugal term points inward somewhere ahead"))
 
     if (isinstance(force, GAP_KINDS + (ConstantVec,))
             and constant_value(s.init.mass) is None):
@@ -913,36 +942,19 @@ def _monotone_check(s):
     lo = np.asarray(s.domain.lower, dtype=float)
     hi = np.asarray(s.domain.upper, dtype=float)
     pad = s.cutoff_factor * (hi - lo)
-    box_lo, box_hi = lo - pad, hi + pad
-
-    witness = None
-    for _ in range(PAIR_PROBES):
-        p = box_lo + (box_hi - box_lo) * rng.random(d)
-        q = box_lo + (box_hi - box_lo) * rng.random(d)
-        if d == 1:
-            df = (s.force(float(q[0])) - s.force(float(p[0]))) * (q[0] - p[0])
-        else:
-            df = float(np.dot(np.asarray(s.force(q)) - np.asarray(s.force(p)), q - p))
-        if df < -1e-12:
-            witness = tuple(float(c) for c in np.concatenate([p, q]))
-            break
-    if witness is None:
+    detail = "force and velocity nondecreasing along segments (sampled pairs)"
+    for fn, a, b in ((s.force, lo - pad, hi + pad), (s.init.velocity, lo, hi)):
         for _ in range(PAIR_PROBES):
-            p = lo + (hi - lo) * rng.random(d)
-            q = lo + (hi - lo) * rng.random(d)
+            p = a + (b - a) * rng.random(d)
+            q = a + (b - a) * rng.random(d)
             if d == 1:
-                dv = (s.init.velocity(float(q[0])) - s.init.velocity(float(p[0]))) * (q[0] - p[0])
+                df = (fn(float(q[0])) - fn(float(p[0]))) * (q[0] - p[0])
             else:
-                dv = float(np.dot(
-                    np.asarray(s.init.velocity(q)) - np.asarray(s.init.velocity(p)), q - p))
-            if dv < -1e-12:
+                df = float(np.dot(np.asarray(fn(q)) - np.asarray(fn(p)), q - p))
+            if df < -1e-12:
                 witness = tuple(float(c) for c in np.concatenate([p, q]))
-                break
-    status = "unknown" if witness is None else "no"
-    return AssumptionCheck(
-        MONOTONE_FORCE, status, witness,
-        "force and velocity nondecreasing along segments (sampled pairs)",
-    )
+                return AssumptionCheck(MONOTONE_FORCE, "no", witness, detail)
+    return AssumptionCheck(MONOTONE_FORCE, "unknown", None, detail)
 
 
 #############################################################

@@ -47,6 +47,8 @@ MICRO_PAIR_STEP = 1e-7
 REFINE_PASSES = 5
 HISTORY_FRAMES = 64
 MAX_PHASES = 64
+# output frames per block of a gap scan, which bounds its memory
+GAP_FRAMES = 16
 
 
 @dataclass
@@ -620,9 +622,22 @@ def _exact_first_collision(arcs, horizon):
     return t_best, pair_best
 
 
+def _min_gaps(n_frames, frames):
+    """The least adjacent gap of each of n_frames frames, and the first
+    frame with a gap <= 0 (a nan gap is none) or None.  ``frames(lo, hi)``
+    gives frames lo..hi-1 as rows, asked for GAP_FRAMES at a time."""
+    history, hits = np.empty(n_frames), np.empty(n_frames, dtype=bool)
+    for lo in range(0, n_frames, GAP_FRAMES):
+        gaps = np.diff(frames(lo, lo + GAP_FRAMES), axis=1)
+        history[lo:lo + GAP_FRAMES] = np.min(gaps, axis=1)
+        hits[lo:lo + GAP_FRAMES] = np.any(gaps <= 0.0, axis=1)
+    hit = np.flatnonzero(hits)
+    return history, int(hit[0]) if len(hit) else None
+
+
 def _gap_history(arcs, times):
-    ys = _eval_arcs(arcs, np.asarray(times, dtype=float)[:, None])[0]
-    return np.min(np.diff(ys, axis=1), axis=1)
+    times = np.asarray(times, dtype=float)
+    return _min_gaps(len(times), lambda lo, hi: _eval_arcs(arcs, times[lo:hi, None])[0])[0]
 
 
 def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
@@ -665,13 +680,10 @@ def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
 
 
 def _numeric_first_collision(flow):
-    gaps = np.diff(flow.y, axis=1)
-    history = np.min(gaps, axis=1)
-    hit_frames = np.nonzero(np.any(gaps <= 0.0, axis=1))[0]
-    if len(hit_frames) == 0:
+    history, k = _min_gaps(len(flow.times), lambda lo, hi: flow.y[lo:hi])
+    if k is None:
         return CollisionReport(found=False, min_gap_history=history,
                                times=flow.times, mode="Numeric")
-    k = int(hit_frames[0])
     t_hi = flow.times[k]
     t_lo = flow.times[k - 1] if k > 0 else 0.0
 

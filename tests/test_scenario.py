@@ -8,12 +8,18 @@ import pytest
 
 from regularflow.errors import (
     DimensionMismatch,
+    HypothesisViolated,
     InvalidParameter,
     NotMonotone,
     ScenarioFormatError,
 )
 from regularflow.expressions import parse_expression
-from regularflow.regularity import check_auto
+from regularflow.regularity import (
+    check_auto,
+    check_central,
+    check_one_gap_general,
+    check_smooth_general,
+)
 from regularflow.scenario import (
     Annulus,
     Box,
@@ -374,3 +380,79 @@ def test_assumptions_gap_velocity_rows():
     rows = {c.criterion: c for c in assumptions_report(s)}
     assert rows["one-gap-zero-velocity"].satisfied == "no"
     assert rows["one-gap-general"].satisfied == "yes"
+
+
+def _raised_witness(check):
+    """The witness a criterion raises, as a tuple of coordinates."""
+    def witness(s):
+        with pytest.raises(HypothesisViolated) as info:
+            check(s)
+        return tuple(float(c) for c in np.atleast_1d(info.value.witness))
+    return witness
+
+
+def _one_gap_general(s):
+    f = s.force
+    return check_one_gap_general(f.f1, f.f2, f.a, s.init.velocity,
+                                 s.init.velocity_deriv)
+
+
+def _moving_label_routed(s):
+    # check_auto routes a moving release away from the half-space criterion
+    _, trace = check_auto(s)
+    assert dict(trace)["halfspace-step"].reason == (
+        "the half-space step criterion needs particles released at rest")
+    return s.moving_label()
+
+
+def _spectrum_reason(s):
+    _, trace = check_auto(s)
+    return dict(trace)["linear-spectrum"].reason
+
+
+_SQUARE = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+_ANNULUS = {"kind": "annulus", "r_inner": 1.0, "r_outer": 2.0}
+
+
+@pytest.mark.parametrize("data,criterion,criterion_says", [
+    (dict(force={"kind": "smooth1d", "f": "1"}, velocity="-1e-13"),
+     "smooth-general", _raised_witness(check_smooth_general)),
+    (dict(force={"kind": "smooth1d", "f": "1 - y"}, velocity="1 + x"),
+     "smooth-general", _raised_witness(check_smooth_general)),
+    (dict(force={"kind": "one_gap", "f1": 1.0, "f2": 2.0, "a": 2.0},
+          velocity="-0.01*x"),
+     "one-gap-general", _raised_witness(_one_gap_general)),
+    ({"domain": _SQUARE, "force": {"kind": "halfspace_step", "f1": [0.0, 1.0],
+                                   "f2": [0.0, 2.0], "a": 2.0},
+      "velocity": [0.0, 0.1], "grid": [9, 9], "horizon": 5.0},
+     "halfspace-step", _moving_label_routed),
+    ({"domain": _ANNULUS, "force": {"kind": "central",
+                                    "u": "-0.1*exp(-(r - 8)^2)"},
+      "velocity": {"g": "1", "h": "0"}, "grid": [9, 12], "horizon": 3.0},
+     "central-flight-time", _raised_witness(check_central)),
+    ({"domain": _SQUARE, "force": {"kind": "linear",
+                                   "matrix": [[0.0, 1.0], [-1.0, 0.0]]},
+      "grid": [9, 9], "horizon": 2.0},
+     "linear-spectrum", _spectrum_reason),
+    ({"domain": _SQUARE, "force": {"kind": "linear",
+                                   "matrix": [[-1.0, 0.0], [0.0, 1.0]]},
+      "grid": [9, 9], "horizon": 2.0},
+     "linear-spectrum", _spectrum_reason),
+], ids=["tiny-negative-velocity", "force-not-positive-ahead",
+        "one-gap-negative-velocity", "moving-halfspace", "central-inward",
+        "complex-spectrum", "negative-spectrum"])
+def test_report_rows_agree_with_the_criteria(data, criterion, criterion_says):
+    # report and criterion sample the same hypothesis: a broken one reads
+    # "no" at the witness the criterion raises (the reason, for the
+    # spectrum test, which raises none)
+    if "domain" not in data:
+        data = dict(data, domain={"kind": "box", "lower": [0.0],
+                                  "upper": [1.0]})
+    s = scenario_from_dict(data)
+    row = {c.criterion: c for c in assumptions_report(s)}[criterion]
+    assert row.satisfied == "no"
+    said = criterion_says(s)
+    if criterion == "linear-spectrum":
+        assert row.detail == said
+    else:
+        assert row.witness == said

@@ -160,6 +160,72 @@ def test_gap_history_matches_the_per_particle_loop(name):
                                   _bits(want))
 
 
+def _full_array_first_collision(flow):
+    """The first fold of a numeric flow from every adjacent gap of every
+    frame at once: the reference for the blocked scan."""
+    gaps = np.diff(flow.y, axis=1)
+    history = np.min(gaps, axis=1)
+    hit_frames = np.nonzero(np.any(gaps <= 0.0, axis=1))[0]
+    if len(hit_frames) == 0:
+        return history, None, None
+    k = int(hit_frames[0])
+    t_hi = flow.times[k]
+    t_lo = flow.times[k - 1] if k > 0 else 0.0
+    for _ in range(80):
+        mid = 0.5 * (t_lo + t_hi)
+        if float(np.min(np.diff(flow.states(mid)[0]))) <= 0.0:
+            t_hi = mid
+        else:
+            t_lo = mid
+        if t_hi - t_lo <= 1e-9 * max(flow.times[-1], 1.0):
+            break
+    i = int(np.argmin(np.diff(flow.states(t_hi)[0])))
+    return history, float(t_hi), (float(flow.xs[i]), float(flow.xs[i + 1]))
+
+
+@pytest.mark.parametrize("horizon", [1.45, 2.0])
+def test_blocked_fold_scan_has_the_bits_of_the_full_arrays(horizon):
+    # the field's dense cache, 256 frames of 2,049 labels; at horizon 2 the
+    # first fold lies in a later block of frames
+    flow = field.FlowMap(load_bundled("smooth_collide"), horizon)._dense_flow()
+    report = simulator._numeric_first_collision(flow)
+    history, t_first, pair = _full_array_first_collision(flow)
+    np.testing.assert_array_equal(_bits(report.min_gap_history),
+                                  _bits(history))
+    assert (report.t_first, report.pair) == (t_first, pair)
+    assert report.found == (horizon == 2.0)
+
+
+def test_blocked_gap_history_has_the_bits_of_the_full_arrays():
+    s = load_bundled("two_gap_collide")
+    report = detect_collisions_1d(s, horizon=20)
+    arcs = simulator._label_arcs(s, s.domain.axis_nodes(0, s.samples[0]),
+                                 simulator._force_levels(s))
+    ys = simulator._eval_arcs(arcs, report.times[:, None])[0]
+    np.testing.assert_array_equal(_bits(report.min_gap_history),
+                                  _bits(np.min(np.diff(ys, axis=1), axis=1)))
+    # the parent commit's crossing, which the gap scan does not feed
+    assert report.t_first == 14.430248922183797
+    assert report.pair == (0.9999978500336351, 1.0)
+
+
+def test_blocked_gap_scan_skips_nan_and_finds_the_first_hit():
+    rng = np.random.default_rng(7)
+    frames = np.cumsum(rng.uniform(0.1, 1.0, (3 * simulator.GAP_FRAMES + 5, 9)),
+                       axis=1)
+    frames[3, 4] = np.nan                 # a nan gap is not a hit
+    frames[simulator.GAP_FRAMES + 2, 6] = frames[simulator.GAP_FRAMES + 2, 5]
+    frames[-1, 2] = -5.0
+    history, hit = simulator._min_gaps(len(frames),
+                                       lambda lo, hi: frames[lo:hi])
+    gaps = np.diff(frames, axis=1)
+    np.testing.assert_array_equal(_bits(history),
+                                  _bits(np.min(gaps, axis=1)))
+    assert np.isnan(history[3])
+    assert hit == simulator.GAP_FRAMES + 2
+    assert hit == int(np.nonzero(np.any(gaps <= 0.0, axis=1))[0][0])
+
+
 @pytest.mark.parametrize("name", EXACT_SCENARIOS)
 def test_first_crossings_have_the_bits_of_the_scalar_pair_kernel(name):
     # adjacent and far pairs; windows that end on arc starts, inside the
