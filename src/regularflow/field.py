@@ -623,13 +623,17 @@ def write_field_csv(grid, path):
     """Dump a FieldGrid as CSV rows ordered by time, then label."""
     blocks = (grid.y, grid.u, grid.rho_transport, grid.rho_pushforward,
               grid.residual_euler, grid.residual_continuity)
-    columns = [simulator._ColumnText() for _ in blocks]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,y,u,rho_transport,rho_pushforward,res_euler,res_continuity\n")
-        for k, t in enumerate(grid.times):
+
+    def frames(fh, k0, k1):
+        columns = [simulator._ColumnText() for _ in blocks]
+        for k in range(k0, k1):
             simulator._write_rows(fh, [
-                itertools.repeat(repr(float(t)), len(grid.y[k])),
+                itertools.repeat(repr(float(grid.times[k])), len(grid.y[k])),
                 *(col.update(block[k]) for col, block in zip(columns, blocks))])
+
+    simulator._write_frames(
+        path, "t,y,u,rho_transport,rho_pushforward,res_euler,res_continuity\n",
+        len(grid.times), 7 * sum(map(len, grid.y)), frames)
 
 
 #############################################################

@@ -647,18 +647,19 @@ def check_constant_force_profile(scenario):
     )
 
 
-def check_halfspace_step(f1, f2, a):
+def check_halfspace_step(f1, f2, a, axis=-1):
     """Half-space step criterion for particles released at rest below the
-    plane: no collisions iff the normal force does not drop across it.
-    Margin = far normal level minus near normal level, compared exactly."""
+    plane y[axis] = a: no collisions iff the normal force does not drop
+    across it.  Margin = far normal level minus near normal level, compared
+    exactly."""
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
     if f1.shape != f2.shape or f1.ndim != 1:
         raise InvalidParameter("force levels must be vectors of equal dimension")
     if float(a) <= 0.0:
         raise InvalidParameter("the step position must be positive")
-    f1d = float(f1[-1])
-    f2d = float(f2[-1])
+    f1d = float(f1[axis])
+    f2d = float(f2[axis])
     if f1d <= 0.0:
         raise InvalidParameter("the near normal force level must be positive")
     diagnostics = {"near_normal": f1d, "far_normal": f2d}
@@ -839,7 +840,8 @@ def check_auto(scenario):
     elif isinstance(force, HalfSpaceStep):
         if scenario.velocity_is_zero():
             run(HALFSPACE_STEP,
-                lambda: check_halfspace_step(force.f1, force.f2, force.a))
+                lambda: check_halfspace_step(force.f1, force.f2, force.a,
+                                             force.axis))
         else:
             trace.append((HALFSPACE_STEP, _verdict_inconclusive(
                 "the half-space step criterion needs particles released at "

@@ -263,7 +263,7 @@ class HalfSpaceStep:
         return len(self.f1)
 
     def __call__(self, y):
-        y = np.asarray(y, dtype=float)
+        y = np.atleast_1d(np.asarray(y, dtype=float))
         return self.f1 if y[self.axis] < self.a else self.f2
 
 

@@ -330,6 +330,30 @@ def test_one_dimensional_constant_force_exit_codes(tmp_path, extra, codes):
                      "--out", str(tmp_path / command)]) == code
 
 
+@pytest.mark.parametrize("f1", [[1.0, 1.0], [1.0, 0.0]])
+def test_halfspace_step_split_on_the_first_axis(tmp_path, f1):
+    # the normal level drops from 1 to 0.5 across x_1 = 2
+    p = _write_json(tmp_path, "hs.json", {
+        "domain": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        "force": {"kind": "halfspace_step", "f1": f1, "f2": [0.5, 3.0],
+                  "a": 2.0, "axis": 0},
+        "velocity": [0.0, 0.0], "horizon": 10.0, "grid": [13, 13]})
+    assert main(["check", "--scenario", p, "--out", str(tmp_path)]) == 1
+    assert _grab(tmp_path / "verdict.txt", "criterion") == "halfspace-step"
+    assert main(["validate", "--scenario", p, "--out", str(tmp_path)]) == 0
+    assert _grab(tmp_path / "validate.txt", "status") == "AGREE"
+
+
+def test_check_on_a_moving_one_dimensional_halfspace_step(tmp_path):
+    p = _write_json(tmp_path, "hs.json", {
+        "domain": {"kind": "box", "lower": [0.0], "upper": [1.0]},
+        "force": {"kind": "halfspace_step", "f1": [1.0], "f2": [1.0],
+                  "a": 2.0},
+        "velocity": "x", "horizon": 10.0, "grid": [11]})
+    assert main(["check", "--scenario", p, "--out", str(tmp_path)]) == 0
+    assert _grab(tmp_path / "verdict.txt", "outcome") == "Regular"
+
+
 #############################################################
 # validate
 #############################################################

@@ -40,7 +40,7 @@ from regularflow.scenario import OneGap, TwoGap
 from regularflow.simulator import detect_collisions_1d
 
 import scalar_arcs
-from conftest import load_bundled, make_scenario
+from conftest import CHUNKINGS, frame_ranges, load_bundled, make_scenario
 
 
 def _free_stream(**over):
@@ -592,10 +592,17 @@ def test_field_csv_has_the_bytes_of_the_per_row_writer(tmp_path):
                         rho_transport=[col[0]] * 3, rho_pushforward=col,
                         residual_euler=col[::-1], residual_continuity=col)
     for label, grid in (("sampled", sampled), ("awkward", awkward)):
-        got, want = tmp_path / f"{label}.csv", tmp_path / f"{label}.ref.csv"
-        write_field_csv(grid, got)
+        want = tmp_path / f"{label}.ref.csv"
         _field_csv_by_rows(grid, want)
-        assert got.read_bytes() == want.read_bytes(), label
+        # 2 and 3 frame ranges start a chunk on the rows where the awkward
+        # values step
+        for chunks in CHUNKINGS:
+            got = tmp_path / f"{label}.{chunks}.csv"
+            with frame_ranges(chunks) as pids:
+                write_field_csv(grid, got)
+            assert got.read_bytes() == want.read_bytes(), (label, chunks)
+            if chunks != "no fork":
+                assert len(pids) == chunks - 1
 
 
 #############################################################

@@ -203,6 +203,17 @@ def test_halfspace_verdicts():
     assert col.witness["direction"] == (3.0, -0.5)
 
 
+def test_halfspace_compares_the_levels_along_the_split_axis():
+    # across x_1 = 2 the normal level drops from 1 to 0.5
+    col = check_halfspace_step([1.0, 1.0], [0.5, 3.0], 2.0, axis=0)
+    assert (col.outcome, col.margin) == (COLLISION, -0.5)
+    assert check_halfspace_step([1.0, 0.0], [0.5, 3.0], 2.0, axis=0).outcome \
+        == COLLISION
+    # the last axis by default
+    reg = check_halfspace_step([1.0, 1.0], [0.5, 3.0], 2.0)
+    assert (reg.outcome, reg.margin) == (REGULAR, 2.0)
+
+
 def test_halfspace_tangential_change_alone_is_regular():
     v = check_halfspace_step([0.0, 1.0], [5.0, 1.0], 2.0)
     assert v.outcome == REGULAR

@@ -1,6 +1,7 @@
 """Simulation oracle: exact propagation, numeric flows, collision search."""
 
 import math
+import os
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from regularflow.simulator import (
 
 import oracles
 import scalar_arcs
-from conftest import load_bundled, make_scenario
+from conftest import CHUNKINGS, frame_ranges, load_bundled, make_scenario
 
 
 def _gap_scenario(f1, f2, a=2.0, **over):
@@ -694,10 +695,56 @@ def test_trajectory_csv_has_the_bytes_of_the_per_row_writer(tmp_path, n, d):
         "integer_x0": _traj(x_int, y_int, np.zeros_like(y_int), [0.0, 1.0]),
     }
     for label, traj in cases.items():
-        got, want = tmp_path / f"{label}.csv", tmp_path / f"{label}.ref.csv"
-        write_trajectory_csv(traj, got)
+        want = tmp_path / f"{label}.ref.csv"
         _trajectory_csv_by_rows(traj, want)
-        assert got.read_bytes() == want.read_bytes(), label
+        # with 2 and 3 ranges a chunk starts on frame 2 or on frames 1 and
+        # 2, where values step between -0.0 and 0.0, nan and +-inf
+        for chunks in CHUNKINGS:
+            got = tmp_path / f"{label}.{chunks}.csv"
+            with frame_ranges(chunks) as pids:
+                write_trajectory_csv(traj, got)
+            assert got.read_bytes() == want.read_bytes(), (label, chunks)
+            if chunks != "no fork":
+                assert len(pids) == min(chunks, len(traj.times)) - 1
+
+
+def _write_awkward(path):
+    x0, y, v = _awkward_frames(5, 2)
+    write_trajectory_csv(_traj(x0, y, v, [0.0, 0.5, 1.0, 1.5]), path)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_chunked_csv_writer_leaves_no_process_and_no_file(tmp_path):
+    with frame_ranges(3) as pids:
+        _write_awkward(tmp_path / "trajectory.csv")
+    assert len(pids) == 2
+    _no_child_left()
+    assert os.listdir(tmp_path) == ["trajectory.csv"]
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_chunked_csv_writer_raises_and_reaps_when_a_range_fails(
+        tmp_path, monkeypatch, where):
+    parent, write_rows = os.getpid(), simulator._write_rows
+
+    def failing(fh, columns):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ValueError("range failed")
+        write_rows(fh, columns)
+
+    monkeypatch.setattr(simulator, "_write_rows", failing)
+    # a failed child surfaces as a RuntimeError, the parent's own error as
+    # itself
+    error = RuntimeError if where == "child" else ValueError
+    with frame_ranges(3) as pids, pytest.raises(error):
+        _write_awkward(tmp_path / "trajectory.csv")
+    assert len(pids) == 2
+    _no_child_left()
+    assert os.listdir(tmp_path) == ["trajectory.csv"]
 
 
 def test_collision_report_text(tmp_path):
