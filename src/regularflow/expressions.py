@@ -16,7 +16,7 @@ expression has no real value raises ``EvaluationError``.
 
 from __future__ import annotations
 
-import operator
+import math
 
 import numpy as np
 
@@ -109,7 +109,7 @@ class _Parser:
     Python's own precedence and associativity for ``+ - * / **`` and unary
     minus match the grammar, so each rule emits its operands and operators
     in order and the parenthesised atoms the text already has; ``^``
-    becomes a call of ``_pow``, bound per argument kind in ``_compile``.
+    becomes a call of ``_pow``, Python's power (``_power``).
     The source holds only the argument ``t``, the names ``_c<i>`` of number
     literals (bound as values: ``repr(1e999)`` would read back as the name
     ``inf``), ``_pow`` and the names in ``FUNCTIONS``; nothing of the
@@ -202,7 +202,24 @@ class _ComplexPower(ArithmeticError):
     """A negative base to a fractional power: a complex number."""
 
 
-def _real_power(base, exponent):
+def _element_power(base, exponent):
+    """Python's power of two floats: nan where it is complex and, where it
+    raises, numpy's (inf, or FloatingPointError under ``divide="raise"``)."""
+    try:
+        out = base ** exponent
+    except (ZeroDivisionError, OverflowError):
+        return np.power(base, exponent)
+    return math.nan if isinstance(out, complex) else out
+
+
+def _power(base, exponent):
+    """``^``: Python's power, refusing a complex result; element by element
+    where an operand is an array, so each element has a scalar call's bits."""
+    if isinstance(base, np.ndarray) or isinstance(exponent, np.ndarray):
+        base, exponent = np.broadcast_arrays(base, exponent)
+        return np.array([_element_power(b, e) for b, e in zip(
+            base.ravel().tolist(), exponent.ravel().tolist())],
+            dtype=float).reshape(base.shape)
     out = base ** exponent
     if isinstance(out, complex):
         raise _ComplexPower
@@ -210,24 +227,15 @@ def _real_power(base, exponent):
 
 
 def _compile(src, constants):
-    """Functions ``t -> value`` for the emitted source: one for scalars,
-    whose ``^`` refuses a complex power, and one for arrays, whose ``^`` is
-    numpy's and gives nan there.  Both are the same function when the text
-    has no ``^``."""
+    """The function ``t -> value`` of the emitted source."""
     try:
         code = compile(f"def _expression(t):\n    return {src}\n",
                        "<expression>", "exec")
     except (SyntaxError, RecursionError, MemoryError):
         raise ExpressionError("expression is nested too deeply") from None
-
-    def bind(power):
-        namespace = {"__builtins__": {}, **FUNCTIONS, **constants,
-                     "_pow": power}
-        exec(code, namespace)
-        return namespace["_expression"]
-
-    scalar_fn = bind(_real_power)
-    return scalar_fn, bind(operator.pow) if "_pow" in src else scalar_fn
+    namespace = {"__builtins__": {}, **FUNCTIONS, **constants, "_pow": _power}
+    exec(code, namespace)
+    return namespace["_expression"]
 
 
 class Expression:
@@ -236,13 +244,16 @@ class Expression:
     Scalars run the compiled function as is, so arithmetic stays in Python
     floats until a numpy function is applied; division by zero, overflow
     and a complex power of a negative base, wherever in the expression it
-    occurs, raise ``EvaluationError``.  Arrays run under ``np.errstate``
-    with floating-point warnings off and give inf or nan there instead;
+    occurs, raise ``EvaluationError``.  Arrays run the same function, ``^``
+    element by element, under ``np.errstate`` with floating-point warnings
+    off: an element has a scalar call's bits where that is finite and is inf
+    or nan where it raises, and a failing part free of the argument
+    (``(-8)^(1/3)*x``) raises ``EvaluationError``.
     ``divide="raise"`` makes an array call raise ``FloatingPointError``
     wherever an element divides by zero, since a later operation can turn
     that inf into a finite value (``exp(-1/0)``) where a scalar call raises.
     ``names_variable`` is False for a text that never names its variable,
-    whose value is then one number.
+    whose value is then one number, repeated to the shape of an array.
     """
 
     def __init__(self, text):
@@ -257,33 +268,27 @@ class Expression:
             raise ExpressionError(
                 f"unexpected trailing input {tail.value!r}", tail.line, tail.column
             )
-        self._fn, self._array_fn = _compile(src, parser.constants)
+        self._fn = _compile(src, parser.constants)
         self.text = text
         self.names_variable = parser.names_variable
 
     def __call__(self, t, *, divide="ignore"):
-        if isinstance(t, float) or np.isscalar(t):
-            try:
+        try:
+            if isinstance(t, float) or np.isscalar(t):
                 return float(self._fn(t))
-            except _ComplexPower:
-                raise self._evaluation_error(t, "complex result") from None
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise self._evaluation_error(t, exc) from None
-        with np.errstate(divide=divide, invalid="ignore", over="ignore"):
-            out = self._array_fn(t)
-        return np.asarray(out, dtype=float)
-
-    @property
-    def arrays_match_scalars(self):
-        """Whether an array call gives, point by point, the bits of scalar
-        calls wherever those are finite.  numpy's functions and arithmetic
-        do; its ``^`` does not (it takes ``x^0.5`` as a square root and has
-        its own ``pow``), so this is False when the text has a ``^``."""
-        return self._array_fn is self._fn
+            with np.errstate(divide=divide, invalid="ignore", over="ignore"):
+                out = np.asarray(self._fn(t), dtype=float)
+            return out if self.names_variable else np.full(np.shape(t), out)
+        except _ComplexPower:
+            raise self._evaluation_error(t, "complex result") from None
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise self._evaluation_error(t, exc) from None
 
     def _evaluation_error(self, t, why):
+        where = (f"at {t!r}" if isinstance(t, float) or np.isscalar(t)
+                 else f"on an array of {np.size(t)} points")
         return EvaluationError(
-            f"expression {self.text!r} cannot be evaluated at {t!r}: {why}",
+            f"expression {self.text!r} cannot be evaluated {where}: {why}",
             text=self.text, argument=t)
 
     def __repr__(self):

@@ -48,6 +48,7 @@ from .scenario import (
     Constant,
     Smooth1D,
     central_difference,
+    line_force,
 )
 from .simulator import _eval_arcs, _label_arcs, _on_labels
 
@@ -55,16 +56,6 @@ INVERT_TOL = 1e-12
 JACOBIAN_FLOOR = 1e-14
 STENCIL_FRAC = 5e-4
 _CACHE_NODES = 2049
-
-
-def _scalar_force(force):
-    if isinstance(force, Smooth1D):
-        return force.f
-
-    def f(y):
-        return float(np.asarray(force(y), dtype=float).reshape(-1)[0])
-
-    return f
 
 
 @dataclass
@@ -426,7 +417,7 @@ def euler_residual(scenario, t_window, y_window, n_t=9, n_y=9, flow=None):
     ts, ys, _, u, _ = _window_field(scenario, t_window, y_window, n_t, n_y,
                                     flow)
     du_dt, du_dy = _central(u, ts, ys)
-    fy = _on_labels(_scalar_force(scenario.force), ys[1:-1])
+    fy = _on_labels(line_force(scenario.force), ys[1:-1])
     res = du_dt + u[1:-1, 1:-1] * du_dy - fy[None, :]
     k = int(np.argmax(np.abs(res)))
     j, i = divmod(k, res.shape[1])
@@ -583,7 +574,7 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     xs = scenario.grid_1d()
     rho0 = _density0(scenario)
     rho0_vals = _on_labels(rho0, xs)
-    f = _scalar_force(scenario.force)
+    f = line_force(scenario.force)
 
     grid = FieldGrid(times=[], y=[], u=[], rho_transport=[],
                      rho_pushforward=[], residual_euler=[],
@@ -654,9 +645,9 @@ def check_euler_global(force, velocity, velocity_deriv=None, force_deriv=None,
     X = float(cutoff)
     if not (math.isfinite(X) and X > 0.0):
         raise InvalidParameter("cutoff must be positive and finite")
-    f = force if callable(force) else None
-    if f is None:
+    if not callable(force):
         raise InvalidParameter("check_euler_global needs a callable force")
+    f = line_force(force)
     df = force_deriv
     if df is None:
         df = force.df if isinstance(force, Smooth1D) else central_difference(f)

@@ -24,19 +24,21 @@ import numpy as np
 from scipy.integrate import quad as _scipy_quad
 
 from .errors import (
+    EvaluationError,
     InvalidParameter,
     QuadratureFailure,
     SingularBoundary,
     TurningPoint,
 )
 from .expressions import Expression
-from .scenario import ConstantVec, OneGap, Smooth1D, TwoGap
+from .scenario import ConstantVec, OneGap, TwoGap, central_difference, line_force
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-13
 DERIV_REL_TOL = 1e-10
 DERIV_ABS_TOL = 1e-12
 _V_ZERO_TOL = 1e-12
+TURNING_SCAN = 96
 
 
 def _adaptive(fn, a, b, epsabs, epsrel):
@@ -70,8 +72,9 @@ def potential(force, y):
     """U(y) = -integral_0^y F(z) dz.
 
     Exact piecewise closed form for the gap forces (the integral of a
-    piecewise-constant force is piecewise-linear); adaptive quadrature with an
-    anchored antiderivative cache for smooth forces.
+    piecewise-constant force is piecewise-linear) and a constant force;
+    adaptive quadrature of the line view (``line_force``) with an anchored
+    antiderivative cache for every other force.
     """
     y = float(y)
     if isinstance(force, OneGap):
@@ -93,7 +96,7 @@ def potentials(force, zs, stop=None, then=()):
     """``[potential(force, z) for z in zs]``, cut after the first value u
     with ``stop(u)`` true when ``stop`` is given.
 
-    A smooth force answers the whole batch from its anchor cache at once
+    Any other force answers the whole batch from its anchor cache at once
     (``_PotentialCache.many``), with the bits and the anchors of the
     queries made one at a time; ``then`` announces the queries
     ``potential`` gets next, in order, so that they are planned with zs.
@@ -105,11 +108,12 @@ def potentials(force, zs, stop=None, then=()):
 
 
 def _anchored(force):
-    f = force.f if isinstance(force, Smooth1D) else force
-    if not callable(f):
-        raise InvalidParameter("potential needs a one-dimensional force")
+    """The anchor cache of the force's line view, made once per force."""
     cache = getattr(force, "_potential_cache", None)
-    if cache is None or cache.f is not f:
+    if cache is None:
+        f = line_force(force)
+        if not callable(f):
+            raise InvalidParameter("potential needs a one-dimensional force")
         cache = _PotentialCache(f)
         try:
             force._potential_cache = cache
@@ -178,8 +182,6 @@ def _first_panels(f, a, b, epsabs, epsrel):
     absc = _X_SUM * hlgth
     nodes = np.concatenate([centr[None], centr - absc, centr + absc])
     fv = f(nodes, divide="raise")
-    if fv.shape != nodes.shape:
-        fv = np.full(nodes.shape, fv)
     fc, fv1, fv2 = fv[:1], fv[1:11], fv[11:]
     fsum = np.concatenate([fc, fv1 + fv2])
     # resk, resabs and resg side by side; resg starts at 0.0 and -0.0 pads
@@ -236,7 +238,7 @@ class _PotentialCache:
 
     def __init__(self, f):
         self.f = f
-        self.batched = isinstance(f, Expression) and f.arrays_match_scalars
+        self.batched = isinstance(f, Expression)
         self.blocks = [[0.0]]
         self.tops = [0.0]
         self.values = {0.0: 0.0}
@@ -277,9 +279,9 @@ class _PotentialCache:
 
     def _plan(self, zs):
         """The ``_Plan`` of the queries zs from the present anchors, or None
-        where ``f`` has no array calls with the bits of its scalar calls, a
-        query is not finite, or the array call divides by zero or gives a
-        non-finite value (then a scalar call may raise)."""
+        where ``f`` is not an Expression, a query is not finite, or the
+        array call raises, divides by zero or gives a non-finite value (then
+        a scalar call may raise)."""
         if not (self.batched and zs and all(map(math.isfinite, zs))):
             return None
         room = self._MAX_ANCHORS - self.size
@@ -322,7 +324,7 @@ class _PotentialCache:
         try:
             incs, ok, fv = _first_panels(
                 self.f, np.array(za), np.array(zb), 1e-14, 1e-12)
-        except ArithmeticError:
+        except (ArithmeticError, EvaluationError):
             return None
         if not np.isfinite(fv).all():
             return None
@@ -439,16 +441,14 @@ def energy_profile(scenario=None, *, force=None, velocity=None, velocity_deriv=N
         mass = lambda x: 1.0
         mass_deriv = lambda x: 0.0
     if mass_deriv is None:
-        from .scenario import central_difference
-
         mass_deriv = central_difference(mass)
     if velocity is None:
         velocity = lambda x: 0.0
         velocity_deriv = lambda x: 0.0
     if velocity_deriv is None:
-        from .scenario import central_difference
-
         velocity_deriv = central_difference(velocity)
+
+    f = line_force(force)
 
     def u(z):
         return potential(force, z)
@@ -463,7 +463,7 @@ def energy_profile(scenario=None, *, force=None, velocity=None, velocity_deriv=N
     def dh0(x):
         v = velocity(x)
         return (0.5 * mass_deriv(x) * v * v + mass(x) * v * velocity_deriv(x)
-                - float(force(x)))
+                - float(f(x)))
 
     return EnergyProfile(u=u, h0=h0, dh0=dh0, u_many=u_many)
 
@@ -506,15 +506,17 @@ class FlightResult:
     singular_endpoint: bool = False
 
 
-def _scan_turning_point(profile, x, y, h0x, then, n=96):
+def _scan_turning_point(profile, x, y, h0x, then):
     """Raise TurningPoint if 2(H0 - U) vanishes strictly inside (x, y).
 
     Sampling is done in the transformed variable so that the left endpoint
     neighborhood, where the kinetic term vanishes for released-at-rest
-    particles, is probed densely: the n - 1 points z = x + s^2 below y,
-    s = sqrt(y - x) k / n, queried in order as one batch.  ``then`` are
+    particles, is probed densely: the TURNING_SCAN - 1 points z = x + s^2
+    below y, s = sqrt(y - x) k / TURNING_SCAN, queried in order as one
+    batch.  ``then`` are
     the potential queries the caller makes next (``potentials``).
     """
+    n = TURNING_SCAN
     smax = math.sqrt(y - x)
     ss = smax * (np.arange(1, n) / n)
     zs = x + ss * ss
@@ -530,7 +532,7 @@ def _scan_turning_point(profile, x, y, h0x, then, n=96):
         )
 
 
-def time_of_flight(profile, x, y, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL):
+def time_of_flight(profile, x, y):
     """Time for the particle labelled x to first reach y >= x.
 
     Uses the z = x + s^2 substitution, which turns the inverse-square-root
@@ -560,7 +562,7 @@ def time_of_flight(profile, x, y, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_T
             return 0.0
         return 2.0 * s / math.sqrt(k)
 
-    val, err = _adaptive(integrand, 0.0, smax, abs_tol, rel_tol)
+    val, err = _adaptive(integrand, 0.0, smax, DEFAULT_ABS_TOL, DEFAULT_REL_TOL)
     return FlightResult(time=val, error=err, singular_endpoint=singular)
 
 
@@ -574,14 +576,9 @@ def gap_time_of_flight(force, profile, x, y):
     x, y = float(x), float(y)
     if y < x:
         raise InvalidParameter("gap_time_of_flight needs y >= x")
-    if isinstance(force, OneGap):
-        cuts = [force.a]
-        fs = [force.f1, force.f2]
-    elif isinstance(force, TwoGap):
-        cuts = [force.a, force.b]
-        fs = [force.f1, force.f2, force.f3]
-    else:
+    if not isinstance(force, (OneGap, TwoGap)):
         raise InvalidParameter("gap_time_of_flight needs a gap force")
+    cuts, fs = force.cuts, force.levels
     h0x = profile.h0(x)
     total = 0.0
     z0 = x
@@ -613,7 +610,7 @@ def gap_time_of_flight(force, profile, x, y):
 #############################################################
 
 
-def dT_dx(profile, x, y, v, dv, f, rel_tol=DERIV_REL_TOL, abs_tol=DERIV_ABS_TOL):
+def dT_dx(profile, x, y, v, dv, f):
     """Direct route for the x-derivative of the flight time (unit masses):
 
         dT/dx = -1/v(x) - (v v' - F(x))(x) / (2 sqrt(2))
@@ -637,12 +634,11 @@ def dT_dx(profile, x, y, v, dv, f, rel_tol=DERIV_REL_TOL, abs_tol=DERIV_ABS_TOL)
             return 0.0
         return d ** -1.5
 
-    val, _ = _adaptive(integrand, x, y, abs_tol, rel_tol)
+    val, _ = _adaptive(integrand, x, y, DERIV_ABS_TOL, DERIV_REL_TOL)
     return -1.0 / vx - c / (2.0 * math.sqrt(2.0)) * val
 
 
-def dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df,
-                   rel_tol=DERIV_REL_TOL, abs_tol=DERIV_ABS_TOL):
+def dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df):
     """Integration-by-parts route, finite at v(x) = 0:
 
         H0'(x) [ (2(H0(x) - U(y)))^(-1/2) / F(y)
@@ -677,7 +673,7 @@ def dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df,
         fz = float(f(z))
         return 2.0 * s * float(df(z)) / (fz * fz * math.sqrt(k))
 
-    integral, _ = _adaptive(integrand, 0.0, smax, abs_tol, rel_tol)
+    integral, _ = _adaptive(integrand, 0.0, smax, DERIV_ABS_TOL, DERIV_REL_TOL)
     bracket = 1.0 / (math.sqrt(ky) * fy) + integral
     mx = float(m(x))
     if mx <= 0.0:
@@ -687,8 +683,7 @@ def dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df,
     return dh0x * bracket - rhs
 
 
-def dT_dx_weighted(profile, x, y, v, dv, m, dm, f, df,
-                   rel_tol=DERIV_REL_TOL, abs_tol=DERIV_ABS_TOL):
+def dT_dx_weighted(profile, x, y, v, dv, m, dm, f, df):
     """x-derivative of the physical flight time sqrt(m(x)) T~(x, y).
 
     The reduced time T~ uses the mass-weighted energy but drops the overall
@@ -699,10 +694,10 @@ def dT_dx_weighted(profile, x, y, v, dv, m, dm, f, df,
     which reduces to the by-parts value itself for constant mass.  This is
     the quantity whose sign decides collisions for mass-varying ensembles.
     """
-    base = dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df, rel_tol, abs_tol)
+    base = dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df)
     dmx = float(dm(x))
     if dmx == 0.0:
         return base
     mx = float(m(x))
-    t_reduced = time_of_flight(profile, x, y, rel_tol=rel_tol).time
+    t_reduced = time_of_flight(profile, x, y).time
     return dmx / (2.0 * math.sqrt(mx)) * t_reduced + math.sqrt(mx) * base

@@ -51,6 +51,7 @@ from .scenario import (
     TwoGap,
     constant_value,
     gap_nonnegative_velocity,
+    line_force,
     net_outward_force,
     nonnegative_velocity_positive_mass,
     positive_force_ahead,
@@ -180,26 +181,21 @@ def _minimize_line_margin(fn, lo, hi):
     return best_val, best_x
 
 
-def _band_verdict(criterion, min_val, witness_xy, scale=1.0, strict=True,
-                  diagnostics=None, collision_witness=None):
+def _band_verdict(criterion, min_val, witness_xy):
     """Outcome from a quadrature-backed margin minimum with equality band."""
-    band = EQUALITY_BAND * max(scale, abs(min_val))
-    diagnostics = diagnostics or {}
+    band = EQUALITY_BAND * max(1.0, abs(min_val))
     if min_val > band:
-        return Verdict(outcome=REGULAR, criterion=criterion, margin=min_val,
-                       diagnostics=diagnostics)
+        return Verdict(outcome=REGULAR, criterion=criterion, margin=min_val)
     if min_val < -band:
-        witness = collision_witness or {}
-        witness.setdefault("x", witness_xy[0])
+        witness = {"x": witness_xy[0]}
         if witness_xy[1] is not None:
-            witness.setdefault("y", witness_xy[1])
+            witness["y"] = witness_xy[1]
         return Verdict(outcome=COLLISION, criterion=criterion, margin=min_val,
-                       witness=witness, diagnostics=diagnostics)
+                       witness=witness)
     return Verdict(
         outcome=INCONCLUSIVE, criterion=criterion, margin=min_val,
         reason="margin inside the equality band; strict and non-strict "
                "inequalities are indistinguishable here",
-        diagnostics=diagnostics,
     )
 
 
@@ -302,13 +298,13 @@ def check_smooth_general(scenario):
 #############################################################
 
 
-def _gap_micro_witness(force, velocity, x_star, domain_hi=1.0, delta=_MICRO):
-    """Exact collision data for a micro pair at x_star under a gap force,
-    for unit masses."""
-    if x_star + delta <= domain_hi:
-        x1, x2 = x_star, x_star + delta
+def _gap_micro_witness(force, velocity, x_star):
+    """Exact collision data for the micro pair of width _MICRO at x_star
+    of [0, 1] under a gap force, for unit masses."""
+    if x_star + _MICRO <= 1.0:
+        x1, x2 = x_star, x_star + _MICRO
     else:
-        x1, x2 = x_star - delta, x_star
+        x1, x2 = x_star - _MICRO, x_star
     xs = np.array([x1, x2])
     arcs = simulator._gap_segments(force, xs,
                                    simulator._on_labels(velocity, xs), 1.0)
@@ -441,9 +437,7 @@ def check_two_gap(f1, f2, f3, a, b):
 
 def _as_vec(value, dim):
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(dim, float(arr)) if dim > 1 else arr.reshape(1)
-    return arr
+    return np.full(dim, float(arr)) if arr.ndim == 0 else arr
 
 
 def _sample_box(rng, lo, hi):
@@ -462,9 +456,8 @@ def _monotone_margin(fn, lo, hi, rng, dim):
         if nrm < 1e-24:
             continue
         if dim == 1:
-            # a 1D constant force answers with its 1-vector
-            fp = float(np.ravel(fn(float(p[0])))[0])
-            fq = float(np.ravel(fn(float(q[0])))[0])
+            fp = float(fn(float(p[0])))
+            fq = float(fn(float(q[0])))
             val = (fq - fp) * float(d[0]) / nrm
         else:
             fp = _as_vec(fn(p), dim)
@@ -496,15 +489,8 @@ def check_monotone_multi(scenario):
         f_hi = [h + scenario.cutoff_factor * max(s, 1.0)
                 for h, s in zip(hi, spans)]
 
-    force = scenario.force
-    if isinstance(force, Central):
-        def force_fn(p):
-            return force(p)
-    elif d == 1:
-        force_fn = force.f if isinstance(force, Smooth1D) else force
-    else:
-        force_fn = force
-    f_margin, f_pair = _monotone_margin(force_fn, f_lo, f_hi, rng, d)
+    force = line_force(scenario.force) if d == 1 else scenario.force
+    f_margin, f_pair = _monotone_margin(force, f_lo, f_hi, rng, d)
     v_margin, v_pair = _monotone_margin(scenario.init.velocity, lo, hi, rng, d)
     margin = min(f_margin, v_margin)
     diagnostics = {"force_min": f_margin, "velocity_min": v_margin}
@@ -612,31 +598,20 @@ def check_constant_force_profile(scenario):
         raise InvalidParameter("the 1D profile test needs a one-dimensional scenario")
     n = max(scenario.samples[0], LINE_GRID)
     xs = scenario.domain.axis_nodes(0, n)
-    v = np.array([float(scenario.init.velocity(float(x))) for x in xs])
-    span = scenario.domain.upper[0] - scenario.domain.lower[0]
-    delta = _MICRO * span
-    best_slope, best_pair = math.inf, None
-    t_first = math.inf
-    dx = np.diff(xs)
-    dvv = np.diff(v)
+    delta = _MICRO * (scenario.domain.upper[0] - scenario.domain.lower[0])
+    # the adjacent grid pairs, then a micro pair of width delta at each node
+    lo = np.concatenate([xs[:-1], np.where(
+        xs + delta <= scenario.domain.upper[0], xs, xs - delta)])
+    hi = np.concatenate([xs[1:], lo[n - 1:] + delta])
+    v = simulator._on_labels(scenario.init.velocity,
+                             np.concatenate([xs, hi[n - 1:], lo[n - 1:]]))
+    dx = np.concatenate([np.diff(xs), np.full(n, delta)])
+    dvv = np.concatenate([np.diff(v[:n]), v[n:2 * n] - v[2 * n:]])
     slopes = dvv / dx
     k = int(np.argmin(slopes))
-    if slopes[k] < best_slope:
-        best_slope, best_pair = float(slopes[k]), (float(xs[k]), float(xs[k + 1]))
+    best_slope, best_pair = float(slopes[k]), (float(lo[k]), float(hi[k]))
     hits = dvv < 0.0
-    if np.any(hits):
-        t_first = float(np.min(-dx[hits] / dvv[hits]))
-    for x in xs:
-        x = float(x)
-        a_pt = x if x + delta <= scenario.domain.upper[0] else x - delta
-        b_pt = a_pt + delta
-        dv_micro = (float(scenario.init.velocity(b_pt))
-                    - float(scenario.init.velocity(a_pt)))
-        slope = dv_micro / delta
-        if slope < best_slope:
-            best_slope, best_pair = slope, (a_pt, b_pt)
-        if dv_micro < 0.0:
-            t_first = min(t_first, delta / (-dv_micro))
+    t_first = float(np.min(-dx[hits] / dvv[hits])) if hits.any() else math.inf
     diagnostics = {"min_velocity_slope": best_slope}
     if best_slope >= 0.0:
         return Verdict(outcome=REGULAR, criterion=CONSTANT_PAIR,

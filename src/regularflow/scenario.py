@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EvaluationError,
     InvalidParameter,
     NotMonotone,
     ScenarioFormatError,
@@ -160,7 +161,8 @@ class Smooth1D:
 
 @dataclass
 class OneGap:
-    """Piecewise-constant force: f1 on y < a, f2 on y >= a, with a > 1."""
+    """Piecewise-constant force: f1 on y < a, f2 on y >= a, with a > 1;
+    ``levels[k]`` acts past k of the ``cuts``."""
 
     f1: float
     f2: float
@@ -174,20 +176,20 @@ class OneGap:
             raise InvalidParameter("f2 must be nonnegative")
         if not self.a > 1:
             raise InvalidParameter("the force step a must lie beyond the unit interval (a > 1)")
+        self.cuts, self.levels = (self.a,), (self.f1, self.f2)
 
     @property
     def dim(self):
         return 1
 
     def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.where(y < self.a, self.f1, self.f2)
-        return float(out) if out.ndim == 0 else out
+        return _piecewise(y, self.cuts, self.levels)
 
 
 @dataclass
 class TwoGap:
-    """Three constant-force regions split at a < b (0 < f2 < f1, f2 < f3)."""
+    """Three constant-force regions split at a < b (0 < f2 < f1, f2 < f3),
+    with ``cuts`` and ``levels`` as OneGap's."""
 
     f1: float
     f2: float
@@ -204,15 +206,14 @@ class TwoGap:
             raise InvalidParameter("need f2 < f3")
         if not 1 < self.a < self.b:
             raise InvalidParameter("need 1 < a < b")
+        self.cuts, self.levels = (self.a, self.b), (self.f1, self.f2, self.f3)
 
     @property
     def dim(self):
         return 1
 
     def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.where(y < self.a, self.f1, np.where(y < self.b, self.f2, self.f3))
-        return float(out) if out.ndim == 0 else out
+        return _piecewise(y, self.cuts, self.levels)
 
 
 @dataclass
@@ -320,6 +321,35 @@ class Central:
 GAP_KINDS = (OneGap, TwoGap)
 
 
+def _piecewise(y, cuts, levels):
+    """levels[k] where y has passed k of the ascending cuts (y >= cut), for
+    a float or an array of positions."""
+    out = np.asarray(levels)[np.searchsorted(cuts, y, side="right")]
+    return float(out) if out.ndim == 0 else out
+
+
+def line_force(force):
+    """The force of a 1D scenario as one callable y -> F(y), a float for a
+    float and an array with one scalar call's bits per element for an array:
+    a smooth force's profile, a gap force itself, a Constant for a constant
+    force, f1[0] below a half-space step and f2[0] from it on, m y + c (the
+    bits of ``matrix @ [y] + offset``) for an affine force; any other
+    callable is its own line view."""
+    if getattr(force, "dim", 1) != 1:
+        raise DimensionMismatch("a line view needs a one-dimensional force")
+    if isinstance(force, Smooth1D):
+        return force.f
+    if isinstance(force, ConstantVec):
+        return Constant(force.vector[0])
+    if isinstance(force, HalfSpaceStep):
+        levels = (float(force.f1[0]), float(force.f2[0]))
+        return lambda y: _piecewise(y, (force.a,), levels)
+    if isinstance(force, Linear):
+        m, c = float(force.matrix[0, 0]), float(force.offset[0])
+        return lambda y: m * y + c
+    return force
+
+
 #############################################################
 # Initial data and the scenario container
 #############################################################
@@ -327,7 +357,7 @@ GAP_KINDS = (OneGap, TwoGap)
 
 class Constant:
     """A 1D profile with one value: a call returns that float for a label
-    and for an array of labels alike."""
+    and an array of it for an array of labels."""
 
     __slots__ = ("value",)
 
@@ -335,6 +365,8 @@ class Constant:
         self.value = float(value)
 
     def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return np.full(x.shape, self.value)
         return self.value
 
 
@@ -364,23 +396,31 @@ def _const_vec_fn(vec):
     return lambda x: v
 
 
-def _zero_vec_fn(d):
-    z = np.zeros(d)
-    return lambda x: z
-
-
 def central_difference(f, rel_step=DEFAULT_FD_STEP, lower=None):
     """Second-order difference closure with relative step.
 
     If ``lower`` is given the stencil never probes below it (one-sided
-    second-order formula is used near that boundary instead).
+    second-order formula is used near that boundary instead).  Where the
+    central stencil raises EvaluationError, as at the end of a profile
+    such as x^1.5 at 0, the one-sided stencil looks forward, and where
+    that raises too, backward.
     """
+
+    def one_sided(t, h):
+        return (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2.0 * h)) / (2.0 * h)
 
     def deriv(t):
         h = rel_step * max(1.0, abs(t))
         if lower is not None and t - h < lower:
-            return (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2.0 * h)) / (2.0 * h)
-        return (f(t + h) - f(t - h)) / (2.0 * h)
+            return one_sided(t, h)
+        try:
+            return (f(t + h) - f(t - h)) / (2.0 * h)
+        except EvaluationError:
+            pass
+        try:
+            return one_sided(t, h)
+        except EvaluationError:
+            return one_sided(t, -h)
 
     return deriv
 
@@ -559,7 +599,7 @@ def build_scenario(
 
     # defaults for missing profiles
     if init.velocity is None:
-        init.velocity = Constant(0.0) if dim == 1 else _zero_vec_fn(dim)
+        init.velocity = Constant(0.0) if dim == 1 else _const_vec_fn(np.zeros(dim))
     if init.mass is None:
         init.mass = Constant(1.0)
     if init.density is None:
@@ -633,7 +673,7 @@ def _check_finite_fields(s):
 #############################################################
 
 
-def _invert_monotone_curve(z, targets, t_max_hint=1.0):
+def _invert_monotone_curve(z, targets):
     """Solve z(t) = target for each target, z strictly decreasing, z(0) >= max target.
 
     Vectorized bisection; |z(t) - target| <= 1e-12 at the returned t.
@@ -642,7 +682,7 @@ def _invert_monotone_curve(z, targets, t_max_hint=1.0):
     z0 = float(z(0.0))
     if np.any(targets > z0 + 1e-9):
         raise InvalidParameter("curve inversion target above z(0)")
-    hi = max(1.0, t_max_hint)
+    hi = 1.0
     for _ in range(200):
         if float(z(hi)) <= float(np.min(targets)):
             break
@@ -943,7 +983,8 @@ def _monotone_check(s):
     hi = np.asarray(s.domain.upper, dtype=float)
     pad = s.cutoff_factor * (hi - lo)
     detail = "force and velocity nondecreasing along segments (sampled pairs)"
-    for fn, a, b in ((s.force, lo - pad, hi + pad), (s.init.velocity, lo, hi)):
+    force = line_force(s.force) if d == 1 else s.force
+    for fn, a, b in ((force, lo - pad, hi + pad), (s.init.velocity, lo, hi)):
         for _ in range(PAIR_PROBES):
             p = a + (b - a) * rng.random(d)
             q = a + (b - a) * rng.random(d)

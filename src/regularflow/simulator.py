@@ -39,9 +39,9 @@ from .scenario import (
     HalfSpaceStep,
     Linear,
     OneGap,
-    Smooth1D,
     TwoGap,
     constant_value,
+    line_force,
 )
 
 DEFAULT_N_OUT = 256
@@ -54,6 +54,8 @@ HISTORY_FRAMES = 64
 MAX_PHASES = 64
 # output frames per block of a gap scan, which bounds its memory
 GAP_FRAMES = 16
+# label pairs per block of the exact multi-d pair tests
+PAIR_CHUNK = 500000
 
 
 @dataclass
@@ -92,19 +94,15 @@ def _on_labels(fn, xs):
     """A 1D profile at every label of the array xs, with the bits of one
     scalar call per label.
 
-    A Constant, and an Expression whose array calls match its scalar calls,
-    answer the whole array in one call (a constant once, broadcast); any
+    A Constant and an Expression answer the whole array in one call; any
     other callable is called per label.  Where the array answer is not
     finite the profile is called again per label, so an expression raises
     EvaluationError wherever its scalar call would.
     """
-    if not (isinstance(fn, Constant)
-            or (isinstance(fn, Expression) and fn.arrays_match_scalars)):
+    if not isinstance(fn, (Constant, Expression)):
         return np.array([float(fn(float(x))) for x in xs.ravel()]).reshape(
             xs.shape)
-    out = np.asarray(fn(xs), dtype=float)
-    if out.shape != xs.shape:
-        out = np.full(xs.shape, out)
+    out = fn(xs)
     bad = ~np.isfinite(out)
     if bad.any():
         for x in xs[bad]:
@@ -305,6 +303,8 @@ def _pair_collisions(levels, m, arcs, i, j, t_star):
 
 
 def _vectorize_scalar(fn):
+    """fn on an array of positions: one array call, whose inf or nan DOP853
+    sees at a trial stage, or one call per position where that fails."""
     def wrapped(arr):
         try:
             out = np.asarray(fn(arr), dtype=float)
@@ -312,9 +312,7 @@ def _vectorize_scalar(fn):
                 return out
         except Exception:
             pass
-        # a 1D constant force answers with its 1-vector
-        return np.array([float(np.ravel(fn(float(a)))[0])
-                         for a in np.atleast_1d(arr)])
+        return np.array([float(fn(float(a))) for a in np.atleast_1d(arr)])
 
     return wrapped
 
@@ -373,10 +371,10 @@ class NumericFlow1D(NewtonFlow):
     def __init__(self, scenario, xs, horizon, n_out=DEFAULT_N_OUT,
                  check_energy=True):
         force = scenario.force
-        f_vec = _vectorize_scalar(force.f if isinstance(force, Smooth1D) else force)
+        f_vec = _vectorize_scalar(line_force(force))
         xs = np.asarray(xs, dtype=float)
-        v0 = np.array([float(scenario.init.velocity(float(x))) for x in xs])
-        m = np.array([float(scenario.init.mass(float(x))) for x in xs])
+        v0 = _on_labels(scenario.init.velocity, xs)
+        m = _on_labels(scenario.init.mass, xs)
 
         def accel(y):
             return f_vec(y) / m
@@ -419,10 +417,7 @@ class NumericFlow1D(NewtonFlow):
 def _smooth_single_with_events(scenario, x0, horizon, n_out):
     """One particle under a gap force, integrated region by region with
     terminal boundary events (used to cross-check the exact arcs)."""
-    force = scenario.force
-    cuts = [force.a] if isinstance(force, OneGap) else [force.a, force.b]
-    levels = ([force.f1, force.f2] if isinstance(force, OneGap)
-              else [force.f1, force.f2, force.f3])
+    cuts, levels = scenario.force.cuts, scenario.force.levels
     m = float(scenario.init.mass(float(x0)))
     times = np.linspace(0.0, horizon, n_out)
     ys = np.empty_like(times)
@@ -553,9 +548,8 @@ class RadialEnsemble:
         du = _vectorize_scalar(force.du)
         radii = np.asarray(radii, dtype=float)
         n = len(radii)
-        g0 = np.array([float(scenario.init.radial_speed(float(r))) for r in radii])
-        mom = radii**2 * np.array(
-            [float(scenario.init.angular_rate(float(r))) for r in radii])
+        g0 = _on_labels(scenario.init.radial_speed, radii)
+        mom = radii**2 * _on_labels(scenario.init.angular_rate, radii)
 
         r_floor = 1e-9 * float(np.min(radii))
 
@@ -583,15 +577,13 @@ class RadialEnsemble:
 
 
 def _force_levels(scenario):
-    """The force levels of exact arcs: a gap force, the value of a constant
-    1D force (see ``constant_value``), or None."""
+    """The force levels of exact arcs: a gap force, the value of a 1D force
+    whose line view is constant (see ``constant_value``), or None."""
     force = scenario.force
     if isinstance(force, (OneGap, TwoGap)):
         return force
-    if isinstance(force, ConstantVec) and force.dim == 1:
-        return float(force.vector[0])
-    if isinstance(force, Smooth1D):
-        return constant_value(force.f)
+    if scenario.dim == 1:
+        return constant_value(line_force(force))
     return None
 
 
@@ -819,10 +811,10 @@ def asymptotic_verdict_1d(scenario):
 #############################################################
 
 
-def _pairs_chunked(n, chunk=500000):
+def _pairs_chunked(n):
     i, j = np.triu_indices(n, k=1)
-    for k in range(0, len(i), chunk):
-        yield i[k: k + chunk], j[k: k + chunk]
+    for k in range(0, len(i), PAIR_CHUNK):
+        yield i[k: k + PAIR_CHUNK], j[k: k + PAIR_CHUNK]
 
 
 def _detect_constant_vec(scenario, pts, horizon, eps_rel):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -328,6 +329,41 @@ def test_one_dimensional_constant_force_exit_codes(tmp_path, extra, codes):
     for command, code in codes.items():
         assert main([command, "--scenario", p,
                      "--out", str(tmp_path / command)]) == code
+
+
+@pytest.mark.parametrize("force,velocity,codes", [
+    ({"kind": "smooth1d", "f": "1/(2 + y*y)"}, "1 + x",
+     {"check": 0, "validate": 0, "simulate": 0}),
+    # x^1.5 has no real value left of 0, where the central stencil of v'
+    # reaches
+    ({"kind": "one_gap", "f1": 1.0, "f2": 2.0, "a": 2.0}, "x^1.5",
+     {"check": 0, "validate": 0, "simulate": 0}),
+    ({"kind": "two_gap", "f1": 2.0, "f2": 1.0, "f3": 3.0, "a": 2.0,
+      "b": 3.0}, "0", {"check": 0, "validate": 0, "simulate": 0}),
+    ({"kind": "constant", "vector": [1.0]}, "1 - x/2",
+     {"check": 1, "validate": 0, "simulate": 1}),
+    ({"kind": "halfspace_step", "f1": [1.0], "f2": [1.0], "a": 2.0}, "x",
+     {"check": 0, "validate": 0, "simulate": 0}),
+    # y = x cos t: every label reaches 0 at t = pi/2
+    ({"kind": "linear", "matrix": [[-1.0]]}, "0",
+     {"check": 2, "validate": 0, "simulate": 1}),
+])
+def test_every_one_dimensional_force_kind_runs_every_command(
+        tmp_path, force, velocity, codes):
+    p = _write_json(tmp_path, "line.json", {
+        "domain": {"kind": "box", "lower": [0.0], "upper": [1.0]},
+        "force": force, "velocity": velocity, "horizon": 3.0, "grid": [33]})
+    for command, code in dict(codes, report=0, field=0).items():
+        out = tmp_path / command
+        extra = ["--horizon", "1.5"] if command == "field" else []
+        assert main([command, "--scenario", p, "--out", str(out)] + extra) \
+            == code, command
+    status = _grab(tmp_path / "validate" / "validate.txt", "status")
+    assert status == ("UNDECIDED" if force["kind"] == "linear" else "AGREE")
+    if force["kind"] == "linear":
+        t_first = float(_grab(tmp_path / "simulate" / "collision.txt",
+                              "t_first"))
+        assert abs(t_first - math.pi / 2) <= 1e-6
 
 
 @pytest.mark.parametrize("f1", [[1.0, 1.0], [1.0, 0.0]])

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regularflow.errors import EvaluationError, ExpressionError
@@ -253,6 +253,37 @@ def test_complex_intermediate_power_is_an_evaluation_error(text):
     assert _bits(fn(4.0)) == _outcome(_reference(text), 4.0)
     with np.errstate(invalid="ignore"):
         assert math.isnan(fn(np.array([-4.0]))[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.sampled_from(["x^1.5", "2^x", "x^2", "x^0.5", "sqrt(x^0.5)"]),
+       xs=st.lists(_arguments, min_size=1, max_size=24))
+@example(text="x^1.5", xs=[0.0021000000000000003, 0.0057])
+@example(text="2^x", xs=[0.001, 0.004])
+@example(text="x^2", xs=[0.0397])
+@example(text="x^0.5", xs=[0.20900000000000002, -1.0])
+def test_array_calls_of_powers_have_the_scalar_bits(text, xs):
+    # Python's power element by element: numpy's own power differs from
+    # it in the last bit at some points and reads x^0.5 as a square root
+    fn = parse_expression(text)
+    out = fn(np.array(xs))
+    for x, got in zip(xs, out.tolist()):
+        try:
+            want = fn(x)
+        except EvaluationError:
+            assert not math.isfinite(got)
+            continue
+        if math.isfinite(want):
+            assert _bits(got) == _bits(want)
+
+
+def test_an_array_call_raises_where_a_part_free_of_the_argument_is_complex():
+    # numpy's power took the real part of (-8)^(1/3) here
+    fn = parse_expression("(-8)^(1/3)*x")
+    with pytest.raises(EvaluationError, match="complex"):
+        fn(np.array([1.0, 2.0]))
+    with pytest.raises(EvaluationError, match="complex"):
+        fn(1.0)
 
 
 @pytest.mark.parametrize("text,arg", [

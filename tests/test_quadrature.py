@@ -342,7 +342,7 @@ def _queries(rng, n):
 _FORCES = [
     parse_expression("1/(2 + y*y)"),     # array path
     parse_expression("1"),               # array call returns a scalar
-    parse_expression("y^2 + 1"),         # ^: scalar path
+    parse_expression("y^2 + 1"),         # ^: array path too
     lambda z: math.cos(z) + 2.0,         # callable: scalar path
 ]
 

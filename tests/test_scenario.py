@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -29,11 +30,14 @@ from regularflow.scenario import (
     InitialData,
     Linear,
     OneGap,
+    Smooth1D,
     TwoGap,
     assumptions_report,
     build_blowup_scenario,
     build_scenario,
+    central_difference,
     constant_value,
+    line_force,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -79,6 +83,32 @@ def test_linear_force_shapes():
         Linear(matrix=[[1.0, 2.0]])
     f = Linear(matrix=[[1.0, 0.0], [0.0, 2.0]])
     np.testing.assert_allclose(f([1.0, 1.0]), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("force", [
+    Smooth1D(f=parse_expression("1/(2 + y^2)")),
+    OneGap(f1=2.0, f2=1.0, a=2.0),
+    TwoGap(f1=2.0, f2=1.0, f3=3.0, a=2.0, b=3.4),
+    ConstantVec(vector=[1.5]),
+    HalfSpaceStep(f1=[1.0], f2=[0.5], a=2.0),
+    Linear(matrix=[[-0.7]], offset=[0.3]),
+])
+def test_line_force_has_the_scalar_bits_on_arrays(force):
+    # the steps, -0.0 and a spread of positions; each value is the force's
+    # own call on the position as a 1-vector
+    ys = np.concatenate([[2.0, 3.4, -0.0, 0.1], np.linspace(-3.0, 6.0, 901)])
+    f = line_force(force)
+    out = f(ys)
+    assert isinstance(out, np.ndarray) and out.shape == ys.shape
+    scalars = [f(float(y)) for y in ys]
+    assert all(type(v) is float for v in scalars)
+    own = [float(np.ravel(force(np.array([y])))[0]) for y in ys]
+    assert _bits(out) == _bits(scalars) == _bits(own)
+
+
+def test_line_force_needs_a_one_dimensional_force():
+    with pytest.raises(DimensionMismatch):
+        line_force(ConstantVec(vector=[1.0, 0.0]))
 
 
 def test_annulus_validation():
@@ -144,6 +174,15 @@ def test_velocity_derivative_defaults_to_central_difference():
     for x in (0.2, 0.5, 0.8):
         ref = oracles.central_difference(lambda t: math.sin(t) + t * t, x)
         assert s.init.velocity_deriv(x) == pytest.approx(ref, abs=1e-8)
+
+
+@pytest.mark.parametrize("text,x,slope", [
+    ("x^2.5", 0.0, 0.0), ("(1 - x)^2.5", 1.0, 0.0), ("x^1.5", 0.25, 0.75)])
+def test_the_derivative_stencil_stays_inside_a_profile_that_ends(text, x, slope):
+    # the central stencil probes x - h at the lower end and x + h at the
+    # upper one, where these profiles have no real value
+    deriv = central_difference(parse_expression(text))
+    assert deriv(x) == pytest.approx(slope, abs=1e-6)
 
 
 def test_mass_derivative_default():
@@ -456,3 +495,7 @@ def test_report_rows_agree_with_the_criteria(data, criterion, criterion_says):
         assert row.detail == said
     else:
         assert row.witness == said
+
+
+def _bits(values):
+    return [struct.pack("<d", float(v)) for v in values]
