@@ -94,9 +94,10 @@ class FlowMap:
     """Queryable 1D flow (t, x) -> (y, v) with regularity gating.
 
     Gap and constant forces evaluate in closed form, a whole array of
-    labels per call.  Smooth forces answer grid queries, Jacobians and the
-    image that inversion searches from per-time cubic splines over a dense
-    cached ensemble; ``states`` integrates each label on its own, a
+    labels per call, each label at its own time.  Smooth forces answer grid
+    queries, Jacobians and the image that inversion searches from per-time
+    cubic splines over a dense cached ensemble, one spline per distinct
+    time; ``states`` integrates each label on its own, a
     one-label NumericFlow1D, for the material endpoints that
     ``track_boundary`` follows.  ``ensure_regular`` refuses times at or past
     the first collision on [0, horizon]: the first fold of the dense cache
@@ -150,18 +151,22 @@ class FlowMap:
     # -- pointwise states ---------------------------------------------------
 
     def states(self, t, xs):
-        """(y, v) at time t of the particles labelled xs, arrays shaped as
-        xs: closed form for gap and constant forces, one cached dense
-        integration per label for smooth ones."""
-        t = float(t)
-        xs = np.asarray(xs, dtype=float)
+        """(y, v) of the particles labelled xs, each at its time of t (a
+        number or an array broadcast against xs), arrays of the broadcast
+        shape: closed form for gap and constant forces, one cached dense
+        integration per label for smooth ones.  Each element has the bits
+        of its evaluation at one number."""
         if self.mode == "numeric":
+            t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                        np.asarray(xs, dtype=float))
             ys = np.empty(xs.shape)
             vs = np.empty(xs.shape)
             for i, x in np.ndenumerate(xs):
-                (ys[i],), (vs[i],) = self._single_flow(float(x)).states(t)
+                (ys[i],), (vs[i],) = self._single_flow(float(x)).states(
+                    float(t[i]))
             return ys, vs
-        return _eval_arcs(_label_arcs(self.scenario, xs, self.levels), t)[:2]
+        return _eval_arcs(_label_arcs(self.scenario, xs, self.levels),
+                          np.asarray(t, dtype=float))[:2]
 
     def state(self, t, x):
         y, v = self.states(t, float(x))
@@ -171,8 +176,12 @@ class FlowMap:
         return self.state(t, x)[0]
 
     def boundaries(self, t):
-        ys, _ = self.states(t, (self.x_lo, self.x_hi))
-        return float(ys[0]), float(ys[1])
+        """Material endpoints (L, R) at time t: floats for a number, arrays
+        for a 1-D array of times, all from one ``states`` call."""
+        ys, _ = self.states(np.expand_dims(t, -1), (self.x_lo, self.x_hi))
+        if np.ndim(t) == 0:
+            return float(ys[0]), float(ys[1])
+        return ys[:, 0], ys[:, 1]
 
     def _single_flow(self, x):
         flow = self._label_flows.get(x)
@@ -210,13 +219,28 @@ class FlowMap:
         self._t_cache[t] = hit
         return hit
 
+    def _on_splines(self, t, xs, *calls):
+        """For each (k, nu) of calls, the nu-th label derivative of spline k
+        (0 position, 1 velocity) of the dense cache at the labels xs, each
+        at its time of t (a number or an array broadcast against xs)."""
+        t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                    np.asarray(xs, dtype=float))
+        out = [np.empty(xs.shape) for _ in calls]
+        for tk in np.unique(t):
+            at = t == tk
+            splines = self._splines(tk)
+            for values, (k, nu) in zip(out, calls):
+                values[at] = splines[k](xs[at], nu)
+        return out
+
     def jacobian(self, t, x):
-        """dy/dx at fixed t for a label or an array of labels, by the cached
-        spline for smooth forces and by a narrow central difference of the
-        closed form otherwise."""
+        """dy/dx for a label or an array of labels, each at its time of t
+        (a number or an array broadcast against x), by the cached spline
+        for smooth forces and by a narrow central difference of the closed
+        form otherwise."""
         x = np.asarray(x, dtype=float)
         if self.mode == "numeric":
-            jac = self._splines(t)[0](x, 1)
+            jac, = self._on_splines(t, x, (0, 1))
         else:
             h = max(1e-6 * (self.x_hi - self.x_lo), 1e-9)
             xc = np.minimum(np.maximum(x, self.x_lo + h), self.x_hi - h)
@@ -225,20 +249,24 @@ class FlowMap:
         return float(jac) if jac.ndim == 0 else jac
 
     def grid_states(self, t, xs):
-        """Vectorized (y, v) over an array of labels at one time; smooth
-        forces answer from the per-time splines of the dense cache."""
+        """Vectorized (y, v) over an array of labels, each at its time of t
+        (a number or an array broadcast against xs); smooth forces answer
+        from the per-time splines of the dense cache."""
         if self.mode == "numeric":
-            spl_y, spl_v, _ = self._splines(t)
-            return spl_y(xs), spl_v(xs)
+            return tuple(self._on_splines(t, xs, (0, 0), (1, 0)))
         return self.states(t, xs)
 
     def image(self, t):
-        """Ends (L, R) of the image at time t that inversion searches: the
-        closed-form material endpoints, or for smooth forces the per-time
-        spline at x_lo and x_hi.  Raises NotRegular when a smooth flow's
-        cache nodes are not strictly increasing at t."""
+        """Ends (L, R) of the image at time t that inversion searches, floats
+        for a number and arrays for a 1-D array of times: the closed-form
+        material endpoints, or for smooth forces the per-time spline at
+        x_lo and x_hi.  Raises NotRegular when a smooth flow's cache nodes
+        are not strictly increasing at t."""
         if self.mode != "numeric":
             return self.boundaries(t)
+        if np.ndim(t):
+            ends = np.array([self.image(float(tk)) for tk in t]).reshape(-1, 2)
+            return ends[:, 0], ends[:, 1]
         spl_y, _, increasing = self._splines(t)
         if not increasing:
             raise NotRegular(
@@ -278,52 +306,71 @@ def _require_image(flow, t, ys, xs):
 
 
 def _invert(flow, t, ys):
-    """Labels of an array of image points ys at time t, the only route
-    from an image point to a label.
+    """Labels of a 1-D array of image points ys, each at its time of t (a
+    number or an array broadcast against ys), the only route from an image
+    point to a label.
 
-    The image [L, R] is ``flow.image(t)``.  A point outside it by more than
-    a relative 1e-9 gets nan; one inside that slack is clamped into [L, R],
-    and a point at an end gets that end's label.  Closed-form flows bisect
-    every other point on their arcs; smooth flows solve them on the
-    per-time spline in one array Brent iteration.  Raises NotRegular when t
-    is at or past the first detected collision, the material endpoints
-    have crossed, or a smooth flow has folded.
+    Each distinct time is gated once: ``ensure_regular`` (t > 0), then its
+    image [L, R] from one ``flow.image`` call over all the times.  A point
+    outside its image by more than a relative 1e-9 gets nan; one inside
+    that slack is clamped into [L, R], and a point at an end gets that
+    end's label.  Closed-form flows bisect every other point on their arcs,
+    all times at once; smooth flows solve the points of each time on its
+    spline in one array Brent iteration.  Each point has the bits of its
+    inversion alone.  Raises NotRegular when a time is at or past the first
+    detected collision, the material endpoints have crossed, or a smooth
+    flow has folded.
     """
-    if t > 0.0:
-        flow.ensure_regular(t)
-    L, R = flow.image(t)
-    slack = 1e-9 * max(1.0, R - L)
-    if R < L - slack:
-        raise NotRegular(f"the material endpoints have crossed at t = {t}")
+    times, at = np.unique(np.asarray(t, dtype=float), return_inverse=True)
+    for tk in times:
+        if tk > 0.0:
+            flow.ensure_regular(tk)
+    L, R = flow.image(times)
+    slack = 1e-9 * np.fmax(1.0, R - L)
+    crossed = np.flatnonzero(R < L - slack)
+    if crossed.size:
+        raise NotRegular("the material endpoints have crossed at "
+                         f"t = {float(times[crossed[0]])}")
+    at = np.broadcast_to(at.reshape(np.shape(t)), ys.shape)
+    L, R, slack = L[at], R[at], slack[at]
     xs = np.full(ys.shape, math.nan)
     inside = np.flatnonzero(~((ys < L - slack) | (ys > R + slack)))
+    at, L, R = at[inside], L[inside], R[inside]
     y = np.minimum(np.maximum(ys[inside], L), R)
     x = np.where(y <= L, flow.x_lo, np.where(y >= R, flow.x_hi, math.nan))
-    todo = np.isnan(x)
+    todo = np.flatnonzero(np.isnan(x))
     if flow.mode == "numeric":
-        x[todo] = _brentq_many(flow._splines(t)[0], flow.x_lo, flow.x_hi,
-                               y[todo])
+        for k in np.unique(at[todo]):
+            one = todo[at[todo] == k]
+            x[one] = _brentq_many(flow._splines(times[k])[0], flow.x_lo,
+                                  flow.x_hi, y[one])
     else:
-        x[todo] = _bisect(lambda mid: flow.states(t, mid)[0], y[todo],
-                          flow.x_lo, flow.x_hi)
+        x[todo] = _bisect(lambda tt, mid: flow.states(tt, mid)[0],
+                          times[at[todo]], y[todo], flow.x_lo, flow.x_hi)
     xs[inside] = x
     return xs
 
 
-def _bisect(position, y, lo, hi):
-    """Solve position(x) = y for an increasing position on [lo, hi], one
-    element of y at a time.
+def _bisect(position, t, y, lo, hi):
+    """Solve position(t, x) = y for a position increasing in x on [lo, hi],
+    one element of t and y at a time.
 
     Each element takes the midpoints of a scalar bisection of the bracket
     and stops once its bracket is no wider than INVERT_TOL; the answer is
-    the final midpoint.
+    the final midpoint.  Every element starts from the same bracket, so
+    whole arrays step together until the first one stops.
     """
     lo = np.full(y.shape, float(lo))
     hi = np.full(y.shape, float(hi))
+    while y.size and np.all(hi - lo > INVERT_TOL):
+        mid = 0.5 * (lo + hi)
+        below = position(t, mid) < y
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     active = np.flatnonzero(hi - lo > INVERT_TOL)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
-        below = position(mid) < y[active]
+        below = position(t[active], mid) < y[active]
         lo[active[below]] = mid[below]
         hi[active[~below]] = mid[~below]
         active = active[hi[active] - lo[active] > INVERT_TOL]
@@ -331,13 +378,15 @@ def _bisect(position, y, lo, hi):
 
 
 def _field_row(flow, rho0, t, ys):
-    """(labels, u, pushforward density) at the image points ys at time t,
-    nan where a point lies outside the image; raises as ``_invert``."""
+    """(labels, u, pushforward density) at the image points ys, each at its
+    time of t (a number or an array broadcast against ys), nan where a
+    point lies outside the image; raises as ``_invert``."""
     x = _invert(flow, t, ys)
     u = np.full(ys.shape, math.nan)
     rho = np.full(ys.shape, math.nan)
     found = ~np.isnan(x)
     if found.any():
+        t = np.broadcast_to(t, ys.shape)[found]
         _, u[found] = flow.grid_states(t, x[found])
         rho[found] = _pushforward(_on_labels(rho0, x[found]),
                                   flow.jacobian(t, x[found]))
@@ -351,6 +400,22 @@ def _stencil_leg(flow, rho0, t, ys):
         return _field_row(flow, rho0, t, ys)[1:]
     except (NotRegular, InvalidParameter):
         return np.full(ys.shape, math.nan), np.full(ys.shape, math.nan)
+
+
+def _stencil_legs(flow, rho0, legs):
+    """``_stencil_leg`` of each (t, ys) of legs, all of them in one
+    ``_field_row``; when that raises, one leg at a time, so only the legs
+    outside the regular range come out nan."""
+    if not legs:
+        return []
+    t = np.concatenate([np.full(ys.shape, t) for t, ys in legs])
+    try:
+        _, u, rho = _field_row(flow, rho0, t,
+                               np.concatenate([ys for _, ys in legs]))
+    except (NotRegular, InvalidParameter):
+        return [_stencil_leg(flow, rho0, t, ys) for t, ys in legs]
+    cuts = np.cumsum([ys.size for _, ys in legs])[:-1]
+    return list(zip(np.split(u, cuts), np.split(rho, cuts)))
 
 
 def reconstruct_velocity(scenario, t, y, flow=None):
@@ -378,7 +443,7 @@ def _pushforward(rho0_vals, jac):
 
 def _window_field(scenario, t_window, y_window, n_t, n_y, flow):
     """Node grids ts, ys of a space-time window, then its labels, u and
-    pushforward density, one row per time and each row by ``_field_row``;
+    pushforward density, one row per time, all nodes in one ``_field_row``;
     OutOfImage names the first window node outside the image."""
     t0, t1 = map(float, t_window)
     y0, y1 = map(float, y_window)
@@ -391,12 +456,11 @@ def _window_field(scenario, t_window, y_window, n_t, n_y, flow):
     ts, ys = np.linspace(t0, t1, n_t), np.linspace(y0, y1, n_y)
     flow = _flow_for(scenario, ts[-1], flow)
     flow.ensure_regular(ts[-1])
-    rho0 = _density0(scenario)
-    rows = []
-    for t in map(float, ts):
-        rows.append(_field_row(flow, rho0, t, ys))
-        _require_image(flow, t, ys, rows[-1][0])
-    return (ts, ys, *map(np.array, zip(*rows)))
+    xs, u, rho = (a.reshape(n_t, n_y) for a in _field_row(
+        flow, _density0(scenario), np.repeat(ts, n_y), np.tile(ys, n_t)))
+    for t, row in zip(ts, xs):
+        _require_image(flow, float(t), ys, row)
+    return ts, ys, xs, u, rho
 
 
 def _central(a, ts, ys):
@@ -452,8 +516,8 @@ def track_boundary(scenario, horizon, n_out=257, flow=None):
     horizon = float(horizon)
     flow = flow or FlowMap(scenario, horizon=horizon)
     times = np.linspace(0.0, horizon, n_out)
-    ends = np.array([flow.boundaries(float(t)) for t in times])
-    return BoundaryTrack(times=times, L=ends[:, 0], R=ends[:, 1])
+    L, R = flow.boundaries(times)
+    return BoundaryTrack(times=times, L=L, R=R)
 
 
 _BRENT_XTOL = 1e-13
@@ -551,8 +615,9 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     The y-grid at each time is the image of the scenario's label grid, where
     u and both densities are direct particle data; the residual columns use
     local central-difference stencils around each sample (nan where a stencil
-    leg leaves the image or t = 0 admits no centered difference).  Each
-    stencil leg (t +- dt, y +- dy) is evaluated as one array.
+    leg leaves the image or t = 0 admits no centered difference).  The
+    stencil legs (t +- dt, y +- dy) of every time are inverted together,
+    one point per leg and sample, in one ``_field_row``.
     """
     if scenario.dim != 1:
         raise InvalidParameter("sample_field needs a one-dimensional scenario")
@@ -576,24 +641,26 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     rho0_vals = _on_labels(rho0, xs)
     f = line_force(scenario.force)
 
+    rows = []
+    legs = []
+    for t in map(float, times):
+        ys, vs = flow.grid_states(t, xs)
+        ys = np.asarray(ys, dtype=float)
+        dy = STENCIL_FRAC * max(float(ys[-1] - ys[0]), 1.0)
+        rows.append((t, ys, np.asarray(vs, dtype=float), dy))
+        if t - dt >= 0.0:
+            legs += [(t + dt, ys), (t - dt, ys), (t, ys + dy), (t, ys - dy)]
+    legs = iter(_stencil_legs(flow, rho0, legs))
+
     grid = FieldGrid(times=[], y=[], u=[], rho_transport=[],
                      rho_pushforward=[], residual_euler=[],
                      residual_continuity=[])
-    for t in times:
-        t = float(t)
-        ys, vs = flow.grid_states(t, xs)
-        ys = np.asarray(ys, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        rho_p = _pushforward(rho0_vals, flow.jacobian(t, xs))
-        span = max(float(ys[-1] - ys[0]), 1.0)
-        dy = STENCIL_FRAC * span
+    for t, ys, vs, dy in rows:
         res_e = np.full(len(xs), math.nan)
         res_c = np.full(len(xs), math.nan)
         if t - dt >= 0.0:
-            u_tp, rho_tp = _stencil_leg(flow, rho0, t + dt, ys)
-            u_tm, rho_tm = _stencil_leg(flow, rho0, t - dt, ys)
-            u_yp, rho_yp = _stencil_leg(flow, rho0, t, ys + dy)
-            u_ym, rho_ym = _stencil_leg(flow, rho0, t, ys - dy)
+            (u_tp, rho_tp), (u_tm, rho_tm), (u_yp, rho_yp), (u_ym, rho_ym) = (
+                next(legs) for _ in range(4))
             du_dt = (u_tp - u_tm) / (2.0 * dt)
             du_dy = (u_yp - u_ym) / (2.0 * dy)
             res_e = du_dt + vs * du_dy - _on_labels(f, ys)
@@ -604,7 +671,8 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
         grid.y.append(ys)
         grid.u.append(vs)
         grid.rho_transport.append(rho0_vals.copy())
-        grid.rho_pushforward.append(rho_p)
+        grid.rho_pushforward.append(
+            _pushforward(rho0_vals, flow.jacobian(t, xs)))
         grid.residual_euler.append(res_e)
         grid.residual_continuity.append(res_c)
     return grid

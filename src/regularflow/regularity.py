@@ -337,6 +337,9 @@ def check_one_gap_general(f1, f2, a, velocity, velocity_deriv):
       entry order (strict):    -2 (a - x) v'(x) < v(x) + sqrt(D(x))
       final profile (weak):    v'(x) ((f1 - f2) v(x) + f2 sqrt(D(x)))
                                   >= f1 (f1 - f2)
+
+    v' may be a finite difference, so a margin m that misses its
+    inequality by no more than EQUALITY_BAND max(1, |m|) is Inconclusive.
     """
     force = OneGap(f1=float(f1), f2=float(f2), a=float(a))
     f1, f2, a = force.f1, force.f2, force.a
@@ -362,16 +365,26 @@ def check_one_gap_general(f1, f2, a, velocity, velocity_deriv):
     min_entry, x_entry = _minimize_line_margin(entry_margin, 0.0, 1.0)
     min_profile, x_profile = _minimize_line_margin(profile_margin, 0.0, 1.0)
     diagnostics = {"entry_min": min_entry, "profile_min": min_profile}
-    entry_ok = min_entry > 0.0
-    profile_ok = min_profile >= 0.0
-    if entry_ok and profile_ok:
+    failures = []
+    if not min_entry > 0.0:
+        failures.append((x_entry, "ordered entry into the far region",
+                         min_entry))
+    if not min_profile >= 0.0:
+        failures.append((x_profile, "monotone final velocity profile",
+                         min_profile))
+    if not failures:
         return Verdict(outcome=REGULAR, criterion=ONE_GAP_GENERAL,
                        margin=min(min_entry, min_profile),
                        diagnostics=diagnostics)
-    if not entry_ok:
-        x_star, cond, margin = x_entry, "ordered entry into the far region", min_entry
-    else:
-        x_star, cond, margin = x_profile, "monotone final velocity profile", min_profile
+    decided = [f for f in failures
+               if f[2] < -EQUALITY_BAND * max(1.0, abs(f[2]))]
+    x_star, cond, margin = (decided or failures)[0]
+    if not decided:
+        return Verdict(
+            outcome=INCONCLUSIVE, criterion=ONE_GAP_GENERAL, margin=margin,
+            witness={"x": x_star}, diagnostics=diagnostics,
+            reason=f"{cond}: margin inside the equality band; strict and "
+                   "non-strict inequalities are indistinguishable here")
     witness = _gap_micro_witness(force, velocity, x_star)
     witness["condition"] = cond
     return Verdict(outcome=COLLISION, criterion=ONE_GAP_GENERAL, margin=margin,

@@ -94,12 +94,12 @@ def _on_labels(fn, xs):
     """A 1D profile at every label of the array xs, with the bits of one
     scalar call per label.
 
-    A Constant and an Expression answer the whole array in one call; any
-    other callable is called per label.  Where the array answer is not
-    finite the profile is called again per label, so an expression raises
-    EvaluationError wherever its scalar call would.
+    A Constant, an Expression and a gap force answer the whole array in
+    one call; any other callable is called per label.  Where the array
+    answer is not finite the profile is called again per label, so an
+    expression raises EvaluationError wherever its scalar call would.
     """
-    if not isinstance(fn, (Constant, Expression)):
+    if not isinstance(fn, (Constant, Expression, OneGap, TwoGap)):
         return np.array([float(fn(float(x))) for x in xs.ravel()]).reshape(
             xs.shape)
     out = fn(xs)

@@ -207,6 +207,7 @@ def test_batched_inversion_has_the_bits_of_the_scalar_reference(name):
     assert flow.mode == "exact"
     ref = _ScalarReference(s, flow)
     labels = np.linspace(flow.x_lo, flow.x_hi, 37)
+    probes = []
     for t in (0.0, 0.31 * horizon, 0.77 * horizon, horizon):
         ys, vs = flow.states(t, labels)
         want = [ref.state(t, float(x)) for x in labels]
@@ -218,6 +219,7 @@ def test_batched_inversion_has_the_bits_of_the_scalar_reference(name):
                                   [L, R, L - 1e-12, R + 1e-12]])
         xs = _invert(flow, t, queries)
         want_x = [ref.invert(t, float(y)) for y in queries]
+        probes += [(t, y, x) for y, x in zip(queries, want_x)]
         assert _same_bits(xs, [math.nan if x is None else x for x in want_x])
         assert np.isnan(xs).any() and not np.isnan(xs).all()
         found = [x for x in want_x if x is not None]
@@ -233,6 +235,13 @@ def test_batched_inversion_has_the_bits_of_the_scalar_reference(name):
         want_rho = [math.nan if x is None else float(s.init.density(x))
                     / max(abs(ref.jacobian(t, x)), 1e-14) for x in want_x]
         assert _same_bits(u, want_u) and _same_bits(rho, want_rho)
+    # one call with a time per point: the four times interleaved, the
+    # points off each image included
+    order = np.random.default_rng(5).permutation(len(probes))
+    t, ys, want_x = zip(*(probes[k] for k in order))
+    xs = _invert(flow, np.array(t), np.array(ys))
+    assert _same_bits(xs, [math.nan if x is None else x for x in want_x])
+    assert len(set(t)) == 4 and np.isnan(xs).any()
 
 
 @pytest.mark.parametrize("name,t_collide", [
@@ -251,6 +260,124 @@ def test_batched_inversion_refuses_times_past_the_collision(name, t_collide):
     # past the prepared horizon: nan as well
     u, _ = _stencil_leg(flow, _density0(s), 1.3 * t_collide, np.array([L]))
     assert np.isnan(u).all()
+
+
+def _residuals_one_leg_at_a_time(s, flow, grid):
+    """The residual columns of ``sample_field`` with one ``_stencil_leg``
+    call per stencil leg."""
+    dt = field.STENCIL_FRAC * max(1.0, grid.times[-1])
+    rho0 = _density0(s)
+    f = field.line_force(s.force)
+    res_e, res_c = [], []
+    for t, ys, vs in zip(grid.times, grid.y, grid.u):
+        if t - dt < 0.0:
+            res_e.append(np.full(ys.shape, math.nan))
+            res_c.append(np.full(ys.shape, math.nan))
+            continue
+        dy = field.STENCIL_FRAC * max(float(ys[-1] - ys[0]), 1.0)
+        (u_tp, r_tp), (u_tm, r_tm), (u_yp, r_yp), (u_ym, r_ym) = (
+            _stencil_leg(flow, rho0, tt, yy) for tt, yy in (
+                (t + dt, ys), (t - dt, ys), (t, ys + dy), (t, ys - dy)))
+        res_e.append((u_tp - u_tm) / (2.0 * dt)
+                     + vs * ((u_yp - u_ym) / (2.0 * dy))
+                     - field._on_labels(f, ys))
+        res_c.append((r_tp - r_tm) / (2.0 * dt)
+                     + (u_yp * r_yp - u_ym * r_ym) / (2.0 * dy))
+    return res_e, res_c
+
+
+@pytest.mark.parametrize("name,times", [
+    ("two_gap_regular", [0.0, 1.5, 5.0]),
+    ("moving_power", [0.0, 0.7, 2.0]),
+    ("smooth_regular", [0.0, 1.0, 2.5]),
+    # the t + dt leg of the last time lies past the collision at 3.0000688
+    ("one_gap_collide", [0.0, 1.0, 2.0, 2.9997]),
+])
+def test_sample_field_legs_have_the_bits_of_one_call_per_leg(name, times):
+    s = _closed_form_case(name)[0] if name == "moving_power" \
+        else load_bundled(name)
+    dt = field.STENCIL_FRAC * max(1.0, times[-1])
+    flow = FlowMap(s, horizon=(times[-1] + 2.0 * dt) * (1.0 + 1e-9))
+    grid = sample_field(s, times=times, flow=flow)
+    res_e, res_c = _residuals_one_leg_at_a_time(s, flow, grid)
+    for k in range(len(times)):
+        assert _same_bits(grid.residual_euler[k], res_e[k])
+        assert _same_bits(grid.residual_continuity[k], res_c[k])
+    # only the rows whose stencil legs leave the regular range are nan
+    past = [t + dt >= flow.regular_until() for t in times]
+    assert [bool(np.isnan(r).all()) for r in grid.residual_euler] == \
+        [t == 0.0 or p for t, p in zip(times, past)]
+    assert any(past) == (name == "one_gap_collide")
+
+
+def _window_one_row_at_a_time(scenario, t_window, y_window, n_t, n_y, flow):
+    """``_window_field`` with one ``_field_row`` call per window row."""
+    ts = np.linspace(*t_window, n_t)
+    ys = np.linspace(*y_window, n_y)
+    rows = [_field_row(flow, _density0(scenario), float(t), ys) for t in ts]
+    return (ts, ys, *map(np.array, zip(*rows)))
+
+
+@pytest.mark.parametrize("name,t_window,y_window", [
+    ("two_gap_regular", (1.2, 1.4), (2.0, 2.4)),
+    ("moving_constant", (0.5, 2.0), (1.6, 2.5)),
+    ("smooth_regular", (1.0, 2.0), (2.8, 3.1)),
+])
+def test_window_residuals_have_the_bits_of_one_inversion_per_row(
+        monkeypatch, name, t_window, y_window):
+    s = _closed_form_case(name)[0] if name == "moving_constant" \
+        else load_bundled(name)
+    flow = FlowMap(s, horizon=t_window[1])
+    got = [euler_residual(s, t_window, y_window, flow=flow),
+           continuity_residual(s, t_window, y_window, n_t=7, n_y=11,
+                               flow=flow)]
+    window = field._window_field(s, t_window, y_window, 9, 9, flow)
+    monkeypatch.setattr(field, "_window_field", _window_one_row_at_a_time)
+    want = [euler_residual(s, t_window, y_window, flow=flow),
+            continuity_residual(s, t_window, y_window, n_t=7, n_y=11,
+                                flow=flow)]
+    assert got == want
+    for a, b in zip(window, _window_one_row_at_a_time(
+            s, t_window, y_window, 9, 9, flow)):
+        assert _same_bits(a, b)
+
+
+def test_closed_form_field_evaluates_its_arcs_once_per_bisection_step(
+        monkeypatch):
+    # every stencil leg of every time is inverted in one bisection: one
+    # image over all the times, then one arc evaluation per step of a
+    # bisection of [0, 1] down to INVERT_TOL (40 steps)
+    calls = []
+    label_arcs = field._label_arcs
+    invert = field._invert
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return label_arcs(*args, **kwargs)
+
+    def inverting(*args):
+        monkeypatch.setattr(field, "_label_arcs", counted)
+        try:
+            return invert(*args)
+        finally:
+            monkeypatch.setattr(field, "_label_arcs", label_arcs)
+
+    monkeypatch.setattr(field, "_invert", inverting)
+    grid = sample_field(load_bundled("one_gap_regular"), horizon=5.0)
+    assert not np.isnan(grid.residual_euler[-1]).all()
+    assert len(calls) <= 41
+
+
+@pytest.mark.parametrize("name", ["two_gap_regular", "moving_power",
+                                  "smooth_regular"])
+def test_boundary_track_has_the_bits_of_one_call_per_time(name):
+    s = _closed_form_case(name)[0] if name == "moving_power" \
+        else load_bundled(name)
+    flow = FlowMap(s, horizon=2.0)
+    bt = track_boundary(s, 2.0, n_out=33, flow=flow)
+    want = [flow.boundaries(float(t)) for t in bt.times]
+    assert _same_bits(bt.L, [w[0] for w in want])
+    assert _same_bits(bt.R, [w[1] for w in want])
 
 
 @settings(max_examples=80, deadline=None)

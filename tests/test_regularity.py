@@ -1,5 +1,6 @@
 """Analytic no-collision criteria: margins, verdicts, and routing."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from regularflow import regularity
+from regularflow.cli import main
 from regularflow.errors import (
     HypothesisViolated,
     InternalInconsistency,
@@ -84,6 +86,29 @@ def test_one_gap_general_rescued_by_velocity_slope():
     rising = check_one_gap_general(2.0, 1.0, 2.0, lambda x: x, lambda x: 1.0)
     assert rising.outcome == REGULAR
     assert rising.margin > 0.0
+
+
+def test_one_gap_general_equality_boundary_is_inconclusive(tmp_path):
+    # the profile margin is x, exactly 0 at x = 0, but the finite-difference
+    # v' reads it as about -2.7e-11: inside the equality band, not a collision
+    s = make_scenario(force={"kind": "one_gap", "f1": 1.0, "f2": 0.0,
+                             "a": 2.0}, velocity="1 + x", horizon="inf")
+    verdict = check_one_gap_general(1.0, 0.0, 2.0, s.init.velocity,
+                                    s.init.velocity_deriv)
+    assert verdict.outcome == INCONCLUSIVE
+    assert -1e-9 < verdict.margin < 0.0
+    assert "equality band" in verdict.reason
+    # outside the band the same profile still decides
+    assert check_one_gap_general(1.0, 0.0, 2.0, lambda x: 1.0 + x,
+                                 lambda x: 1.0 - 1e-6).outcome == COLLISION
+    path = tmp_path / "one_gap_equality.json"
+    path.write_text(json.dumps({
+        "domain": {"kind": "box", "lower": [0.0], "upper": [1.0]},
+        "force": {"kind": "one_gap", "f1": 1.0, "f2": 0.0, "a": 2.0},
+        "velocity": "1 + x", "horizon": "inf"}))
+    assert main(["validate", "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 0
+    assert "status: UNDECIDED" in (tmp_path / "validate.txt").read_text()
 
 
 def test_one_gap_general_rejects_negative_velocity():

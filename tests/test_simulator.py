@@ -316,6 +316,32 @@ def test_phased_states_have_the_bits_of_position_and_velocity(name):
             _bits(v), _bits([scalar_arcs.velocity(phases, t) for t in times]))
 
 
+@pytest.mark.parametrize("kind,levels", [
+    (OneGap, {"f1": 2.0, "f2": 0.5, "a": 1.5}),
+    (TwoGap, {"f1": 2.0, "f2": 1.0, "f3": 3.0, "a": 2.0, "b": 3.4}),
+])
+def test_gap_force_on_labels_has_the_bits_of_one_call_per_label(kind,
+                                                                 levels):
+    calls = []
+
+    class Counted(kind):
+        def __call__(self, y):
+            calls.append(y)
+            return super().__call__(y)
+
+    force, counted = kind(**levels), Counted(**levels)
+    cuts = np.array(force.cuts)
+    ys = np.concatenate([cuts, np.nextafter(cuts, -math.inf),
+                         np.nextafter(cuts, math.inf), [0.0, -0.0, 5.0],
+                         [math.nan, math.inf, -math.inf]])
+    got = simulator._on_labels(counted, ys)
+    assert len(calls) == 1
+    want = [force(float(y)) for y in ys]
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert list(got[:len(cuts)]) == list(force.levels[1:])
+    assert list(got[len(cuts):2 * len(cuts)]) == list(force.levels[:-1])
+
+
 #############################################################
 # Numeric propagation
 #############################################################
