@@ -84,10 +84,6 @@ from .simulator import (
     asymptotic_verdict_1d,
     detect_collisions_1d,
     detect_collisions_multid,
-    propagate_central,
-    propagate_halfspace,
-    propagate_piecewise_1d,
-    propagate_smooth,
     simulate_ensemble,
     write_collision_report,
     write_trajectory_csv,

@@ -93,7 +93,7 @@ class BoundaryTrack:
 class FlowMap:
     """Queryable 1D flow (t, x) -> (y, v) with regularity gating.
 
-    Gap and constant forces evaluate in closed form, a whole array of
+    Gap, constant and step forces evaluate in closed form, a whole array of
     labels per call, each label at its own time.  Smooth forces answer grid
     queries, Jacobians and the image that inversion searches from per-time
     cubic splines over a dense cached ensemble, one spline per distinct
@@ -153,8 +153,8 @@ class FlowMap:
     def states(self, t, xs):
         """(y, v) of the particles labelled xs, each at its time of t (a
         number or an array broadcast against xs), arrays of the broadcast
-        shape: closed form for gap and constant forces, one cached dense
-        integration per label for smooth ones.  Each element has the bits
+        shape: closed form for gap, constant and step forces, one cached
+        dense integration per label for smooth ones.  Each element has the bits
         of its evaluation at one number."""
         if self.mode == "numeric":
             t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
@@ -165,7 +165,8 @@ class FlowMap:
                 (ys[i],), (vs[i],) = self._single_flow(float(x)).states(
                     float(t[i]))
             return ys, vs
-        return _eval_arcs(_label_arcs(self.scenario, xs, self.levels),
+        return _eval_arcs(_label_arcs(self.scenario, xs, self.levels,
+                                      horizon=self.horizon),
                           np.asarray(t, dtype=float))[:2]
 
     def state(self, t, x):

@@ -310,7 +310,7 @@ def _gap_micro_witness(force, velocity, x_star):
                                    simulator._on_labels(velocity, xs), 1.0)
     (t,), _ = simulator._pair_collisions(force, 1.0, arcs, [0], [1],
                                          float(np.max(arcs[-1][0])))
-    if t is None:
+    if np.isnan(t):
         return {"pair": (x1, x2)}
     return {"pair": (x1, x2), "time": float(t)}
 

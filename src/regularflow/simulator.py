@@ -1,10 +1,11 @@
 """Ensemble propagation and collision detection oracles.
 
-Gap and constant forces admit exact piecewise-parabolic trajectories, so
-collision queries reduce to root finding on per-pair quadratic segments; every
-other force is integrated by NewtonFlow, the one DOP853 solve.  All
-detectors return a CollisionReport whose ``mode`` records which route decided
-("Exact", "Numeric", or "Asymptotic" for infinite-horizon gap verdicts).
+Gap, constant and half-space step forces admit exact piecewise-parabolic
+trajectories, so collision queries reduce to root finding on per-pair
+quadratic segments; every other force is integrated by NewtonFlow, the one
+DOP853 solve.  All detectors return a CollisionReport whose ``mode`` records
+which route decided ("Exact", "Numeric", or "Asymptotic" for
+infinite-horizon gap verdicts).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import tempfile
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
@@ -33,7 +34,6 @@ from .errors import (
 )
 from .scenario import (
     Annulus,
-    Central,
     Constant,
     ConstantVec,
     HalfSpaceStep,
@@ -64,9 +64,7 @@ class EnsembleTrajectory:
     x0: np.ndarray
     y: np.ndarray
     v: np.ndarray
-    events: list = field(default_factory=list)
     mode: str = "Numeric"
-    energy0: Optional[np.ndarray] = None
 
     @property
     def n_particles(self):
@@ -138,13 +136,69 @@ def _gap_segments(levels, xs, v0, m):
     return arcs
 
 
-def _label_arcs(scenario, xs, levels, m=None):
-    """``_gap_segments`` of the labels xs with the scenario's initial
-    velocities and, unless a common mass m is given, its masses."""
+def _plane_arcs(force, xs, v0, m, horizon):
+    """Exact arcs of the labels xs under the half-space step ``force`` on
+    [0, horizon], started with velocities v0 and masses m, as (start, y0,
+    v0, a) columns in ``_eval_arcs``' format.
+
+    On the line xs, v0 and m are arrays of one shape, and so is every
+    column; in d dimensions xs and v0 are shaped (n, d), m is a number, a
+    start column is shaped (n, 1) and the others (n, d).  A label is below
+    the plane while its split coordinate is under it, or on it and
+    falling.  Its phase ends where that coordinate next reaches the plane,
+    a root above 1e-14 from one ``_first_root`` call for all labels per
+    phase, and it takes no phase from the first such time at or past the
+    horizon on.  A label with fewer phases than another has start +inf for
+    the rest, so every column has the bits of one label's phase loop.
+    Raises StepFailure for a label that would need more than MAX_PHASES
+    phases before the horizon.
+    """
+    ax, a = force.axis, force.a
+    x0 = np.reshape(xs, (-1, force.dim)).astype(float)
+    y, v = x0, np.reshape(v0, x0.shape).astype(float)
+    m = np.reshape(m, (-1, 1))
+    f1, f2 = force.f1 / m, force.f2 / m
+    t = np.zeros(len(y))
+    live = np.ones(len(y), dtype=bool)
+    arcs = []
+    for _ in range(MAX_PHASES):
+        h, w = y[:, ax], v[:, ax]
+        below = (h < a) | ((h == a) & (w < 0.0))
+        f = np.where(below[:, None], f1, f2)
+        arcs.append((np.where(live, t, math.inf), y, v, f))
+        dt = _first_root(0.5 * f[:, ax], w, h - a, 1e-14)
+        live &= t + dt < horizon
+        if not live.any():
+            break
+        dt = np.where(live, dt, 0.0)[:, None]
+        y = y + v * dt + 0.5 * f * dt * dt
+        y[:, ax] = a
+        v = v + f * dt
+        t = t + dt[:, 0]
+    else:
+        i = int(np.flatnonzero(live)[0])
+        label = ", ".join(map(repr, x0[i].tolist()))
+        raise StepFailure(
+            f"the label at ({label}) crosses the plane y[{ax}] = {a!r} more "
+            f"than {MAX_PHASES} times: its phases run out at t = "
+            f"{float(t[i])!r}, before the horizon {horizon!r}")
+    if force.dim == 1:
+        return [tuple(np.reshape(c, np.shape(xs)) for c in arc)
+                for arc in arcs]
+    return [(arc[0][:, None],) + arc[1:] for arc in arcs]
+
+
+def _label_arcs(scenario, xs, levels, m=None, horizon=math.inf):
+    """Exact arcs of the labels xs with the scenario's initial velocities
+    and, unless a common mass m is given, its masses: ``_plane_arcs`` on
+    [0, horizon] for a half-space step, ``_gap_segments`` otherwise."""
     xs = np.asarray(xs, dtype=float)
     if m is None:
         m = _on_labels(scenario.init.mass, xs)
-    return _gap_segments(levels, xs, _on_labels(scenario.init.velocity, xs), m)
+    v0 = _on_labels(scenario.init.velocity, xs)
+    if isinstance(levels, HalfSpaceStep):
+        return _plane_arcs(levels, xs, v0, m, horizon)
+    return _gap_segments(levels, xs, v0, m)
 
 
 def _eval_arcs(arcs, t):
@@ -167,53 +221,23 @@ def _eval_arcs(arcs, t):
     return y0 + v0 * s + 0.5 * a * s * s, v0 + a * s, a
 
 
-@dataclass
-class ArcTrajectory:
-    """Trajectory made of parabolic arcs (start, y0, v0, a) in order of
-    start: numbers on the line, vectors in d dimensions."""
-
-    x0: object
-    arcs: List[tuple]
-
-    def states(self, times):
-        """(positions, velocities) at each time, shaped (len(times),) on
-        the line and (len(times), dim) in d dimensions."""
-        t = np.asarray(times, dtype=float)
-        t = t.reshape(t.shape + (1,) * np.ndim(self.arcs[0][1]))
-        return _eval_arcs(self.arcs, t)[:2]
-
-    def position(self, t):
-        return self.states([t])[0][0]
-
-    def velocity(self, t):
-        return self.states([t])[1][0]
-
-    def crossing_times(self):
-        return [arc[0] for arc in self.arcs[1:]]
-
-
-def propagate_piecewise_1d(scenario, x0):
-    """Exact trajectory under a gap force; arcs matched C^1 at the steps."""
-    force = scenario.force
-    if not isinstance(force, (OneGap, TwoGap)):
-        raise InvalidParameter("propagate_piecewise_1d needs a gap force")
-    arcs = _label_arcs(scenario, [float(x0)], force)
-    return ArcTrajectory(x0=float(x0), arcs=[
-        tuple(float(np.ravel(c)[0]) for c in arc) for arc in arcs])
-
-
 def _first_root(c2, c1, c0, floor):
-    """Smallest root above floor of c2 s^2 + c1 s + c0, or None."""
-    if abs(c2) < 1e-300:
-        roots = (-c0 / c1,) if c1 != 0.0 else ()
-    else:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if not disc >= 0.0:
-            return None
-        sq = math.sqrt(disc)
-        roots = ((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2))
-    above = [r for r in roots if r > floor]
-    return min(above) if above else None
+    """Smallest root above floor of c2 s^2 + c1 s + c0, element by element
+    over arrays that broadcast, nan where there is none: the package's one
+    quadratic-root kernel.
+
+    A |c2| under 1e-300 counts as zero.  Each element has the bits of the
+    same arithmetic on floats.
+    """
+    c2, c1, c0 = (np.asarray(c, dtype=float) for c in (c2, c1, c0))
+    flat = np.abs(c2) < 1e-300
+    with np.errstate(all="ignore"):
+        sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        lo = np.where(flat, -c0 / c1, (-c1 - sq) / (2.0 * c2))
+        hi = (-c1 + sq) / (2.0 * c2)
+    lo = np.where((lo > floor) & ~(flat & (c1 == 0.0)), lo, np.nan)
+    hi = np.where((hi > floor) & ~flat, hi, np.nan)
+    return np.fmin(lo, hi)
 
 
 def _take(arcs, idx):
@@ -224,11 +248,12 @@ def _take(arcs, idx):
 
 def _first_crossings(arcs, i, j, t_end):
     """First time in [0, t_end] where label j meets label i, for each pair
-    of the index arrays (i, j), or None.
+    of the index arrays (i, j), nan where they do not meet.
 
     Between consecutive arc starts of either label the gap is a quadratic
-    in local time, solved in closed form; the states at every interval
-    start are evaluated for all pairs at once.
+    in local time.  The time comes from the first interval, in order, that
+    is not empty and starts closed or closes within its length (to 1e-12
+    relative); every interval of every pair is solved at once.
     """
     i = np.asarray(i)
     j = np.asarray(j)
@@ -238,34 +263,26 @@ def _first_crossings(arcs, i, j, t_end):
     # arc starts past t_end merge into t_end: intervals of zero length
     breaks = np.sort(np.where((breaks >= 0.0) & (breaks <= t_end), breaks,
                               t_end), axis=1)
-    t0 = breaks[:, :-1]
+    t0, t1 = breaks[:, :-1], breaks[:, 1:]
     y_i, v_i, a_i = _eval_arcs(_take(arcs, i), t0)
     y_j, v_j, a_j = _eval_arcs(_take(arcs, j), t0)
-    c2 = np.broadcast_to(0.5 * (a_j - a_i), t0.shape)
-    return [_pair_first_crossing(*row) for row in zip(
-        breaks.tolist(), (y_j - y_i).tolist(), (v_j - v_i).tolist(),
-        c2.tolist())]
+    c0 = y_j - y_i
+    r = _first_root(0.5 * (a_j - a_i), v_j - v_i, c0, 0.0)
+    hit = (t1 > t0) & ((c0 <= 0.0) | (r <= (t1 - t0) * (1.0 + 1e-12)))
+    at = np.where(hit, np.where(c0 <= 0.0, t0, t0 + r), np.nan)
+    first = np.argmax(hit, axis=1)[:, None]
+    return np.take_along_axis(at, first, axis=1)[:, 0]
 
 
-def _pair_first_crossing(breaks, c0, c1, c2):
-    """First zero of the gap c2[k] s^2 + c1[k] s + c0[k] on the interval k
-    from breaks[k] (s = 0) to breaks[k + 1], over the intervals in order;
-    None when the gap stays positive."""
-    for k, (t0, t1) in enumerate(zip(breaks, breaks[1:])):
-        if t1 <= t0:
-            continue
-        if c0[k] <= 0.0:
-            return t0
-        r = _first_root(c2[k], c1[k], c0[k], 0.0)
-        if r is not None and r <= (t1 - t0) * (1.0 + 1e-12):
-            return t0 + r
-    return None
+def _earliest(times):
+    """Index of the first smallest time that is not nan, or None."""
+    return None if np.isnan(times).all() else int(np.nanargmin(times))
 
 
 def _pair_collisions(levels, m, arcs, i, j, t_star):
     """First collision time on [0, inf) of each label pair (i, j) with
-    label i below label j, or None, and the final velocity difference of
-    each pair.
+    label i below label j, nan where there is none, and the final velocity
+    difference of each pair.
 
     By t_star the labels are in their last force region, where each state is
     taken on the last arc, so a pair that has not met by then collides iff
@@ -286,14 +303,11 @@ def _pair_collisions(levels, m, arcs, i, j, t_star):
         t_b = arcs[2][0]
         dv = dv + (levels.f2 - levels.f3) / m * (t_b[j] - t_b[i])
     y, _, _ = _eval_arcs(arcs[-1:], t_star)
-    gaps = (y[j] - y[i]).tolist()
-    dv = dv.tolist()
+    gaps = y[j] - y[i]
     times = _first_crossings(arcs, i, j, t_star if t_star > 0 else 1.0)
-    for k, t in enumerate(times):
-        if t is None and gaps[k] <= 0.0:
-            times[k] = t_star
-        elif t is None and dv[k] < 0.0:
-            times[k] = t_star + gaps[k] / (-dv[k])
+    times[np.isnan(times) & (gaps <= 0.0)] = t_star
+    fall = np.isnan(times) & (dv < 0.0)
+    times[fall] = t_star + gaps[fall] / -dv[fall]
     return times, dv
 
 
@@ -408,136 +422,13 @@ class NumericFlow1D(NewtonFlow):
         return worst
 
     def ensemble(self):
-        return EnsembleTrajectory(
-            times=self.times, x0=self.xs, y=self.y, v=self.v,
-            mode="Numeric", energy0=self.energy0,
-        )
-
-
-def _smooth_single_with_events(scenario, x0, horizon, n_out):
-    """One particle under a gap force, integrated region by region with
-    terminal boundary events (used to cross-check the exact arcs)."""
-    cuts, levels = scenario.force.cuts, scenario.force.levels
-    m = float(scenario.init.mass(float(x0)))
-    times = np.linspace(0.0, horizon, n_out)
-    ys = np.empty_like(times)
-    vs = np.empty_like(times)
-    t_cur, y, v = 0.0, float(x0), float(scenario.init.velocity(float(x0)))
-    region = sum(1 for c in cuts if y >= c)
-    events_log = []
-    while True:
-        evs = []
-        if region < len(cuts):
-            def boundary(t, state, cut=cuts[region]):
-                return state[0] - cut
-
-            boundary.terminal = True
-            boundary.direction = 1.0
-            evs.append(boundary)
-        a = levels[region] / m
-        flow = NewtonFlow(lambda pos: np.full(pos.shape, a), [y], [v],
-                          horizon - t_cur, n_out=2, events=evs)
-        # this region's frames, from its start on; a later region overwrites
-        on = times >= t_cur
-        ys[on], vs[on] = flow.sol.sol(times[on] - t_cur)
-        if flow.sol.status != 1:  # the horizon came before the next step
-            break
-        t_stop = t_cur + float(flow.sol.t_events[0][0])
-        if t_stop >= horizon * (1.0 - 1e-14):
-            break
-        events_log.append((0, "boundary", t_stop))
-        y, v = cuts[region], float(flow.sol.y_events[0][0][1])
-        t_cur = t_stop
-        region += 1
-    return EnsembleTrajectory(
-        times=times, x0=np.array([x0]), y=ys[:, None], v=vs[:, None],
-        events=events_log, mode="Numeric",
-    )
-
-
-def propagate_smooth(scenario, x0, horizon=None, n_out=DEFAULT_N_OUT):
-    """Adaptive embedded-pair integration of one particle (any dimension).
-
-    Gap forces are integrated region by region with boundary event location;
-    smooth forces in one ODE solve.  1D runs carry an energy-drift guard.
-    """
-    horizon = scenario.horizon if horizon is None else float(horizon)
-    if not math.isfinite(horizon):
-        raise InvalidParameter("propagate_smooth needs a finite horizon")
-    if isinstance(scenario.force, (OneGap, TwoGap)):
-        return _smooth_single_with_events(scenario, float(x0), horizon, n_out)
-    if scenario.dim == 1:
-        traj = NumericFlow1D(scenario, [float(x0)], horizon, n_out).ensemble()
-        traj.events = []
-        return traj
-    x0 = np.asarray(x0, dtype=float)[None, :]
-    flow = _multid_flow(scenario, x0, horizon, n_out)
-    return EnsembleTrajectory(times=flow.times, x0=x0, y=flow.y, v=flow.v,
-                              mode="Numeric")
-
-
-def propagate_halfspace(scenario, x0, horizon=math.inf):
-    """Exact multi-phase parabolic trajectory under a half-space step force.
-
-    Each phase has a constant force vector; phase changes happen when the
-    split coordinate crosses the step plane (repeatedly, if the receiving
-    normal force pushes the particle back), for at most MAX_PHASES phases.
-    """
-    force = scenario.force
-    if not isinstance(force, HalfSpaceStep):
-        raise InvalidParameter("propagate_halfspace needs a half-space step force")
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(scenario.init.velocity(x0), dtype=float)
-    ax = force.axis
-    phases = []
-    t, y, v = 0.0, x0.copy(), v0.copy()
-    for _ in range(MAX_PHASES):
-        below = y[ax] < force.a or (y[ax] == force.a and v[ax] < 0.0)
-        f = force.f1 if below else force.f2
-        phases.append((t, y.copy(), v.copy(), np.asarray(f, dtype=float)))
-        # next crossing of the plane in this phase
-        dt = _first_root(0.5 * f[ax], v[ax], y[ax] - force.a, 1e-14)
-        if dt is None or t + dt >= horizon:
-            break
-        y = y + v * dt + 0.5 * np.asarray(f) * dt * dt
-        y[ax] = force.a
-        v = v + np.asarray(f) * dt
-        t = t + dt
-    return ArcTrajectory(x0=x0, arcs=phases)
+        return EnsembleTrajectory(times=self.times, x0=self.xs, y=self.y,
+                                  v=self.v)
 
 
 #############################################################
 # Central-field propagation
 #############################################################
-
-
-@dataclass
-class CentralTrajectory:
-    times: np.ndarray
-    r: np.ndarray
-    r_dot: np.ndarray
-    phi: np.ndarray
-    x0: np.ndarray
-    momentum: float
-
-    def positions(self):
-        return np.column_stack([self.r * np.cos(self.phi), self.r * np.sin(self.phi)])
-
-
-def propagate_central(scenario, x0, horizon=None, n_out=DEFAULT_N_OUT):
-    """One particle of a central-force ensemble: the one-radius
-    RadialEnsemble of |x0|, its angle started at the polar angle of x0."""
-    if not isinstance(scenario.force, Central):
-        raise InvalidParameter("propagate_central needs a central force")
-    horizon = scenario.horizon if horizon is None else float(horizon)
-    if not math.isfinite(horizon):
-        raise InvalidParameter("propagate_central needs a finite horizon")
-    x0 = np.asarray(x0, dtype=float)
-    ens = RadialEnsemble(scenario, [math.hypot(x0[0], x0[1])], horizon, n_out)
-    return CentralTrajectory(
-        times=ens.times, r=ens.r[:, 0], r_dot=ens.r_dot[:, 0],
-        phi=math.atan2(x0[1], x0[0]) + ens.dphi[:, 0], x0=x0,
-        momentum=float(ens.momentum[0]))
 
 
 class RadialEnsemble:
@@ -577,10 +468,12 @@ class RadialEnsemble:
 
 
 def _force_levels(scenario):
-    """The force levels of exact arcs: a gap force, the value of a 1D force
-    whose line view is constant (see ``constant_value``), or None."""
+    """The force levels of exact arcs: a gap force, a 1D half-space step,
+    the value of a 1D force whose line view is constant (see
+    ``constant_value``), or None."""
     force = scenario.force
-    if isinstance(force, (OneGap, TwoGap)):
+    if isinstance(force, (OneGap, TwoGap)) or (
+            scenario.dim == 1 and isinstance(force, HalfSpaceStep)):
         return force
     if scenario.dim == 1:
         return constant_value(line_force(force))
@@ -588,10 +481,12 @@ def _force_levels(scenario):
 
 
 def asymptotic_applies(scenario):
-    """Whether a 1D scenario has infinite-horizon verdicts: exact arcs under
-    one shared acceleration per force level, so constant force levels and a
-    uniform mass."""
-    return (_force_levels(scenario) is not None
+    """Whether a 1D scenario has infinite-horizon verdicts: exact arcs whose
+    last force region is final, which a half-space step's far level may
+    push a label back out of, under one shared acceleration per force
+    level, so a uniform mass."""
+    levels = _force_levels(scenario)
+    return (levels is not None and not isinstance(levels, HalfSpaceStep)
             and constant_value(scenario.init.mass) is not None)
 
 
@@ -612,11 +507,9 @@ def _exact_first_collision(arcs, horizon):
     """(time, (i, i + 1)) of the earliest crossing of adjacent labels on
     [0, horizon], or (None, None)."""
     cells = np.arange(len(arcs[0][1]) - 1)
-    t_best, pair_best = None, None
-    for i, t in enumerate(_first_crossings(arcs, cells, cells + 1, horizon)):
-        if t is not None and (t_best is None or t < t_best):
-            t_best, pair_best = t, (i, i + 1)
-    return t_best, pair_best
+    times = _first_crossings(arcs, cells, cells + 1, horizon)
+    k = _earliest(times)
+    return (None, None) if k is None else (float(times[k]), (k, k + 1))
 
 
 def _min_gaps(n_frames, frames):
@@ -640,11 +533,11 @@ def _gap_history(arcs, times):
 def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
     """First coordinate collision of the sampled 1D ensemble.
 
-    Gap and constant forces use exact per-pair quadratic crossings; smooth
-    forces use the dense numeric flow with sign changes of adjacent gaps and
-    time bisection.  A local grid-refinement pass doubles the resolution
-    around the witness pair until the collision time is stable to 1e-3
-    relative.
+    Gap, constant and step forces use exact per-pair quadratic crossings;
+    smooth forces use the dense numeric flow with sign changes of adjacent
+    gaps and time bisection.  A local grid-refinement pass doubles the
+    resolution around the witness pair until the collision time is stable
+    to 1e-3 relative.
     """
     if scenario.dim != 1:
         raise InvalidParameter("detect_collisions_1d needs a one-dimensional scenario")
@@ -653,14 +546,14 @@ def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
         if asymptotic_applies(scenario):
             return asymptotic_verdict_1d(scenario)
         raise InvalidParameter(
-            "infinite horizon needs a piecewise-constant force and uniform "
+            "infinite horizon needs a gap or constant force and uniform "
             "particle mass; give a finite horizon")
     levels = _force_levels(scenario)
 
     xs = scenario.domain.axis_nodes(0, scenario.samples[0])
     times = np.linspace(0.0, horizon, n_out)
     if levels is not None:
-        arcs = _label_arcs(scenario, xs, levels)
+        arcs = _label_arcs(scenario, xs, levels, horizon=horizon)
         t_first, pair = _exact_first_collision(arcs, horizon)
         report = CollisionReport(
             found=t_first is not None, t_first=t_first,
@@ -721,7 +614,7 @@ def _refine_1d(scenario, report, horizon, levels):
         xs = np.linspace(lo, hi, n_local)
         if levels is not None:
             t_new, pair = _exact_first_collision(
-                _label_arcs(scenario, xs, levels), horizon)
+                _label_arcs(scenario, xs, levels, horizon=horizon), horizon)
         else:
             sub = NumericFlow1D(scenario, xs, horizon, len(report.times),
                                 check_energy=False)
@@ -759,11 +652,11 @@ def asymptotic_verdict_1d(scenario):
     if scenario.dim != 1:
         raise InvalidParameter("asymptotic_verdict_1d needs a 1D scenario")
     levels, m0 = _force_levels(scenario), constant_value(scenario.init.mass)
-    if levels is None or m0 is None:
-        # the final-profile argument assumes a shared acceleration in the
-        # last force region
-        raise InvalidParameter("asymptotic verdicts need a piecewise-constant"
-                               " or constant force and uniform particle mass")
+    if levels is None or m0 is None or isinstance(levels, HalfSpaceStep):
+        # the final-profile argument assumes a shared acceleration in a
+        # last force region that is final
+        raise InvalidParameter("asymptotic verdicts need a gap or constant"
+                               " force and uniform particle mass")
     n = scenario.samples[0]
     xs = scenario.domain.axis_nodes(0, n)
     span = scenario.domain.upper[0] - scenario.domain.lower[0]
@@ -774,12 +667,10 @@ def asymptotic_verdict_1d(scenario):
     cells = np.arange(n - 1)
     times, dv = _pair_collisions(levels, m0, arcs, cells, cells + 1, t_star)
     t_first, pair = None, None
-    worst_dv, worst_cell = math.inf, 0
-    for i, t in enumerate(times):
-        if t is not None and (t_first is None or t < t_first):
-            t_first, pair = t, (float(xs[i]), float(xs[i + 1]))
-        if dv[i] < worst_dv:
-            worst_dv, worst_cell = dv[i], i
+    k = _earliest(times)
+    if k is not None:
+        t_first, pair = float(times[k]), (float(xs[k]), float(xs[k + 1]))
+    worst_cell = int(np.argmin(dv))
 
     probes = xs
     lo_cell = float(xs[worst_cell])
@@ -794,9 +685,9 @@ def asymptotic_verdict_1d(scenario):
                                 _label_arcs(scenario, np.concatenate([lo, hi]),
                                             levels, m0),
                                 k, k + len(probes), t_star)
-    for a_pt, b_pt, t in zip(lo.tolist(), hi.tolist(), times):
-        if t is not None and (t_first is None or t < t_first):
-            t_first, pair = t, (a_pt, b_pt)
+    k = _earliest(times)
+    if k is not None and (t_first is None or times[k] < t_first):
+        t_first, pair = float(times[k]), (float(lo[k]), float(hi[k]))
 
     hist_times = np.linspace(0.0, max(t_star, 1.0), HISTORY_FRAMES)
     return CollisionReport(
@@ -811,6 +702,12 @@ def asymptotic_verdict_1d(scenario):
 #############################################################
 
 
+def _velocities(scenario, pts):
+    """Initial velocities of the d-dimensional labels pts, shaped as pts."""
+    return np.array([np.asarray(scenario.init.velocity(p), dtype=float)
+                     for p in pts])
+
+
 def _pairs_chunked(n):
     i, j = np.triu_indices(n, k=1)
     for k in range(0, len(i), PAIR_CHUNK):
@@ -820,7 +717,7 @@ def _pairs_chunked(n):
 def _detect_constant_vec(scenario, pts, horizon, eps_rel):
     """Lemma-style exact pair test: straight relative motion R + V t."""
     n = len(pts)
-    vel = np.array([np.asarray(scenario.init.velocity(p), dtype=float) for p in pts])
+    vel = _velocities(scenario, pts)
     t_best, pair_best = None, None
     for ii, jj in _pairs_chunked(n):
         r = pts[jj] - pts[ii]
@@ -909,9 +806,7 @@ def _multid_flow(scenario, pts, horizon, n_out=DEFAULT_N_OUT):
     else:
         def accel(y):
             return np.array([np.asarray(force(p), dtype=float) for p in y])
-    vel0 = np.array([np.asarray(scenario.init.velocity(p), dtype=float)
-                     for p in pts])
-    return NewtonFlow(accel, pts, vel0, horizon, n_out)
+    return NewtonFlow(accel, pts, _velocities(scenario, pts), horizon, n_out)
 
 
 def _central_positions(scenario, horizon, n_out):
@@ -1044,21 +939,14 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT):
 
     if scenario.dim == 1:
         xs = scenario.domain.axis_nodes(0, scenario.samples[0])
-        if isinstance(force, (OneGap, TwoGap)):
-            v0 = _on_labels(scenario.init.velocity, xs)
-            m0 = _on_labels(scenario.init.mass, xs)
-            arcs = _gap_segments(force, xs, v0, m0)
+        # a constant force keeps its numeric flow: the bundled
+        # variable_mass_collide is one, and its trajectory.csv bytes are gated
+        if isinstance(force, (OneGap, TwoGap, HalfSpaceStep)):
+            arcs = _label_arcs(scenario, xs, force, horizon=horizon)
             y, v, _ = _eval_arcs(arcs, times[:, None])
-            starts = np.stack([arc[0] for arc in arcs[1:]], axis=1).tolist()
-            events = [(i, "boundary", t) for i, row in enumerate(starts)
-                      for t in row if t <= horizon]
-            e0 = np.array([quadrature.potential(force, x) for x in xs])
-            return EnsembleTrajectory(
-                times=times, x0=xs, y=y, v=v, events=events, mode="Exact",
-                energy0=0.5 * m0 * v0 * v0 + e0,
-            )
-        flow = NumericFlow1D(scenario, xs, horizon, n_out)
-        return flow.ensemble()
+            return EnsembleTrajectory(times=times, x0=xs, y=y, v=v,
+                                      mode="Exact")
+        return NumericFlow1D(scenario, xs, horizon, n_out).ensemble()
 
     if isinstance(scenario.domain, Annulus):
         times, frames = _central_positions(scenario, horizon, n_out)
@@ -1069,20 +957,12 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT):
 
     pts = scenario.grid_points()
     if isinstance(force, HalfSpaceStep):
-        trajs = [propagate_halfspace(scenario, p, horizon) for p in pts]
-        states = [tr.states(times) for tr in trajs]
-        y = np.stack([st[0] for st in states], axis=1)
-        v = np.stack([st[1] for st in states], axis=1)
-        events = []
-        for i, tr in enumerate(trajs):
-            for t_c in tr.crossing_times():
-                if t_c <= horizon:
-                    events.append((i, "plane", float(t_c)))
-        return EnsembleTrajectory(times=times, x0=pts, y=y, v=v, events=events,
-                                  mode="Exact")
+        arcs = _plane_arcs(force, pts, _velocities(scenario, pts), 1.0,
+                           horizon)
+        y, v, _ = _eval_arcs(arcs, times[:, None, None])
+        return EnsembleTrajectory(times=times, x0=pts, y=y, v=v, mode="Exact")
     if isinstance(force, ConstantVec):
-        vel0 = np.array([np.asarray(scenario.init.velocity(p), dtype=float)
-                         for p in pts])
+        vel0 = _velocities(scenario, pts)
         y = pts[None] + vel0[None] * times[:, None, None] \
             + 0.5 * force.vector[None, None] * times[:, None, None] ** 2
         v = vel0[None] + force.vector[None, None] * times[:, None, None]

@@ -1,8 +1,10 @@
 import contextlib
 import json
+import math
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from regularflow import simulator
@@ -10,6 +12,16 @@ from regularflow.scenario import scenario_from_dict
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+
+# known defect 11's case: a 1D half-space step released at rest on [0, 1],
+# and the same step written as a one_gap force
+STEP_AT_REST = {
+    "domain": {"kind": "box", "lower": [0.0], "upper": [1.0]},
+    "force": {"kind": "halfspace_step", "f1": [1.0], "f2": [0.5], "a": 2.0},
+    "velocity": "0", "horizon": 6.0, "grid": [512]}
+GAP_AT_REST = dict(STEP_AT_REST, force={"kind": "one_gap", "f1": 1.0,
+                                        "f2": 0.5, "a": 2.0})
 
 
 def make_scenario(**overrides):
@@ -21,6 +33,20 @@ def make_scenario(**overrides):
     }
     data.update(overrides)
     return scenario_from_dict(data)
+
+
+def one_label(s, x0, horizon=math.inf):
+    """(arcs, position) of the one label x0 of an exact scenario, a number
+    on the line and a point in d dimensions: its arcs from one-label array
+    calls and t -> its position from ``_eval_arcs``."""
+    if s.dim == 1:
+        arcs = simulator._label_arcs(s, [x0], simulator._force_levels(s),
+                                     horizon=horizon)
+    else:
+        p = np.asarray(x0, dtype=float)[None]
+        arcs = simulator._plane_arcs(s.force, p, simulator._velocities(s, p),
+                                     1.0, horizon)
+    return arcs, lambda t: simulator._eval_arcs(arcs, t)[0][0]
 
 
 def scenario_path(name):

@@ -4,7 +4,8 @@ These are the per-label loops that the array kinematics of
 ``regularflow.simulator`` replaced, kept with their order of operations so
 the array path can be compared with them bit for bit:
 the arcs of a gap-force trajectory, the arc evaluation, the first crossing
-of two arc lists, and the phase loop of a half-space step trajectory.
+of two arc lists, the phase loop of a half-space step trajectory, and the
+smallest quadratic root above a floor.
 """
 
 import math
@@ -155,3 +156,17 @@ def pair_collision(force, m, seg_i, seg_j, t_star):
     if dv < 0.0:
         return t_star + gap / (-dv), dv
     return None, dv
+
+
+def first_root(c2, c1, c0, floor):
+    """Smallest root above floor of c2 s^2 + c1 s + c0, or None."""
+    if abs(c2) < 1e-300:
+        roots = (-c0 / c1,) if c1 != 0.0 else ()
+    else:
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if not disc >= 0.0:
+            return None
+        sq = math.sqrt(disc)
+        roots = ((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2))
+    above = [r for r in roots if r > floor]
+    return min(above) if above else None

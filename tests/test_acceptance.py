@@ -41,10 +41,9 @@ from regularflow.simulator import (
     asymptotic_verdict_1d,
     detect_collisions_1d,
     detect_collisions_multid,
-    propagate_halfspace,
 )
 
-from conftest import load_bundled, make_scenario, scenario_path
+from conftest import load_bundled, make_scenario, one_label, scenario_path
 
 
 def test_criterion_01_arctan_profile_first_collision():
@@ -183,13 +182,13 @@ def test_criterion_05_halfspace_step_square():
     # pairs collapse along the force jump: relative velocity just before
     # the hit is parallel to f2 - f1
     p1, p2 = report.pair
-    tr1 = propagate_halfspace(s, np.array(p1), horizon=10.0)
-    tr2 = propagate_halfspace(s, np.array(p2), horizon=10.0)
+    _, pos1 = one_label(s, p1, horizon=10.0)
+    _, pos2 = one_label(s, p2, horizon=10.0)
     t_probe = report.t_first - 0.05
     h = 1e-6
 
     def gap(t):
-        return np.asarray(tr2.position(t)) - np.asarray(tr1.position(t))
+        return pos2(t) - pos1(t)
 
     vrel = (gap(t_probe + h) - gap(t_probe - h)) / (2.0 * h)
     jump = np.asarray(s.force.f2) - np.asarray(s.force.f1)

@@ -85,10 +85,6 @@ PUBLIC_NAMES = [
     "parse_expression",
     "potential",
     "potentials",
-    "propagate_central",
-    "propagate_halfspace",
-    "propagate_piecewise_1d",
-    "propagate_smooth",
     "quadrature",
     "reconstruct_velocity",
     "regularity",

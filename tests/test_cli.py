@@ -11,7 +11,7 @@ from regularflow.cli import main
 from regularflow.regularity import REGULAR, Verdict
 from regularflow.scenario import TWO_GAP_BOUND
 
-from conftest import REPO_ROOT, SCENARIO_DIR, scenario_path
+from conftest import REPO_ROOT, SCENARIO_DIR, STEP_AT_REST, scenario_path
 
 # SHA-256 of the artifacts of the bundled scenarios, recorded for the
 # benchmark's byte gate; read only
@@ -402,6 +402,15 @@ def test_validate_agreement(tmp_path):
     text = (tmp_path / "validate.txt").read_text()
     assert "status: AGREE" in text
     assert "oracle found: yes" in text
+
+
+def test_validate_agrees_on_a_line_halfspace_step(tmp_path):
+    # known defect 11: the step's oracle was the numeric flow
+    p = _write_json(tmp_path, "step.json", STEP_AT_REST)
+    assert main(["validate", "--scenario", p, "--out", str(tmp_path)]) == 0
+    assert _grab(tmp_path / "validate.txt", "status") == "AGREE"
+    assert _grab(tmp_path / "validate.txt", "oracle found") == \
+        "yes t_first: 4.242737981268987 mode: Exact"
 
 
 def test_validate_undecided_does_not_fail(tmp_path):

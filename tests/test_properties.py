@@ -16,7 +16,7 @@ from regularflow.regularity import (
     check_two_gap,
 )
 from regularflow.scenario import scenario_from_dict, scenario_to_dict
-from regularflow.simulator import asymptotic_verdict_1d, propagate_smooth
+from regularflow.simulator import NumericFlow1D, asymptotic_verdict_1d
 
 from conftest import make_scenario
 
@@ -90,7 +90,7 @@ def test_asymptotic_oracle_matches_rest_margin(f1, f2):
 def test_single_particle_energy_is_conserved(c0, c1, d0, x0):
     s = make_scenario(force={"kind": "smooth1d", "f": f"{c0!r} + {c1!r} * y"},
                       velocity=f"{d0!r}", horizon=1.5)
-    traj = propagate_smooth(s, x0, horizon=1.5)
+    traj = NumericFlow1D(s, [x0], 1.5)
     y = traj.y[:, 0]
     v = traj.v[:, 0]
     potential = -(c0 * y + 0.5 * c1 * y * y)
