@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
@@ -41,15 +41,26 @@ _V_ZERO_TOL = 1e-12
 TURNING_SCAN = 96
 
 
-def _adaptive(fn, a, b, epsabs, epsrel):
+def _adaptive(fn, a, b, epsabs, epsrel, announce=None):
+    """``quad(fn, a, b)`` with ``dqagse``'s limit of 200 panels; where it
+    warns, once more with tolerances and limit loosened.
+
+    ``announce``, where given, is called with the points of each bisection
+    QUADPACK makes before the first of them is evaluated (``_Bisections``);
+    the points of the first panel are the caller's to announce.
+    """
     if a == b:
         return 0.0, 0.0
+    follow = fn if announce is None else _Bisections(fn, a, b, announce)
     val, err, info, *rest = _scipy_quad(
-        fn, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1
+        follow, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1
     )
     if rest:
+        if announce is not None:
+            follow = _Bisections(fn, a, b, announce)
         val, err, info, *rest2 = _scipy_quad(
-            fn, a, b, epsabs=epsabs * 10, epsrel=epsrel * 10, limit=500, full_output=1
+            follow, a, b, epsabs=epsabs * 10, epsrel=epsrel * 10, limit=500,
+            full_output=1
         )
         if rest2:
             # a panel a few ulps wide defeats QUADPACK's roundoff test; take
@@ -61,6 +72,36 @@ def _adaptive(fn, a, b, epsabs, epsrel):
                 f"adaptive quadrature failed on [{a:.6g}, {b:.6g}]: {rest2[0]}"
             )
     return float(val), float(err)
+
+
+class _Bisections:
+    """The integrand ``fn`` of one ``quad`` on [a, b], following the
+    panels QUADPACK's ``dqagse`` bisects.
+
+    A bisection of the panel [lo, hi] evaluates ``dqk21`` on [lo, mid], then
+    on [mid, hi], with mid = (lo + hi) / 2, so its first point is the centre
+    of [lo, mid].  At that point, matched exactly, ``announce`` gets the
+    bisection's 42 points (``_panel_points``), and the two halves become
+    panels that can be bisected in turn.
+    """
+
+    def __init__(self, fn, a, b, announce):
+        self.fn, self.announce = fn, announce
+        self.starts = {}        # first point of a panel's bisection -> panel
+        self._panel(a, b)
+
+    def _panel(self, lo, hi):
+        self.starts[0.5 * (lo + 0.5 * (lo + hi))] = (lo, hi)
+
+    def __call__(self, t):
+        panel = self.starts.pop(t, None)
+        if panel is not None:
+            lo, hi = panel
+            mid = 0.5 * (lo + hi)
+            self.announce(_panel_points((lo, mid), (mid, hi)))
+            self._panel(lo, mid)
+            self._panel(mid, hi)
+        return self.fn(t)
 
 
 #############################################################
@@ -77,6 +118,10 @@ def potential(force, y):
     antiderivative cache for every other force.
     """
     y = float(y)
+    # most calls come from the smooth-force criteria: their cache first
+    cache = getattr(force, "_potential_cache", None)
+    if cache is not None:
+        return cache(y)
     if isinstance(force, OneGap):
         if y <= force.a:
             return -force.f1 * y
@@ -101,10 +146,15 @@ def potentials(force, zs, stop=None, then=()):
     queries made one at a time; ``then`` announces the queries
     ``potential`` gets next, in order, so that they are planned with zs.
     """
-    if isinstance(force, (OneGap, TwoGap)) or (
-            isinstance(force, ConstantVec) and force.dim == 1):
+    if _closed_form(force):
         return _in_order(lambda z: potential(force, z), zs, stop)
     return _anchored(force).many(zs, stop, then)
+
+
+def _closed_form(force):
+    """Whether ``potential`` has a closed form for the force."""
+    return isinstance(force, (OneGap, TwoGap)) or (
+        isinstance(force, ConstantVec) and force.dim == 1)
 
 
 def _anchored(force):
@@ -155,6 +205,7 @@ _WG = np.array([
 # its resasc sums the centre, then every pair in xgk's order
 _PAIRS = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
 _X_SUM = _XGK[_PAIRS, None]
+_X_PAIRS = _XGK[_PAIRS].tolist()
 _W_SUM = _WGK[[10] + _PAIRS, None]
 _W_ASC = _WGK[[10] + list(range(10)), None]
 _TO_XGK = np.argsort(_PAIRS)
@@ -230,7 +281,10 @@ class _PotentialCache:
     ``2 * _BLOCK`` (``tops`` holds the last position of each block), their
     values in a dict; at most ``_MAX_ANCHORS`` are kept.  ``many`` answers
     queries from a ``_Plan``, with the bits and anchors of the same queries
-    made one at a time.
+    made one at a time; the live plan (``ahead``) keeps the anchors it adds
+    until it is dropped, then they join the index, one pass per touched
+    block.  ``scans`` holds the outcome of each turning-point scan
+    (``_scan_turning_point``).  A query at nan is nan and adds no anchor.
     """
 
     _MAX_ANCHORS = 50000
@@ -242,15 +296,22 @@ class _PotentialCache:
         self.blocks = [[0.0]]
         self.tops = [0.0]
         self.values = {0.0: 0.0}
-        self.size = 1
+        self.size = 1           # anchors in the index
         self.ahead = None       # the plan of the queries announced next
+        self.scans = {}         # (x, y, H0(x)) -> None or a TurningPoint's
 
     def __call__(self, z):
         z = float(z)
-        if self.ahead is not None:
-            if self.ahead.next == z:
-                return self.ahead.answer(self)
-            self.ahead = None
+        plan = self.ahead
+        if plan is not None:
+            if plan.next == z:
+                u = plan.answer()
+                if plan.next is None:
+                    self._drop()
+                return u
+            self._drop()
+        if z != z:
+            return math.nan
         lo, hi = self._bracket(z)
         if hi is not None and hi == z:
             return self.values[hi]
@@ -269,20 +330,32 @@ class _PotentialCache:
         answered from the plan; the first other query drops it and is
         answered as usual.
         """
-        self.ahead = None
+        self._drop()
         zs = [float(z) for z in zs]
         plan = self._plan(zs + [float(z) for z in then])
         if plan is None:
             return _in_order(self, zs, stop)
         self.ahead = plan
-        return _in_order(lambda z: plan.answer(self), zs, stop)
+        out = _in_order(lambda z: plan.answer(), zs, stop)
+        if plan.next is None:
+            self._drop()
+        return out
+
+    def anchors(self):
+        """Every anchor as ``(position, value)``, in the index's order; the
+        new anchors of a live plan are sorted in."""
+        index = [(z, self.values[z]) for block in self.blocks for z in block]
+        if self.ahead is None:
+            return index
+        return sorted(index + self.ahead.added())
 
     def _plan(self, zs):
         """The ``_Plan`` of the queries zs from the present anchors, or None
-        where ``f`` is not an Expression, a query is not finite, or the
-        array call raises, divides by zero or gives a non-finite value (then
-        a scalar call may raise)."""
-        if not (self.batched and zs and all(map(math.isfinite, zs))):
+        where ``f`` is not an Expression, a query is infinite, or the array
+        call raises, divides by zero or gives a non-finite value (then a
+        scalar call may raise).  The first panels are skipped when every
+        query is an anchor or nan."""
+        if not (self.batched and zs) or any(map(math.isinf, zs)):
             return None
         room = self._MAX_ANCHORS - self.size
         tops, blocks, values = self.tops, self.blocks, self.values
@@ -291,7 +364,11 @@ class _PotentialCache:
         owner = {}              # new anchor -> the query that adds it
         steps = []              # per query, see _Plan
         za, zb = [], []
+        step, panel_from, panel_to = steps.append, za.append, zb.append
         for q, z in enumerate(zs):
+            if z != z:
+                step((-1, math.nan, -1))
+                continue
             # z's neighbours lo < z <= hi among the anchors and the plan's
             # new ones; -inf and inf where there is none
             i = bisect_left(tops, z)
@@ -302,33 +379,45 @@ class _PotentialCache:
                 j = bisect_left(block, z)
                 hi = block[j]
                 lo = block[j - 1] if j else tops[i - 1] if i else -inf
-            j = bisect_left(pending, z)
-            if j < len(pending) and pending[j] < hi:
-                hi = pending[j]
-            if j and pending[j - 1] > lo:
-                lo = pending[j - 1]
+            if pending:
+                j = bisect_left(pending, z)
+                if j < len(pending) and pending[j] < hi:
+                    hi = pending[j]
+                if j and pending[j - 1] > lo:
+                    lo = pending[j - 1]
+            else:
+                j = 0
             # _nearer, as |lo - z| is z - lo exactly
             zn = z if hi == z else lo if z - lo <= hi - z else hi
-            k = owner.get(zn, -1)
-            un = values[zn] if k < 0 else None
+            un = values.get(zn)
+            k = -1 if un is not None else owner[zn]
             if zn == z:
-                steps.append((z, k, un, -1, False))
+                step((k, un, -1))
                 continue
-            adds = len(pending) < room
-            steps.append((z, k, un, len(za), adds))
-            za.append(zn)
-            zb.append(z)
-            if adds:
+            step((k, un, len(za)))
+            panel_from(zn)
+            panel_to(z)
+            if len(pending) < room:
                 pending.insert(j, z)
                 owner[z] = q
-        try:
-            incs, ok, fv = _first_panels(
-                self.f, np.array(za), np.array(zb), 1e-14, 1e-12)
-        except (ArithmeticError, EvaluationError):
-            return None
-        if not np.isfinite(fv).all():
-            return None
-        return _Plan(steps, za, incs.tolist(), ok.tolist())
+        incs = ok = ()
+        if za:
+            try:
+                incs, ok, fv = _first_panels(
+                    self.f, np.array(za), np.array(zb), 1e-14, 1e-12)
+            except (ArithmeticError, EvaluationError):
+                return None
+            if not np.isfinite(fv).all():
+                return None
+            incs, ok = incs.tolist(), ok.tolist()
+        return _Plan(self.f, zs, steps, za, incs, ok,
+                     [(z, owner[z]) for z in pending])
+
+    def _drop(self):
+        """Drop the live plan; the anchors it added join the index."""
+        plan, self.ahead = self.ahead, None
+        if plan is not None:
+            self._merge(plan.added())
 
     def _bracket(self, z):
         """The last anchor below z and the first at or above it (None where
@@ -344,15 +433,36 @@ class _PotentialCache:
     def _insert(self, z, u):
         if self.size >= self._MAX_ANCHORS:
             return
-        self.size += 1
-        self.values[z] = u
-        i = min(bisect.bisect_left(self.tops, z), len(self.tops) - 1)
-        block = self.blocks[i]
-        block.insert(bisect.bisect_left(block, z), z)
-        self.tops[i] = block[-1]
-        if len(block) > 2 * self._BLOCK:
-            self.blocks[i:i + 1] = [block[:self._BLOCK], block[self._BLOCK:]]
-            self.tops.insert(i, block[self._BLOCK - 1])
+        self._merge([(z, u)])
+
+    def _merge(self, new):
+        """Put new anchors ``(position, value)``, sorted and none in the
+        index yet, into their blocks; a block grown past ``2 * _BLOCK`` is
+        cut into len // _BLOCK even parts."""
+        if not new:
+            return
+        self.size += len(new)
+        self.values.update(new)
+        blocks, tops, width = self.blocks, self.tops, self._BLOCK
+        bisect_left, insort = bisect.bisect_left, bisect.insort_left
+        last = len(tops) - 1
+        i, touched = 0, set()
+        for z, _ in new:
+            i = bisect_left(tops, z, i)
+            if i > last:
+                i = last
+            insort(blocks[i], z)
+            touched.add(i)
+        for i in sorted(touched, reverse=True):
+            block = blocks[i]
+            n = len(block)
+            if n > 2 * width:
+                cuts = [n * k // (n // width) for k in range(n // width + 1)]
+                parts = [block[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+                blocks[i:i + 1] = parts
+                tops[i:i + 1] = [part[-1] for part in parts]
+            else:
+                tops[i] = block[-1]
 
 
 class _Plan:
@@ -364,37 +474,41 @@ class _Plan:
     of every integration, from one array call of ``f``
     (``_first_panels``).  ``answer`` answers the queries in order, chaining
     the values: a panel QUADPACK would bisect takes ``_adaptive`` as one
-    query does, and a query adds its anchor when it is answered, so a plan
-    answered up to a stop or an exception leaves the anchors the same
-    queries made one at a time leave.  The cache holds its plan and passes
-    itself to ``answer``: a plan that held its cache would make a cycle
-    that keeps a dropped cache alive until a full garbage collection.
+    query does.  ``added`` gives the new anchors of the queries answered so
+    far, so a plan answered up to a stop or an exception leaves the anchors
+    the same queries made one at a time leave.  The plan does not hold its
+    cache: that would make a cycle that keeps a dropped cache alive until a
+    full garbage collection.
     """
 
-    def __init__(self, steps, za, incs, ok):
-        # steps[q] = (z, the query whose value is q's anchor or -1, else the
-        # anchor's value, q's panel or -1 on a hit, whether q adds z)
-        self.steps, self.za, self.incs, self.ok = steps, za, incs, ok
+    def __init__(self, f, zs, steps, za, incs, ok, new):
+        # steps[q] = (the query whose value is q's anchor or -1, else the
+        # anchor's value, q's panel or -1 on a hit or nan); new = (position,
+        # query) of each new anchor, by position
+        self.f, self.steps, self.za, self.incs, self.ok = f, steps, za, incs, ok
+        self.zs = zs + [None]
+        self.new = new
         self.out = []
+        self.next = self.zs[0]  # the next query to answer, or None
 
-    @property
-    def next(self):
-        """The next query to answer, or None."""
-        q = len(self.out)
-        return self.steps[q][0] if q < len(self.steps) else None
-
-    def answer(self, cache):
+    def answer(self):
         out = self.out
-        z, k, u, p, adds = self.steps[len(out)]
+        q = len(out)
+        k, u, p = self.steps[q]
         if k >= 0:
             u = out[k]
         if p >= 0:
             u = u - (self.incs[p] if self.ok[p] else _adaptive(
-                cache.f, self.za[p], z, 1e-14, 1e-12)[0])
+                self.f, self.za[p], self.zs[q], 1e-14, 1e-12)[0])
         out.append(u)
-        if adds:
-            cache._insert(z, u)
+        self.next = self.zs[q + 1]
         return u
+
+    def added(self):
+        """``(position, value)`` of each new anchor answered so far, by
+        position."""
+        out, n = self.out, len(self.out)
+        return [(z, out[q]) for z, q in self.new if q < n]
 
 
 def _nearer(lo, hi, z):
@@ -416,12 +530,14 @@ def _nearer(lo, hi, z):
 class EnergyProfile:
     """Potential and conserved full energy of the labelled particles;
     ``u_many(zs, stop=None, then=())`` is ``potentials`` for the profile's
-    force."""
+    force, and ``scans`` the turning-point scans of its anchor cache (None
+    for a closed-form potential)."""
 
     u: Callable[[float], float]
     h0: Callable[[float], float]
     dh0: Callable[[float], float]
     u_many: Callable[..., list]
+    scans: Optional[dict] = None
 
 
 def energy_profile(scenario=None, *, force=None, velocity=None, velocity_deriv=None,
@@ -465,7 +581,9 @@ def energy_profile(scenario=None, *, force=None, velocity=None, velocity_deriv=N
         return (0.5 * mass_deriv(x) * v * v + mass(x) * v * velocity_deriv(x)
                 - float(f(x)))
 
-    return EnergyProfile(u=u, h0=h0, dh0=dh0, u_many=u_many)
+    scans = None if _closed_form(force) or not callable(f) else \
+        _anchored(force).scans
+    return EnergyProfile(u=u, h0=h0, dh0=dh0, u_many=u_many, scans=scans)
 
 
 #############################################################
@@ -473,30 +591,32 @@ def energy_profile(scenario=None, *, force=None, velocity=None, velocity_deriv=N
 #############################################################
 
 
-def _quad_points(a, b):
-    """The first 63 points ``quad`` evaluates an integrand at on [a, b], in
-    its order: QUADPACK's first 21-point panel, then the two halves of its
-    first bisection, left first (dqagse calls dqk21 on each; dqk21 takes the
-    centre, then each Gauss pair, then the other Kronrod pairs, each pair
-    centre - offset first)."""
+def _panel_points(*panels):
+    """The points ``dqk21`` evaluates an integrand at on each panel (lo,
+    hi), panel after panel, each in its order: the centre, then each Gauss
+    pair, then the other Kronrod pairs, each pair centre - offset first."""
     points = []
-    for lo, hi in ((a, b), (a, 0.5 * (a + b)), (0.5 * (a + b), b)):
+    for lo, hi in panels:
         centr = 0.5 * (lo + hi)
-        absc = 0.5 * (hi - lo) * _XGK[_PAIRS]
-        panel = np.empty(21)
-        panel[0] = centr
-        panel[1::2] = centr - absc
-        panel[2::2] = centr + absc
-        points.append(panel)
-    return np.concatenate(points)
+        hlgth = 0.5 * (hi - lo)
+        points.append(centr)
+        for x in _X_PAIRS:
+            absc = hlgth * x
+            points += (centr - absc, centr + absc)
+    return points
 
 
 def _target_and_s_points(x, y):
     """The potential queries of an integral in s = sqrt(z - x) after the
-    turning-point scan: U(y), then U(x + s^2) at the ``_quad_points`` of
-    [0, sqrt(y - x)]."""
-    ss = _quad_points(0.0, math.sqrt(y - x))
-    return np.concatenate([[y], x + ss * ss])
+    turning-point scan: U(y), then U(x + s^2) at the points of the first
+    panel of [0, sqrt(y - x)] (``_panel_points``)."""
+    return [y] + [x + s * s for s in _panel_points((0.0, math.sqrt(y - x)))]
+
+
+def _s_points_ahead(profile, x):
+    """The ``announce`` of an integral in s = sqrt(z - x): its points s
+    become the potential queries U(x + s^2) the caller makes next."""
+    return lambda ss: profile.u_many((), then=[x + s * s for s in ss])
 
 
 @dataclass
@@ -513,23 +633,38 @@ def _scan_turning_point(profile, x, y, h0x, then):
     neighborhood, where the kinetic term vanishes for released-at-rest
     particles, is probed densely: the TURNING_SCAN - 1 points z = x + s^2
     below y, s = sqrt(y - x) k / TURNING_SCAN, queried in order as one
-    batch.  ``then`` are
-    the potential queries the caller makes next (``potentials``).
+    batch.  ``then`` are the potential queries the caller makes next
+    (``potentials``).
+
+    The outcome is kept in ``profile.scans`` by (x, y, H0(x)).  A repeated
+    scan raises it again or plans only ``then``: each of its queries is an
+    anchor by now, or was refused by a full cache, whose anchors no longer
+    change, so the same queries would give the same values and add nothing.
     """
+    scans = profile.scans
+    key = (x, y, h0x)
+    if scans is not None and key in scans:
+        if scans[key] is not None:
+            message, bracket = scans[key]
+            raise TurningPoint(message, bracket=bracket)
+        profile.u_many((), then=then)
+        return
     n = TURNING_SCAN
     smax = math.sqrt(y - x)
     ss = smax * (np.arange(1, n) / n)
     zs = x + ss * ss
     zs = zs[zs < y]
     us = profile.u_many(zs, stop=lambda u: h0x - u <= 0.0, then=then)
+    outcome = None
     if us and h0x - us[-1] <= 0.0:
         s, z = ss[len(us) - 1], zs[len(us) - 1]
         lo = x + (s - smax / n) ** 2 if s > smax / n else x
-        raise TurningPoint(
-            f"kinetic term vanishes near z = {z:.9g}; the particle turns "
-            "around before reaching y",
-            bracket=(lo, z),
-        )
+        outcome = (f"kinetic term vanishes near z = {z:.9g}; the particle "
+                   "turns around before reaching y", (lo, z))
+    if scans is not None:
+        scans[key] = outcome
+    if outcome is not None:
+        raise TurningPoint(outcome[0], bracket=outcome[1])
 
 
 def time_of_flight(profile, x, y):
@@ -562,7 +697,8 @@ def time_of_flight(profile, x, y):
             return 0.0
         return 2.0 * s / math.sqrt(k)
 
-    val, err = _adaptive(integrand, 0.0, smax, DEFAULT_ABS_TOL, DEFAULT_REL_TOL)
+    val, err = _adaptive(integrand, 0.0, smax, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
+                         _s_points_ahead(profile, x))
     return FlightResult(time=val, error=err, singular_endpoint=singular)
 
 
@@ -625,7 +761,7 @@ def dT_dx(profile, x, y, v, dv, f):
     if vx <= _V_ZERO_TOL:
         raise SingularBoundary("dT_dx requires v(x) > 0; use the by-parts route")
     h0x = profile.h0(x)
-    _scan_turning_point(profile, x, y, h0x, then=_quad_points(x, y))
+    _scan_turning_point(profile, x, y, h0x, then=_panel_points((x, y)))
     c = vx * float(dv(x)) - float(f(x))
 
     def integrand(z):
@@ -634,7 +770,8 @@ def dT_dx(profile, x, y, v, dv, f):
             return 0.0
         return d ** -1.5
 
-    val, _ = _adaptive(integrand, x, y, DERIV_ABS_TOL, DERIV_REL_TOL)
+    val, _ = _adaptive(integrand, x, y, DERIV_ABS_TOL, DERIV_REL_TOL,
+                       lambda zs: profile.u_many((), then=zs))
     return -1.0 / vx - c / (2.0 * math.sqrt(2.0)) * val
 
 
@@ -673,7 +810,8 @@ def dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df):
         fz = float(f(z))
         return 2.0 * s * float(df(z)) / (fz * fz * math.sqrt(k))
 
-    integral, _ = _adaptive(integrand, 0.0, smax, DERIV_ABS_TOL, DERIV_REL_TOL)
+    integral, _ = _adaptive(integrand, 0.0, smax, DERIV_ABS_TOL, DERIV_REL_TOL,
+                            _s_points_ahead(profile, x))
     bracket = 1.0 / (math.sqrt(ky) * fy) + integral
     mx = float(m(x))
     if mx <= 0.0:

@@ -26,9 +26,11 @@ from regularflow.quadrature import (
     potential,
     time_of_flight,
 )
+from regularflow.regularity import check_smooth_positive_v
 from regularflow.scenario import OneGap, Smooth1D, TwoGap
 
 import oracles
+from conftest import load_bundled
 
 
 def _smooth_const(c):
@@ -314,12 +316,13 @@ def _bits(values):
 
 
 def _same_table(cache, ref):
-    zs = [z for block in cache.blocks for z in block]
+    """Every anchor of the cache, a live plan's included, in order, has the
+    position and value bits of the reference's."""
+    anchors = cache.anchors()
+    zs = [z for z, _ in anchors]
     assert zs == sorted(zs)
-    assert cache.tops == [block[-1] for block in cache.blocks]
     assert _bits(zs) == _bits(ref.zs)
-    assert _bits(cache.values[z] for z in zs) == _bits(ref.us)
-    assert cache.size == len(ref.zs)
+    assert _bits(u for _, u in anchors) == _bits(ref.us)
 
 
 def _queries(rng, n):
@@ -512,14 +515,135 @@ def test_first_panel_kernel_also_declines_panels():
         False, True, True]
 
 
+def _followed(space):
+    """(points quad evaluates, points announced) on a peaked integrand that
+    QUADPACK bisects several times, in z = t or in s-space, z = x + s^2:
+    the first panel's, which the caller announces, then those that each
+    bisection announces before its first point is evaluated."""
+    x = 0.3
+    to_z = (lambda t: t) if space == "z" else (lambda s: x + s * s)
+    a, b = (x, 2.7) if space == "z" else (0.0, math.sqrt(2.4))
+    seen, announced = [], [to_z(t) for t in quadrature._panel_points((a, b))]
+
+    def peaked(t):
+        seen.append(to_z(t))
+        return 1.0 / (1e-3 + (seen[-1] - 0.9) ** 2) ** 1.5
+
+    def announce(points):
+        assert len(seen) == len(announced)
+        announced.extend(to_z(t) for t in points)
+
+    quadrature._adaptive(peaked, a, b, 1e-14, 1e-10, announce)
+    return seen, announced
+
+
 def test_quad_points_are_the_first_points_quad_evaluates():
-    seen = []
+    for space in ("z", "s"):
+        seen, announced = _followed(space)
+        assert len(seen) > 4 * 42
+        assert _bits(seen) == _bits(announced)
 
-    def peaked(z):
-        seen.append(z)
-        return 1.0 / (1e-3 + z * z) ** 1.5
 
-    a, b = 0.3, 2.7
-    scipy_quad(peaked, a, b, epsabs=1e-14, epsrel=1e-10, limit=200)
-    assert len(seen) > 63
-    assert _bits(seen[:63]) == _bits(quadrature._quad_points(a, b))
+#############################################################
+# Planned queries: bisections, repeated scans, nan
+#############################################################
+
+
+def test_a_nan_query_is_nan_and_adds_no_anchor():
+    force = Smooth1D(f=parse_expression("1/(2 + y*y)"))
+    assert math.isnan(potential(force, math.nan))
+    ref = _ReferenceCache(force.f)
+    _same_table(force._potential_cache, ref)
+    got = quadrature.potentials(force, [0.5, math.nan, 1.5], then=[math.nan])
+    assert math.isnan(got[1]) and math.isnan(potential(force, math.nan))
+    assert _bits(got[::2]) == _bits([ref(0.5), ref(1.5)])
+    _same_table(force._potential_cache, ref)
+
+
+def _reference_profile(ref, velocity, profile):
+    """The profile's energies from the queries made one at a time on ref,
+    without a scan record."""
+    def h0(x):
+        v = velocity(x)
+        return 0.5 * 1.0 * v * v + ref(x)
+
+    return quadrature.EnergyProfile(
+        u=ref, h0=h0, dh0=profile.dh0,
+        u_many=lambda zs, stop=None, then=(): quadrature._in_order(ref, zs, stop))
+
+
+def _outcome(fn):
+    try:
+        return _bits([fn()])
+    except TurningPoint as exc:
+        return str(exc), _bits(exc.bracket)
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_repeated_scans_answer_as_the_queries_made_one_at_a_time(small):
+    # U = arctan: a particle at x with speed w turns at
+    # z = tan(w^2/2 + atan x); the two speeds share one anchor cache, and
+    # 0.4 from 0 and 0.5 from 0.1 are reached at speed 1, not at speed 0.8
+    f = parse_expression("-1/(1 + y*y)")
+    dfn = parse_expression("2*y/(1 + y*y)^2")
+    force = Smooth1D(f=f)
+    force._potential_cache = (_SmallCache if small else
+                              quadrature._PotentialCache)(f)
+    ref = (_SmallReference if small else _ReferenceCache)(f)
+    zero = lambda t: 0.0
+    routes = [
+        lambda p, v, x, y: dT_dx(p, x, y, v, zero, f),
+        lambda p, v, x, y: dT_dx_by_parts(p, x, y, v, zero, lambda t: 1.0,
+                                          zero, f, dfn),
+        lambda p, v, x, y: time_of_flight(p, x, y).time,
+    ]
+    pairs = [(0.0, 0.4), (0.1, 0.5), (0.0, 2.0), (0.05, 0.3)]
+    outcomes = []
+    for speed in (1.0, 0.8, 1.0):
+        v = lambda t, w=speed: w
+        profile = energy_profile(force=force, velocity=v, velocity_deriv=zero)
+        reference = _reference_profile(ref, v, profile)
+        for x, y in pairs:
+            for route in routes:
+                got = _outcome(lambda: route(profile, v, x, y))
+                assert got == _outcome(lambda: route(reference, v, x, y))
+                _same_table(force._potential_cache, ref)
+            outcomes.append(isinstance(got, tuple))
+    assert outcomes == [False, False, True, False,
+                        True, True, True, False] + outcomes[:4]
+    assert len(profile.scans) == 2 * len(pairs)
+    if small:
+        assert len(ref.zs) == ref._MAX_ANCHORS
+
+
+def test_smooth_positive_velocity_plans_all_but_one_query_per_margin(
+        monkeypatch):
+    margins, unplanned = [], []
+    dT = quadrature.dT_dx
+    query = quadrature._PotentialCache.__call__
+
+    def counted_dT(*args):
+        margins.append(args[1:3])
+        return dT(*args)
+
+    def counted_query(cache, z):
+        if cache.ahead is None or cache.ahead.next != float(z):
+            unplanned.append(z)
+        return query(cache, z)
+
+    monkeypatch.setattr(quadrature, "dT_dx", counted_dT)
+    monkeypatch.setattr(quadrature._PotentialCache, "__call__", counted_query)
+    check_smooth_positive_v(load_bundled("smooth_collide"))
+    assert 0 < len(unplanned) <= len(margins)
+
+
+def test_merged_anchors_keep_the_blocked_index_sorted():
+    cache = _SmallCache(parse_expression("1/(2 + y*y)"))
+    cache._MAX_ANCHORS = 1000
+    rng = np.random.default_rng(7)
+    for n in (1, 40, 3, 200, 17):
+        cache.many(rng.uniform(-5.0, 5.0, n))
+        assert cache.tops == [block[-1] for block in cache.blocks]
+        assert all(0 < len(block) <= 2 * cache._BLOCK for block in cache.blocks)
+        zs = [z for block in cache.blocks for z in block]
+        assert zs == sorted(zs) and len(zs) == cache.size

@@ -452,6 +452,15 @@ def test_auto_smooth_collision(scenario_dir):
     assert all(v.outcome == COLLISION for _, v in trace)
 
 
+def test_smooth_general_after_positive_velocity_keeps_its_margin():
+    # the second criterion reuses the first one's anchors and scans
+    s = load_bundled("smooth_collide")
+    regularity.check_smooth_positive_v(s)
+    verdict = regularity.check_smooth_general(s)
+    assert verdict.margin == -3.8372067698984247
+    assert verdict.witness == {"x": 1.0, "y": 11.0}
+
+
 def test_auto_variable_mass_constant_force_collides(scenario_dir):
     s = load_bundled("variable_mass_collide")
     verdict, _ = check_auto(s)
