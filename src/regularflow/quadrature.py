@@ -118,10 +118,6 @@ def potential(force, y):
     antiderivative cache for every other force.
     """
     y = float(y)
-    # most calls come from the smooth-force criteria: their cache first
-    cache = getattr(force, "_potential_cache", None)
-    if cache is not None:
-        return cache(y)
     if isinstance(force, OneGap):
         if y <= force.a:
             return -force.f1 * y
@@ -281,10 +277,9 @@ class _PotentialCache:
     ``2 * _BLOCK`` (``tops`` holds the last position of each block), their
     values in a dict; at most ``_MAX_ANCHORS`` are kept.  ``many`` answers
     queries from a ``_Plan``, with the bits and anchors of the same queries
-    made one at a time; the live plan (``ahead``) keeps the anchors it adds
-    until it is dropped, then they join the index, one pass per touched
-    block.  ``scans`` holds the outcome of each turning-point scan
-    (``_scan_turning_point``).  A query at nan is nan and adds no anchor.
+    made one at a time.  ``scans`` holds the outcome of each turning-point
+    scan (``_scan_turning_point``).  A query at nan is nan and adds no
+    anchor.
     """
 
     _MAX_ANCHORS = 50000
@@ -296,20 +291,16 @@ class _PotentialCache:
         self.blocks = [[0.0]]
         self.tops = [0.0]
         self.values = {0.0: 0.0}
-        self.size = 1           # anchors in the index
+        self.size = 1
         self.ahead = None       # the plan of the queries announced next
         self.scans = {}         # (x, y, H0(x)) -> None or a TurningPoint's
 
     def __call__(self, z):
         z = float(z)
-        plan = self.ahead
-        if plan is not None:
-            if plan.next == z:
-                u = plan.answer()
-                if plan.next is None:
-                    self._drop()
-                return u
-            self._drop()
+        if self.ahead is not None:
+            if self.ahead.next == z:
+                return self.ahead.answer(self)
+            self.ahead = None
         if z != z:
             return math.nan
         lo, hi = self._bracket(z)
@@ -330,24 +321,17 @@ class _PotentialCache:
         answered from the plan; the first other query drops it and is
         answered as usual.
         """
-        self._drop()
+        self.ahead = None
         zs = [float(z) for z in zs]
         plan = self._plan(zs + [float(z) for z in then])
         if plan is None:
             return _in_order(self, zs, stop)
         self.ahead = plan
-        out = _in_order(lambda z: plan.answer(), zs, stop)
-        if plan.next is None:
-            self._drop()
-        return out
+        return _in_order(lambda z: plan.answer(self), zs, stop)
 
     def anchors(self):
-        """Every anchor as ``(position, value)``, in the index's order; the
-        new anchors of a live plan are sorted in."""
-        index = [(z, self.values[z]) for block in self.blocks for z in block]
-        if self.ahead is None:
-            return index
-        return sorted(index + self.ahead.added())
+        """Every anchor as ``(position, value)``, by position."""
+        return [(z, self.values[z]) for block in self.blocks for z in block]
 
     def _plan(self, zs):
         """The ``_Plan`` of the queries zs from the present anchors, or None
@@ -367,7 +351,7 @@ class _PotentialCache:
         step, panel_from, panel_to = steps.append, za.append, zb.append
         for q, z in enumerate(zs):
             if z != z:
-                step((-1, math.nan, -1))
+                step((-1, math.nan, -1, False))
                 continue
             # z's neighbours lo < z <= hi among the anchors and the plan's
             # new ones; -inf and inf where there is none
@@ -392,12 +376,13 @@ class _PotentialCache:
             un = values.get(zn)
             k = -1 if un is not None else owner[zn]
             if zn == z:
-                step((k, un, -1))
+                step((k, un, -1, False))
                 continue
-            step((k, un, len(za)))
+            adds = len(pending) < room
+            step((k, un, len(za), adds))
             panel_from(zn)
             panel_to(z)
-            if len(pending) < room:
+            if adds:
                 pending.insert(j, z)
                 owner[z] = q
         incs = ok = ()
@@ -410,14 +395,7 @@ class _PotentialCache:
             if not np.isfinite(fv).all():
                 return None
             incs, ok = incs.tolist(), ok.tolist()
-        return _Plan(self.f, zs, steps, za, incs, ok,
-                     [(z, owner[z]) for z in pending])
-
-    def _drop(self):
-        """Drop the live plan; the anchors it added join the index."""
-        plan, self.ahead = self.ahead, None
-        if plan is not None:
-            self._merge(plan.added())
+        return _Plan(zs, steps, za, incs, ok)
 
     def _bracket(self, z):
         """The last anchor below z and the first at or above it (None where
@@ -433,36 +411,15 @@ class _PotentialCache:
     def _insert(self, z, u):
         if self.size >= self._MAX_ANCHORS:
             return
-        self._merge([(z, u)])
-
-    def _merge(self, new):
-        """Put new anchors ``(position, value)``, sorted and none in the
-        index yet, into their blocks; a block grown past ``2 * _BLOCK`` is
-        cut into len // _BLOCK even parts."""
-        if not new:
-            return
-        self.size += len(new)
-        self.values.update(new)
-        blocks, tops, width = self.blocks, self.tops, self._BLOCK
-        bisect_left, insort = bisect.bisect_left, bisect.insort_left
-        last = len(tops) - 1
-        i, touched = 0, set()
-        for z, _ in new:
-            i = bisect_left(tops, z, i)
-            if i > last:
-                i = last
-            insort(blocks[i], z)
-            touched.add(i)
-        for i in sorted(touched, reverse=True):
-            block = blocks[i]
-            n = len(block)
-            if n > 2 * width:
-                cuts = [n * k // (n // width) for k in range(n // width + 1)]
-                parts = [block[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-                blocks[i:i + 1] = parts
-                tops[i:i + 1] = [part[-1] for part in parts]
-            else:
-                tops[i] = block[-1]
+        self.size += 1
+        self.values[z] = u
+        i = min(bisect.bisect_left(self.tops, z), len(self.tops) - 1)
+        block = self.blocks[i]
+        block.insert(bisect.bisect_left(block, z), z)
+        self.tops[i] = block[-1]
+        if len(block) > 2 * self._BLOCK:
+            self.blocks[i:i + 1] = [block[:self._BLOCK], block[self._BLOCK:]]
+            self.tops.insert(i, block[self._BLOCK - 1])
 
 
 class _Plan:
@@ -474,41 +431,37 @@ class _Plan:
     of every integration, from one array call of ``f``
     (``_first_panels``).  ``answer`` answers the queries in order, chaining
     the values: a panel QUADPACK would bisect takes ``_adaptive`` as one
-    query does.  ``added`` gives the new anchors of the queries answered so
-    far, so a plan answered up to a stop or an exception leaves the anchors
-    the same queries made one at a time leave.  The plan does not hold its
-    cache: that would make a cycle that keeps a dropped cache alive until a
-    full garbage collection.
+    query does, and a query adds its anchor when it is answered, so a plan
+    answered up to a stop or an exception leaves the anchors the same
+    queries made one at a time leave.  The cache holds its plan and passes
+    itself to ``answer``: a plan that held its cache would make a cycle
+    that keeps a dropped cache alive until a full garbage collection.
     """
 
-    def __init__(self, f, zs, steps, za, incs, ok, new):
+    def __init__(self, zs, steps, za, incs, ok):
         # steps[q] = (the query whose value is q's anchor or -1, else the
-        # anchor's value, q's panel or -1 on a hit or nan); new = (position,
-        # query) of each new anchor, by position
-        self.f, self.steps, self.za, self.incs, self.ok = f, steps, za, incs, ok
+        # anchor's value, q's panel or -1 on a hit or nan, whether q adds
+        # its anchor)
+        self.steps, self.za, self.incs, self.ok = steps, za, incs, ok
         self.zs = zs + [None]
-        self.new = new
         self.out = []
         self.next = self.zs[0]  # the next query to answer, or None
 
-    def answer(self):
+    def answer(self, cache):
         out = self.out
         q = len(out)
-        k, u, p = self.steps[q]
+        k, u, p, adds = self.steps[q]
         if k >= 0:
             u = out[k]
+        z = self.zs[q]
         if p >= 0:
             u = u - (self.incs[p] if self.ok[p] else _adaptive(
-                self.f, self.za[p], self.zs[q], 1e-14, 1e-12)[0])
+                cache.f, self.za[p], z, 1e-14, 1e-12)[0])
         out.append(u)
+        if adds:
+            cache._insert(z, u)
         self.next = self.zs[q + 1]
         return u
-
-    def added(self):
-        """``(position, value)`` of each new anchor answered so far, by
-        position."""
-        out, n = self.out, len(self.out)
-        return [(z, out[q]) for z, q in self.new if q < n]
 
 
 def _nearer(lo, hi, z):

@@ -316,13 +316,16 @@ def _bits(values):
 
 
 def _same_table(cache, ref):
-    """Every anchor of the cache, a live plan's included, in order, has the
-    position and value bits of the reference's."""
+    """Every anchor of the cache, in order, has the position and value bits
+    of the reference's, and the blocked index is whole."""
     anchors = cache.anchors()
     zs = [z for z, _ in anchors]
     assert zs == sorted(zs)
     assert _bits(zs) == _bits(ref.zs)
     assert _bits(u for _, u in anchors) == _bits(ref.us)
+    assert cache.tops == [block[-1] for block in cache.blocks]
+    assert all(0 < len(block) <= 2 * cache._BLOCK for block in cache.blocks)
+    assert cache.size == len(ref.zs)
 
 
 def _queries(rng, n):
@@ -635,15 +638,3 @@ def test_smooth_positive_velocity_plans_all_but_one_query_per_margin(
     monkeypatch.setattr(quadrature._PotentialCache, "__call__", counted_query)
     check_smooth_positive_v(load_bundled("smooth_collide"))
     assert 0 < len(unplanned) <= len(margins)
-
-
-def test_merged_anchors_keep_the_blocked_index_sorted():
-    cache = _SmallCache(parse_expression("1/(2 + y*y)"))
-    cache._MAX_ANCHORS = 1000
-    rng = np.random.default_rng(7)
-    for n in (1, 40, 3, 200, 17):
-        cache.many(rng.uniform(-5.0, 5.0, n))
-        assert cache.tops == [block[-1] for block in cache.blocks]
-        assert all(0 < len(block) <= 2 * cache._BLOCK for block in cache.blocks)
-        zs = [z for block in cache.blocks for z in block]
-        assert zs == sorted(zs) and len(zs) == cache.size
