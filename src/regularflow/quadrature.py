@@ -25,6 +25,7 @@ from scipy.integrate import quad as _scipy_quad
 
 from .errors import (
     EvaluationError,
+    InternalInconsistency,
     InvalidParameter,
     QuadratureFailure,
     SingularBoundary,
@@ -41,32 +42,32 @@ _V_ZERO_TOL = 1e-12
 TURNING_SCAN = 96
 
 
-def _adaptive(fn, a, b, epsabs, epsrel, announce=None):
+def _adaptive(fn, a, b, epsabs, epsrel, batched=False):
     """``quad(fn, a, b)`` with ``dqagse``'s limit of 200 panels; where it
     warns, once more with tolerances and limit loosened.
 
-    ``announce``, where given, is called with the points of each bisection
-    QUADPACK makes before the first of them is evaluated (``_Bisections``);
-    the points of the first panel are the caller's to announce.
+    With ``batched``, ``fn`` is a list integrand: it gets the points of the
+    first panel, then those of each bisection QUADPACK makes, each list in
+    the order ``quad`` evaluates it (``_Panels``), and returns their values.
     """
     if a == b:
         return 0.0, 0.0
-    follow = fn if announce is None else _Bisections(fn, a, b, announce)
+    scalar = _Panels(fn, a, b) if batched else fn
     val, err, info, *rest = _scipy_quad(
-        follow, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1
+        scalar, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1
     )
     if rest:
-        if announce is not None:
-            follow = _Bisections(fn, a, b, announce)
+        scalar = _Panels(fn, a, b) if batched else fn
         val, err, info, *rest2 = _scipy_quad(
-            follow, a, b, epsabs=epsabs * 10, epsrel=epsrel * 10, limit=500,
+            scalar, a, b, epsabs=epsabs * 10, epsrel=epsrel * 10, limit=500,
             full_output=1
         )
         if rest2:
             # a panel a few ulps wide defeats QUADPACK's roundoff test; take
             # the midpoint rule there, with the whole value as its error
             if abs(b - a) <= 1e-12 * max(1.0, abs(a), abs(b)):
-                val = fn(0.5 * (a + b)) * (b - a)
+                mid = 0.5 * (a + b)
+                val = (fn([mid])[0] if batched else fn(mid)) * (b - a)
                 return float(val), abs(float(val))
             raise QuadratureFailure(
                 f"adaptive quadrature failed on [{a:.6g}, {b:.6g}]: {rest2[0]}"
@@ -74,34 +75,36 @@ def _adaptive(fn, a, b, epsabs, epsrel, announce=None):
     return float(val), float(err)
 
 
-class _Bisections:
-    """The integrand ``fn`` of one ``quad`` on [a, b], following the
-    panels QUADPACK's ``dqagse`` bisects.
+class _Panels:
+    """The integrand ``quad`` calls on [a, b], from the list integrand
+    ``fn``: ``fn`` gets the 21 points of the first panel (``_panel_points``)
+    when ``quad`` evaluates the first of them, and the 42 of each bisection
+    likewise.
 
     A bisection of the panel [lo, hi] evaluates ``dqk21`` on [lo, mid], then
     on [mid, hi], with mid = (lo + hi) / 2, so its first point is the centre
-    of [lo, mid].  At that point, matched exactly, ``announce`` gets the
-    bisection's 42 points (``_panel_points``), and the two halves become
-    panels that can be bisected in turn.
+    of [lo, mid], matched exactly; the two halves can be bisected in turn.
     """
 
-    def __init__(self, fn, a, b, announce):
-        self.fn, self.announce = fn, announce
-        self.starts = {}        # first point of a panel's bisection -> panel
-        self._panel(a, b)
-
-    def _panel(self, lo, hi):
-        self.starts[0.5 * (lo + 0.5 * (lo + hi))] = (lo, hi)
+    def __init__(self, fn, a, b):
+        self.fn = fn
+        self.starts = {0.5 * (a + b): ((a, b),)}    # first point -> panels
+        self.points, self.values, self.k = (), (), 0
 
     def __call__(self, t):
-        panel = self.starts.pop(t, None)
-        if panel is not None:
-            lo, hi = panel
-            mid = 0.5 * (lo + hi)
-            self.announce(_panel_points((lo, mid), (mid, hi)))
-            self._panel(lo, mid)
-            self._panel(mid, hi)
-        return self.fn(t)
+        k = self.k
+        if k == len(self.points) and t in self.starts:
+            panels = self.starts.pop(t)
+            for lo, hi in panels:
+                mid = 0.5 * (lo + hi)
+                self.starts[0.5 * (lo + mid)] = ((lo, mid), (mid, hi))
+            self.points = _panel_points(*panels)
+            self.values, k = self.fn(self.points), 0
+        if k == len(self.points) or t != self.points[k]:
+            raise InternalInconsistency(
+                f"quad evaluates {t!r} off the planned dqk21 points")
+        self.k = k + 1
+        return self.values[k]
 
 
 #############################################################
@@ -133,18 +136,21 @@ def potential(force, y):
     return _anchored(force)(y)
 
 
-def potentials(force, zs, stop=None, then=()):
+def potentials(force, zs, stop=None):
     """``[potential(force, z) for z in zs]``, cut after the first value u
-    with ``stop(u)`` true when ``stop`` is given.
+    with ``stop(u)`` true when ``stop`` is given, answered from one plan
+    (``_queries``)."""
+    zs = list(zs)
+    return _queries(force, zs).take(len(zs), stop)
 
-    Any other force answers the whole batch from its anchor cache at once
-    (``_PotentialCache.many``), with the bits and the anchors of the
-    queries made one at a time; ``then`` announces the queries
-    ``potential`` gets next, in order, so that they are planned with zs.
-    """
+
+def _queries(force, zs):
+    """The plan of the potential queries zs of the force, to be answered in
+    order (``_Plan.take``): one query at a time for a closed form, else from
+    the anchor cache (``_PotentialCache.plan``)."""
     if _closed_form(force):
-        return _in_order(lambda z: potential(force, z), zs, stop)
-    return _anchored(force).many(zs, stop, then)
+        return _OneByOne(lambda z: potential(force, z), zs)
+    return _anchored(force).plan(zs)
 
 
 def _closed_form(force):
@@ -166,15 +172,6 @@ def _anchored(force):
         except AttributeError:
             pass
     return cache
-
-
-def _in_order(u, zs, stop):
-    out = []
-    for z in zs:
-        out.append(u(z))
-        if stop is not None and stop(out[-1]):
-            break
-    return out
 
 
 # QUADPACK's dqk21: Kronrod nodes (xgk[1::2] are the 10-point Gauss nodes,
@@ -275,11 +272,10 @@ class _PotentialCache:
 
     The anchor positions are kept sorted in blocks of at most
     ``2 * _BLOCK`` (``tops`` holds the last position of each block), their
-    values in a dict; at most ``_MAX_ANCHORS`` are kept.  ``many`` answers
-    queries from a ``_Plan``, with the bits and anchors of the same queries
-    made one at a time.  ``scans`` holds the outcome of each turning-point
-    scan (``_scan_turning_point``).  A query at nan is nan and adds no
-    anchor.
+    values in a dict; at most ``_MAX_ANCHORS`` are kept.  Every query is
+    answered from a ``_Plan`` (``plan``), a single one from a plan of one.
+    ``scans`` holds the outcome of each turning-point scan
+    (``_scan_turning_point``).  A query at nan is nan and adds no anchor.
     """
 
     _MAX_ANCHORS = 50000
@@ -287,60 +283,29 @@ class _PotentialCache:
 
     def __init__(self, f):
         self.f = f
-        self.batched = isinstance(f, Expression)
         self.blocks = [[0.0]]
         self.tops = [0.0]
         self.values = {0.0: 0.0}
         self.size = 1
-        self.ahead = None       # the plan of the queries announced next
         self.scans = {}         # (x, y, H0(x)) -> None or a TurningPoint's
 
     def __call__(self, z):
-        z = float(z)
-        if self.ahead is not None:
-            if self.ahead.next == z:
-                return self.ahead.answer(self)
-            self.ahead = None
-        if z != z:
-            return math.nan
-        lo, hi = self._bracket(z)
-        if hi is not None and hi == z:
-            return self.values[hi]
-        zn = _nearer(lo, hi, z)
-        inc, _ = _adaptive(self.f, zn, z, 1e-14, 1e-12)
-        u = self.values[zn] - inc
-        self._insert(z, u)
-        return u
-
-    def many(self, zs, stop=None, then=()):
-        """``_in_order(self, zs, stop)``, answered from one plan; without a
-        plan (see ``_plan``), one query at a time.
-
-        ``then`` are the queries the caller makes next, one at a time: they
-        are planned with zs, and while they arrive in that order they are
-        answered from the plan; the first other query drops it and is
-        answered as usual.
-        """
-        self.ahead = None
-        zs = [float(z) for z in zs]
-        plan = self._plan(zs + [float(z) for z in then])
-        if plan is None:
-            return _in_order(self, zs, stop)
-        self.ahead = plan
-        return _in_order(lambda z: plan.answer(self), zs, stop)
+        return self.plan([z]).answer()
 
     def anchors(self):
         """Every anchor as ``(position, value)``, by position."""
         return [(z, self.values[z]) for block in self.blocks for z in block]
 
-    def _plan(self, zs):
-        """The ``_Plan`` of the queries zs from the present anchors, or None
-        where ``f`` is not an Expression, a query is infinite, or the array
-        call raises, divides by zero or gives a non-finite value (then a
-        scalar call may raise).  The first panels are skipped when every
-        query is an anchor or nan."""
-        if not (self.batched and zs) or any(map(math.isinf, zs)):
-            return None
+    def plan(self, zs):
+        """The ``_Plan`` of the queries zs from the present anchors.
+
+        With more than one integration, the first panels of all of them come
+        from one array call of ``f`` (``_first_panels``); where ``f`` is not
+        an Expression, a query is infinite, or that call raises, divides by
+        zero or gives a value that is not finite, every panel is marked for
+        ``_adaptive``, so that a scalar call raises where it would.
+        """
+        zs = [float(z) for z in zs]
         room = self._MAX_ANCHORS - self.size
         tops, blocks, values = self.tops, self.blocks, self.values
         bisect_left, inf, last = bisect.bisect_left, math.inf, len(tops) - 1
@@ -350,10 +315,11 @@ class _PotentialCache:
         za, zb = [], []
         step, panel_from, panel_to = steps.append, za.append, zb.append
         for q, z in enumerate(zs):
-            if z != z:
-                step((-1, math.nan, -1, False))
+            if z in values or z in owner or z != z:
+                # an anchor, or nan
+                step((owner.get(z, -1), values.get(z, math.nan), -1, False))
                 continue
-            # z's neighbours lo < z <= hi among the anchors and the plan's
+            # z's neighbours lo < z < hi among the anchors and the plan's
             # new ones; -inf and inf where there is none
             i = bisect_left(tops, z)
             if i > last:
@@ -363,50 +329,32 @@ class _PotentialCache:
                 j = bisect_left(block, z)
                 hi = block[j]
                 lo = block[j - 1] if j else tops[i - 1] if i else -inf
-            if pending:
-                j = bisect_left(pending, z)
-                if j < len(pending) and pending[j] < hi:
-                    hi = pending[j]
-                if j and pending[j - 1] > lo:
-                    lo = pending[j - 1]
-            else:
-                j = 0
-            # _nearer, as |lo - z| is z - lo exactly
-            zn = z if hi == z else lo if z - lo <= hi - z else hi
+            j = bisect_left(pending, z)
+            if j < len(pending) and pending[j] < hi:
+                hi = pending[j]
+            if j and pending[j - 1] > lo:
+                lo = pending[j - 1]
+            # the nearer, as |lo - z| is z - lo exactly; lo below z = inf
+            zn = lo if hi == inf or z - lo <= hi - z else hi
             un = values.get(zn)
-            k = -1 if un is not None else owner[zn]
-            if zn == z:
-                step((k, un, -1, False))
-                continue
             adds = len(pending) < room
-            step((k, un, len(za), adds))
+            step((-1 if un is not None else owner[zn], un, len(za), adds))
             panel_from(zn)
             panel_to(z)
             if adds:
                 pending.insert(j, z)
                 owner[z] = q
-        incs = ok = ()
-        if za:
+        incs, ok = None, [False] * len(za)
+        if len(za) > 1 and isinstance(self.f, Expression) and \
+                not any(map(math.isinf, zb)):
             try:
-                incs, ok, fv = _first_panels(
+                inc, good, fv = _first_panels(
                     self.f, np.array(za), np.array(zb), 1e-14, 1e-12)
+                if np.isfinite(fv).all():
+                    incs, ok = inc.tolist(), good.tolist()
             except (ArithmeticError, EvaluationError):
-                return None
-            if not np.isfinite(fv).all():
-                return None
-            incs, ok = incs.tolist(), ok.tolist()
-        return _Plan(zs, steps, za, incs, ok)
-
-    def _bracket(self, z):
-        """The last anchor below z and the first at or above it (None where
-        there is none)."""
-        tops = self.tops
-        i = bisect.bisect_left(tops, z)
-        if i == len(tops):
-            return tops[-1], None
-        block = self.blocks[i]
-        j = bisect.bisect_left(block, z)
-        return (block[j - 1] if j else tops[i - 1] if i else None), block[j]
+                pass
+        return _Plan(self, zs, steps, za, incs, ok)
 
     def _insert(self, z, u):
         if self.size >= self._MAX_ANCHORS:
@@ -428,26 +376,42 @@ class _Plan:
     Where a query's anchor lies does not depend on any value, so the plan
     holds, per query, the anchor it starts from (one of the cache, or an
     earlier query of the plan that adds one), and the first QUADPACK panel
-    of every integration, from one array call of ``f``
-    (``_first_panels``).  ``answer`` answers the queries in order, chaining
-    the values: a panel QUADPACK would bisect takes ``_adaptive`` as one
-    query does, and a query adds its anchor when it is answered, so a plan
-    answered up to a stop or an exception leaves the anchors the same
-    queries made one at a time leave.  The cache holds its plan and passes
-    itself to ``answer``: a plan that held its cache would make a cycle
-    that keeps a dropped cache alive until a full garbage collection.
+    of every integration (``_PotentialCache.plan``).  ``take`` answers the
+    queries in order, chaining the values: a panel QUADPACK would bisect
+    takes ``_adaptive`` as one query does, and a query adds its anchor when
+    it is answered, so a plan answered up to a stop or an exception leaves
+    the anchors the same queries made one at a time leave.
+
+    The plan is valid while the cache's anchors are those it left: an
+    answer after another query added an anchor raises
+    InternalInconsistency.  A full cache keeps its anchors.
     """
 
-    def __init__(self, zs, steps, za, incs, ok):
+    def __init__(self, cache, zs, steps, za, incs, ok):
         # steps[q] = (the query whose value is q's anchor or -1, else the
         # anchor's value, q's panel or -1 on a hit or nan, whether q adds
         # its anchor)
-        self.steps, self.za, self.incs, self.ok = steps, za, incs, ok
-        self.zs = zs + [None]
+        self.cache, self.zs, self.steps = cache, zs, steps
+        self.za, self.incs, self.ok = za, incs, ok
         self.out = []
-        self.next = self.zs[0]  # the next query to answer, or None
+        self.size = cache.size  # the cache's size as the plan left it
 
-    def answer(self, cache):
+    def take(self, n, stop=None):
+        """The values of the next n queries, cut after the first value u
+        with ``stop(u)`` true when ``stop`` is given."""
+        out = []
+        for _ in range(n):
+            out.append(self.answer())
+            if stop is not None and stop(out[-1]):
+                break
+        return out
+
+    def answer(self):
+        """The value of the next query."""
+        cache = self.cache
+        if cache.size != self.size:
+            raise InternalInconsistency(
+                "a potential plan answered after another query added an anchor")
         out = self.out
         q = len(out)
         k, u, p, adds = self.steps[q]
@@ -460,18 +424,15 @@ class _Plan:
         out.append(u)
         if adds:
             cache._insert(z, u)
-        self.next = self.zs[q + 1]
+            self.size = cache.size
         return u
 
 
-def _nearer(lo, hi, z):
-    """The anchor a query at z integrates from: the nearer of its two
-    neighbours, the lower one on a tie."""
-    if hi is None:
-        return lo
-    if lo is None:
-        return hi
-    return lo if abs(lo - z) <= abs(hi - z) else hi
+class _OneByOne(_Plan):
+    """The plan of the queries zs answered one at a time by u."""
+
+    def __init__(self, u, zs):
+        self.answer = map(u, zs).__next__
 
 
 #############################################################
@@ -482,14 +443,14 @@ def _nearer(lo, hi, z):
 @dataclass
 class EnergyProfile:
     """Potential and conserved full energy of the labelled particles;
-    ``u_many(zs, stop=None, then=())`` is ``potentials`` for the profile's
-    force, and ``scans`` the turning-point scans of its anchor cache (None
-    for a closed-form potential)."""
+    ``queries(zs)`` is the plan of the potential queries zs of the
+    profile's force (``_queries``), and ``scans`` the turning-point scans of
+    its anchor cache (None for a closed-form potential)."""
 
     u: Callable[[float], float]
     h0: Callable[[float], float]
     dh0: Callable[[float], float]
-    u_many: Callable[..., list]
+    queries: Callable[[list], "_Plan"]
     scans: Optional[dict] = None
 
 
@@ -522,9 +483,6 @@ def energy_profile(scenario=None, *, force=None, velocity=None, velocity_deriv=N
     def u(z):
         return potential(force, z)
 
-    def u_many(zs, stop=None, then=()):
-        return potentials(force, zs, stop, then)
-
     def h0(x):
         v = velocity(x)
         return 0.5 * mass(x) * v * v + u(x)
@@ -536,7 +494,8 @@ def energy_profile(scenario=None, *, force=None, velocity=None, velocity_deriv=N
 
     scans = None if _closed_form(force) or not callable(f) else \
         _anchored(force).scans
-    return EnergyProfile(u=u, h0=h0, dh0=dh0, u_many=u_many, scans=scans)
+    return EnergyProfile(u=u, h0=h0, dh0=dh0,
+                         queries=lambda zs: _queries(force, zs), scans=scans)
 
 
 #############################################################
@@ -559,19 +518,6 @@ def _panel_points(*panels):
     return points
 
 
-def _target_and_s_points(x, y):
-    """The potential queries of an integral in s = sqrt(z - x) after the
-    turning-point scan: U(y), then U(x + s^2) at the points of the first
-    panel of [0, sqrt(y - x)] (``_panel_points``)."""
-    return [y] + [x + s * s for s in _panel_points((0.0, math.sqrt(y - x)))]
-
-
-def _s_points_ahead(profile, x):
-    """The ``announce`` of an integral in s = sqrt(z - x): its points s
-    become the potential queries U(x + s^2) the caller makes next."""
-    return lambda ss: profile.u_many((), then=[x + s * s for s in ss])
-
-
 @dataclass
 class FlightResult:
     time: float
@@ -579,18 +525,19 @@ class FlightResult:
     singular_endpoint: bool = False
 
 
-def _scan_turning_point(profile, x, y, h0x, then):
-    """Raise TurningPoint if 2(H0 - U) vanishes strictly inside (x, y).
+def _scan_turning_point(profile, x, y, h0x, tail):
+    """Raise TurningPoint if 2(H0 - U) vanishes strictly inside (x, y);
+    else return the plan of the potential queries ``tail`` that the caller
+    makes next, untaken.
 
     Sampling is done in the transformed variable so that the left endpoint
     neighborhood, where the kinetic term vanishes for released-at-rest
     particles, is probed densely: the TURNING_SCAN - 1 points z = x + s^2
-    below y, s = sqrt(y - x) k / TURNING_SCAN, queried in order as one
-    batch.  ``then`` are the potential queries the caller makes next
-    (``potentials``).
+    below y, s = sqrt(y - x) k / TURNING_SCAN, planned with ``tail`` and
+    taken in order up to the first turning point.
 
     The outcome is kept in ``profile.scans`` by (x, y, H0(x)).  A repeated
-    scan raises it again or plans only ``then``: each of its queries is an
+    scan raises it again or plans only ``tail``: each of its queries is an
     anchor by now, or was refused by a full cache, whose anchors no longer
     change, so the same queries would give the same values and add nothing.
     """
@@ -600,14 +547,14 @@ def _scan_turning_point(profile, x, y, h0x, then):
         if scans[key] is not None:
             message, bracket = scans[key]
             raise TurningPoint(message, bracket=bracket)
-        profile.u_many((), then=then)
-        return
+        return profile.queries(tail)
     n = TURNING_SCAN
     smax = math.sqrt(y - x)
     ss = smax * (np.arange(1, n) / n)
     zs = x + ss * ss
     zs = zs[zs < y]
-    us = profile.u_many(zs, stop=lambda u: h0x - u <= 0.0, then=then)
+    plan = profile.queries([*zs, *tail])
+    us = plan.take(len(zs), stop=lambda u: h0x - u <= 0.0)
     outcome = None
     if us and h0x - us[-1] <= 0.0:
         s, z = ss[len(us) - 1], zs[len(us) - 1]
@@ -618,6 +565,53 @@ def _scan_turning_point(profile, x, y, h0x, then):
         scans[key] = outcome
     if outcome is not None:
         raise TurningPoint(outcome[0], bracket=outcome[1])
+    return plan
+
+
+class _Flight:
+    """The potential queries of a flight-time integral of the particle
+    labelled x from x to y > x, at energy h0x: in s = sqrt(z - x) over
+    [0, sqrt(y - x)] with ``s_space``, else in z over [x, y].
+
+    Making it runs the turning-point scan, which plans U(y) (in s-space
+    only) and the first panel of the integral after its own points.  The
+    caller takes U(y) (``target``) only after the scan passes, and the
+    integral only after its own checks pass, so that every raise on the way
+    leaves the anchors of the same queries made one at a time.  Each
+    bisection of the integral is planned when ``quad`` makes it.
+    """
+
+    def __init__(self, profile, x, y, h0x, s_space):
+        self.profile, self.x, self.h0x, self.s_space = profile, x, h0x, s_space
+        self.span = (0.0, math.sqrt(y - x)) if s_space else (x, y)
+        first = self._zs(_panel_points(self.span))
+        self.plan = _scan_turning_point(
+            profile, x, y, h0x, [y, *first] if s_space else first)
+
+    def _zs(self, ts):
+        return [self.x + s * s for s in ts] if self.s_space else ts
+
+    def target(self):
+        """The kinetic term 2 (H0(x) - U(y))."""
+        return 2.0 * (self.h0x - self.plan.answer())
+
+    def integral(self, term, epsabs, epsrel):
+        """``_adaptive`` of term(t, z, d), d = H0(x) - U(z) at the point t
+        of the integral, z = x + t^2 in s-space, t in z-space; 0 where
+        d <= 0.  The terms of each panel are taken query by query."""
+        def values(ts):
+            plan = self.plan
+            self.plan = None
+            zs = self._zs(ts)
+            if plan is None:
+                plan = self.profile.queries(zs)
+            out = []
+            for t, z in zip(ts, zs):
+                d = self.h0x - plan.answer()
+                out.append(0.0 if d <= 0.0 else term(t, z, d))
+            return out
+
+        return _adaptive(values, *self.span, epsabs, epsrel, batched=True)
 
 
 def time_of_flight(profile, x, y):
@@ -635,23 +629,13 @@ def time_of_flight(profile, x, y):
     h0x = profile.h0(x)
     k0 = 2.0 * (h0x - profile.u(x))
     singular = k0 <= _V_ZERO_TOL
-    _scan_turning_point(profile, x, y, h0x, then=_target_and_s_points(x, y))
-    ky = 2.0 * (h0x - profile.u(y))
-    if ky <= 0.0:
+    flight = _Flight(profile, x, y, h0x, s_space=True)
+    if flight.target() <= 0.0:
         raise TurningPoint(
             f"kinetic term vanishes at the target y = {y:.9g}", bracket=(x, y)
         )
-
-    smax = math.sqrt(y - x)
-
-    def integrand(s):
-        k = 2.0 * (h0x - profile.u(x + s * s))
-        if k <= 0.0:
-            return 0.0
-        return 2.0 * s / math.sqrt(k)
-
-    val, err = _adaptive(integrand, 0.0, smax, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
-                         _s_points_ahead(profile, x))
+    val, err = flight.integral(lambda s, z, d: 2.0 * s / math.sqrt(2.0 * d),
+                               DEFAULT_ABS_TOL, DEFAULT_REL_TOL)
     return FlightResult(time=val, error=err, singular_endpoint=singular)
 
 
@@ -714,17 +698,10 @@ def dT_dx(profile, x, y, v, dv, f):
     if vx <= _V_ZERO_TOL:
         raise SingularBoundary("dT_dx requires v(x) > 0; use the by-parts route")
     h0x = profile.h0(x)
-    _scan_turning_point(profile, x, y, h0x, then=_panel_points((x, y)))
+    flight = _Flight(profile, x, y, h0x, s_space=False)
     c = vx * float(dv(x)) - float(f(x))
-
-    def integrand(z):
-        d = h0x - profile.u(z)
-        if d <= 0.0:
-            return 0.0
-        return d ** -1.5
-
-    val, _ = _adaptive(integrand, x, y, DERIV_ABS_TOL, DERIV_REL_TOL,
-                       lambda zs: profile.u_many((), then=zs))
+    val, _ = flight.integral(lambda z, _, d: d ** -1.5,
+                             DERIV_ABS_TOL, DERIV_REL_TOL)
     return -1.0 / vx - c / (2.0 * math.sqrt(2.0)) * val
 
 
@@ -744,8 +721,8 @@ def dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df):
         raise InvalidParameter("dT_dx_by_parts needs y > x")
     h0x = profile.h0(x)
     dh0x = profile.dh0(x)
-    _scan_turning_point(profile, x, y, h0x, then=_target_and_s_points(x, y))
-    ky = 2.0 * (h0x - profile.u(y))
+    flight = _Flight(profile, x, y, h0x, s_space=True)
+    ky = flight.target()
     if ky <= 0.0:
         raise TurningPoint("kinetic term vanishes at the target", bracket=(x, y))
     fy = float(f(y))
@@ -753,18 +730,11 @@ def dT_dx_by_parts(profile, x, y, v, dv, m, dm, f, df):
     if fy == 0.0 or fx == 0.0:
         raise InvalidParameter("the by-parts route requires a nonvanishing force")
 
-    smax = math.sqrt(y - x)
-
-    def integrand(s):
-        z = x + s * s
-        k = 2.0 * (h0x - profile.u(z))
-        if k <= 0.0:
-            return 0.0
+    def term(s, z, d):
         fz = float(f(z))
-        return 2.0 * s * float(df(z)) / (fz * fz * math.sqrt(k))
+        return 2.0 * s * float(df(z)) / (fz * fz * math.sqrt(2.0 * d))
 
-    integral, _ = _adaptive(integrand, 0.0, smax, DERIV_ABS_TOL, DERIV_REL_TOL,
-                            _s_points_ahead(profile, x))
+    integral, _ = flight.integral(term, DERIV_ABS_TOL, DERIV_REL_TOL)
     bracket = 1.0 / (math.sqrt(ky) * fy) + integral
     mx = float(m(x))
     if mx <= 0.0:

@@ -235,25 +235,9 @@ def check_smooth_positive_v(scenario):
     _require(unit_mass(scenario) or positive_velocity(scenario), SMOOTH_POSITIVE_V)
     v = scenario.init.velocity
     dv = scenario.init.velocity_deriv
-    profile = quadrature.energy_profile(scenario)
-    x_lo, x_hi = scenario.domain.lower[0], scenario.domain.upper[0]
-    y_hi = scenario.y_cutoff()
-
-    def margin(x, y):
-        try:
-            return -quadrature.dT_dx(profile, x, y, v, dv, force)
-        except TurningPoint as exc:
-            raise HypothesisViolated(
-                f"a particle turns around before reaching its target: {exc}",
-                criterion=SMOOTH_POSITIVE_V, witness=(x, y))
-        except SingularBoundary as exc:
-            raise HypothesisViolated(str(exc), criterion=SMOOTH_POSITIVE_V,
-                                     witness=x)
-
-    rng = _pair_rng(scenario, 1)
-    min_val, xy = _minimize_pair_margin(margin, x_lo, x_hi, y_hi,
-                                        PAIR_GRID, PAIR_GRID, rng)
-    return _band_verdict(SMOOTH_POSITIVE_V, min_val, xy)
+    return _smooth_pair_verdict(
+        scenario, SMOOTH_POSITIVE_V, 1,
+        lambda profile, x, y: -quadrature.dT_dx(profile, x, y, v, dv, force))
 
 
 def check_smooth_general(scenario):
@@ -272,25 +256,35 @@ def check_smooth_general(scenario):
     dv = scenario.init.velocity_deriv
     m = scenario.init.mass
     dm = scenario.init.mass_deriv
-    x_lo, x_hi = scenario.domain.lower[0], scenario.domain.upper[0]
-    y_hi = scenario.y_cutoff()
     _require(nonnegative_velocity_positive_mass(scenario) or positive_force_ahead(scenario),
              SMOOTH_GENERAL)
+    return _smooth_pair_verdict(
+        scenario, SMOOTH_GENERAL, 2,
+        lambda profile, x, y: -quadrature.dT_dx_weighted(
+            profile, x, y, v, dv, m, dm, force, force.df))
+
+
+def _smooth_pair_verdict(scenario, criterion, salt, margin):
+    """The band verdict of margin(profile, x, y), minimized over the pairs
+    of labels x and targets y up to the cutoff; a particle that turns
+    around before its target, or a singular start, is a hypothesis
+    failure."""
     profile = quadrature.energy_profile(scenario)
 
-    def margin(x, y):
+    def at(x, y):
         try:
-            return -quadrature.dT_dx_weighted(profile, x, y, v, dv, m, dm,
-                                              force, force.df)
+            return margin(profile, x, y)
         except TurningPoint as exc:
             raise HypothesisViolated(
                 f"a particle turns around before reaching its target: {exc}",
-                criterion=SMOOTH_GENERAL, witness=(x, y))
+                criterion=criterion, witness=(x, y))
+        except SingularBoundary as exc:
+            raise HypothesisViolated(str(exc), criterion=criterion, witness=x)
 
-    rng = _pair_rng(scenario, 2)
-    min_val, xy = _minimize_pair_margin(margin, x_lo, x_hi, y_hi,
-                                        PAIR_GRID, PAIR_GRID, rng)
-    return _band_verdict(SMOOTH_GENERAL, min_val, xy)
+    min_val, xy = _minimize_pair_margin(
+        at, scenario.domain.lower[0], scenario.domain.upper[0],
+        scenario.y_cutoff(), PAIR_GRID, PAIR_GRID, _pair_rng(scenario, salt))
+    return _band_verdict(criterion, min_val, xy)
 
 
 #############################################################

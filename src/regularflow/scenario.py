@@ -908,7 +908,7 @@ def assumptions_report(s):
             ys = np.linspace(s.domain.lower[0], s.y_cutoff(), FORCE_POINTS)
             profile = quadrature.energy_profile(s)
             h0x = np.array([profile.h0(float(x)) for x in xs])
-            uz = np.array(profile.u_many(ys))
+            uz = np.array(quadrature.potentials(force, ys))
             bad = (ys[None, :] >= xs[:, None]) & (h0x[:, None] - uz[None, :] <= 0)
             if np.any(bad):
                 i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)

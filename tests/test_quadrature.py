@@ -15,7 +15,8 @@ from scipy.integrate import quad as scipy_quad
 
 from regularflow import quadrature
 from regularflow.errors import (
-    EvaluationError, QuadratureFailure, SingularBoundary, TurningPoint)
+    EvaluationError, InternalInconsistency, InvalidParameter,
+    QuadratureFailure, SingularBoundary, TurningPoint)
 from regularflow.expressions import parse_expression
 from regularflow.quadrature import (
     dT_dx,
@@ -328,25 +329,27 @@ def _same_table(cache, ref):
     assert cache.size == len(ref.zs)
 
 
-def _queries(rng, n):
+def _queries(rng, n, infinite=False):
     """Dyadic points (exact midpoints, so equidistant ties), repeats, -0.0
-    and negative z."""
+    and negative z; with ``infinite``, now and then -inf or inf too."""
     out = []
     for _ in range(n):
-        kind = rng.integers(10)
+        kind = rng.integers(11 if infinite else 10)
         if kind == 0 and out:
             out.append(out[int(rng.integers(len(out)))])
         elif kind == 1:
             out.append(-0.0)
         elif kind < 8:
             out.append(float(rng.integers(-8, 24)) / 2.0 ** rng.integers(1, 5))
-        else:
+        elif kind < 10:
             out.append(float(rng.uniform(-3.0, 6.0)))
+        else:
+            out.append(math.inf if rng.integers(2) else -math.inf)
     return out
 
 
 _FORCES = [
-    parse_expression("1/(2 + y*y)"),     # array path
+    parse_expression("1/(2 + y*y)"),     # array path; U(-inf), U(inf) finite
     parse_expression("1"),               # array call returns a scalar
     parse_expression("y^2 + 1"),         # ^: array path too
     lambda z: math.cos(z) + 2.0,         # callable: scalar path
@@ -358,10 +361,11 @@ _FORCES = [
 def test_scalar_and_batched_queries_match_the_sorted_list_cache(seed, small):
     rng = np.random.default_rng(seed)
     f = _FORCES[seed % len(_FORCES)]
+    infinite = seed % len(_FORCES) == 0
     cache = (_SmallCache if small else quadrature._PotentialCache)(f)
     ref = (_SmallReference if small else _ReferenceCache)(f)
     for _ in range(16):
-        zs = _queries(rng, int(rng.integers(1, 14)))
+        zs = _queries(rng, int(rng.integers(1, 14)), infinite)
         mode = rng.integers(3)
         if mode == 0:
             got = [cache(z) for z in zs]
@@ -374,16 +378,17 @@ def test_scalar_and_batched_queries_match_the_sorted_list_cache(seed, small):
                 answered.append(u)
                 return len(answered) == cut
 
-            got = cache.many(zs, stop=stop)
+            got = cache.plan(zs).take(len(zs), stop=stop)
             zs = zs[:cut]
         else:
-            # a batch, then queries announced to come next, followed for a
-            # while, then others
+            # one plan taken in two parts, left there, then other queries
+            plan = cache.plan(zs)
             cut = int(rng.integers(len(zs) + 1))
-            got = cache.many(zs[:cut], then=zs[cut:])
             follow = int(rng.integers(cut, len(zs) + 1))
-            zs = zs[:follow] + _queries(rng, 3)
-            got += [cache(z) for z in zs[cut:]]
+            got = plan.take(cut)
+            got += plan.take(follow - cut)
+            zs = zs[:follow] + _queries(rng, 3, infinite)
+            got += [cache(z) for z in zs[follow:]]
         want = [ref(z) for z in zs]
         assert _bits(got) == _bits(want)
         _same_table(cache, ref)
@@ -393,7 +398,7 @@ def test_the_cap_holds_in_a_batch_and_repeats_beyond_it_integrate_again():
     f = parse_expression("1/(2 + y*y)")
     cache, ref = _SmallCache(f), _SmallReference(f)
     zs = [k / 4.0 for k in range(1, 40)] + [9.75, 9.75, 0.125, -1.0, -1.0]
-    assert _bits(cache.many(zs)) == _bits([ref(z) for z in zs])
+    assert _bits(cache.plan(zs).take(len(zs))) == _bits([ref(z) for z in zs])
     assert cache.size == cache._MAX_ANCHORS
     _same_table(cache, ref)
 
@@ -431,28 +436,55 @@ def test_an_evaluation_error_mid_batch_surfaces_after_the_earlier_anchors(text):
     ref = _ReferenceCache(f)
     with pytest.raises(EvaluationError):
         [ref(z) for z in zs]
-    for announce in (False, True):
+    for way in ("whole", "one by one", "scalar"):
         cache = quadrature._PotentialCache(f)
         with pytest.raises(EvaluationError):
-            if announce:
-                cache.many([], then=zs)
+            if way == "scalar":
                 [cache(z) for z in zs]
+            elif way == "whole":
+                cache.plan(zs).take(len(zs))
             else:
-                cache.many(zs)
+                plan = cache.plan(zs)
+                [plan.take(1) for _ in zs]
         _same_table(cache, ref)
 
 
 def test_a_dropped_cache_is_freed_without_a_garbage_collection():
     cache = quadrature._PotentialCache(parse_expression("1/(2 + y*y)"))
-    cache.many([0.5, 1.5, 2.5], then=[3.0, 3.5])
-    cache(3.0)
+    plan = cache.plan([0.5, 1.5, 2.5, 3.0, 3.5])
+    plan.take(3)
     gone = weakref.ref(cache)
     gc.disable()
     try:
-        del cache
+        del cache, plan
         assert gone() is None
     finally:
         gc.enable()
+
+
+def test_a_plan_answered_after_another_query_added_an_anchor_raises():
+    f = parse_expression("1/(2 + y*y)")
+    zs = [0.5, 1.5, 2.5, 3.5]
+    cache, ref = quadrature._PotentialCache(f), _ReferenceCache(f)
+    plan = cache.plan(zs)
+    assert _bits(plan.take(2)) == _bits([ref(z) for z in zs[:2]])
+    # a query at an anchor adds none, and the plan stays valid
+    assert _bits([cache(1.5), plan.take(1)[0]]) == _bits([ref(1.5), ref(2.5)])
+    assert _bits([cache(0.75)]) == _bits([ref(0.75)])
+    with pytest.raises(InternalInconsistency):
+        plan.take(1)
+    _same_table(cache, ref)
+    # a full cache keeps its anchors, so its plans stay valid
+    small, small_ref = _SmallCache(f), _SmallReference(f)
+    fill = [k / 4.0 for k in range(1, 30)]
+    small.plan(fill).take(len(fill))
+    zs = [0.6, 1.6, 2.6, 3.6]
+    plan = small.plan(zs)
+    got = plan.take(2) + [small(0.8)] + plan.take(2)
+    assert small.size == small._MAX_ANCHORS
+    assert _bits(got) == _bits(
+        [small_ref(z) for z in fill + zs[:2] + [0.8] + zs[2:]][len(fill):])
+    _same_table(small, small_ref)
 
 
 def test_potentials_is_potential_in_order_for_every_force_kind():
@@ -467,7 +499,7 @@ def test_potentials_is_potential_in_order_for_every_force_kind():
         assert _bits(quadrature.potentials(force, zs)) == _bits(want)
         force.__dict__.pop("_potential_cache", None)
         profile = energy_profile(force=force)
-        cut = profile.u_many(zs, stop=lambda u: u == want[3])
+        cut = profile.queries(zs).take(len(zs), stop=lambda u: u == want[3])
         assert _bits(cut) == _bits(want[:4])
 
 
@@ -518,33 +550,35 @@ def test_first_panel_kernel_also_declines_panels():
         False, True, True]
 
 
-def _followed(space):
-    """(points quad evaluates, points announced) on a peaked integrand that
-    QUADPACK bisects several times, in z = t or in s-space, z = x + s^2:
-    the first panel's, which the caller announces, then those that each
-    bisection announces before its first point is evaluated."""
+def test_batched_quad_hands_its_integrand_the_points_scalar_quad_evaluates():
+    # a peaked integrand that QUADPACK bisects several times, in z-space
+    # and in s-space, z = x + s^2
     x = 0.3
-    to_z = (lambda t: t) if space == "z" else (lambda s: x + s * s)
-    a, b = (x, 2.7) if space == "z" else (0.0, math.sqrt(2.4))
-    seen, announced = [], [to_z(t) for t in quadrature._panel_points((a, b))]
-
-    def peaked(t):
-        seen.append(to_z(t))
-        return 1.0 / (1e-3 + (seen[-1] - 0.9) ** 2) ** 1.5
-
-    def announce(points):
-        assert len(seen) == len(announced)
-        announced.extend(to_z(t) for t in points)
-
-    quadrature._adaptive(peaked, a, b, 1e-14, 1e-10, announce)
-    return seen, announced
-
-
-def test_quad_points_are_the_first_points_quad_evaluates():
     for space in ("z", "s"):
-        seen, announced = _followed(space)
-        assert len(seen) > 4 * 42
-        assert _bits(seen) == _bits(announced)
+        to_z = (lambda t: t) if space == "z" else (lambda s: x + s * s)
+        a, b = (x, 2.7) if space == "z" else (0.0, math.sqrt(2.4))
+
+        def peaked(t):
+            return 1.0 / (1e-3 + (to_z(t) - 0.9) ** 2) ** 1.5
+
+        seen, lists = [], []
+
+        def scalar(t):
+            seen.append(t)
+            return peaked(t)
+
+        def listed(ts):
+            lists.append(list(ts))
+            return [peaked(t) for t in ts]
+
+        want = quadrature._adaptive(scalar, a, b, 1e-14, 1e-10)
+        got = quadrature._adaptive(listed, a, b, 1e-14, 1e-10, batched=True)
+        assert _bits(got) == _bits(want)
+        # one list per panel or bisection, in the order quad evaluates them
+        assert len(lists) > 4
+        assert [len(ts) for ts in lists] == [21] + [42] * (len(lists) - 1)
+        assert _bits(t for ts in lists for t in ts) == _bits(seen)
+        assert _bits(lists[0]) == _bits(quadrature._panel_points((a, b)))
 
 
 #############################################################
@@ -557,8 +591,9 @@ def test_a_nan_query_is_nan_and_adds_no_anchor():
     assert math.isnan(potential(force, math.nan))
     ref = _ReferenceCache(force.f)
     _same_table(force._potential_cache, ref)
-    got = quadrature.potentials(force, [0.5, math.nan, 1.5], then=[math.nan])
-    assert math.isnan(got[1]) and math.isnan(potential(force, math.nan))
+    got = quadrature.potentials(force, [0.5, math.nan, 1.5, math.nan])
+    assert math.isnan(got[1]) and math.isnan(got[3])
+    assert math.isnan(potential(force, math.nan))
     assert _bits(got[::2]) == _bits([ref(0.5), ref(1.5)])
     _same_table(force._potential_cache, ref)
 
@@ -572,7 +607,7 @@ def _reference_profile(ref, velocity, profile):
 
     return quadrature.EnergyProfile(
         u=ref, h0=h0, dh0=profile.dh0,
-        u_many=lambda zs, stop=None, then=(): quadrature._in_order(ref, zs, stop))
+        queries=lambda zs: quadrature._OneByOne(ref, zs))
 
 
 def _outcome(fn):
@@ -580,6 +615,8 @@ def _outcome(fn):
         return _bits([fn()])
     except TurningPoint as exc:
         return str(exc), _bits(exc.bracket)
+    except InvalidParameter as exc:
+        return (str(exc),)
 
 
 @pytest.mark.parametrize("small", [False, True])
@@ -594,12 +631,29 @@ def test_repeated_scans_answer_as_the_queries_made_one_at_a_time(small):
                               quadrature._PotentialCache)(f)
     ref = (_SmallReference if small else _ReferenceCache)(f)
     zero = lambda t: 0.0
-    routes = [
+
+    def zero_at_target(p, v, x, y):
+        # F(y) = 0 raises InvalidParameter after the scan passes and U(y)
+        # is taken, before the first panel of the integral is taken
+        return dT_dx_by_parts(p, x, y, v, zero, lambda t: 1.0, zero,
+                              lambda t: 0.0 if t == y else f(t), dfn)
+
+    def zero_at_target_by_hand(p, v, x, y):
+        # its queries one at a time: h0(x), the scan, U(y)
+        h0x = p.h0(x)
+        quadrature._scan_turning_point(p, x, y, h0x, [])
+        if h0x - p.u(y) <= 0.0:
+            raise TurningPoint("kinetic term vanishes at the target",
+                               bracket=(x, y))
+        raise InvalidParameter("the by-parts route requires a nonvanishing force")
+
+    # (route, the same route on the reference)
+    routes = [(route, route) for route in (
         lambda p, v, x, y: dT_dx(p, x, y, v, zero, f),
         lambda p, v, x, y: dT_dx_by_parts(p, x, y, v, zero, lambda t: 1.0,
                                           zero, f, dfn),
-        lambda p, v, x, y: time_of_flight(p, x, y).time,
-    ]
+        lambda p, v, x, y: time_of_flight(p, x, y).time)]
+    routes.insert(1, (zero_at_target, zero_at_target_by_hand))
     pairs = [(0.0, 0.4), (0.1, 0.5), (0.0, 2.0), (0.05, 0.3)]
     outcomes = []
     for speed in (1.0, 0.8, 1.0):
@@ -607,9 +661,9 @@ def test_repeated_scans_answer_as_the_queries_made_one_at_a_time(small):
         profile = energy_profile(force=force, velocity=v, velocity_deriv=zero)
         reference = _reference_profile(ref, v, profile)
         for x, y in pairs:
-            for route in routes:
+            for route, by_hand in routes:
                 got = _outcome(lambda: route(profile, v, x, y))
-                assert got == _outcome(lambda: route(reference, v, x, y))
+                assert got == _outcome(lambda: by_hand(reference, v, x, y))
                 _same_table(force._potential_cache, ref)
             outcomes.append(isinstance(got, tuple))
     assert outcomes == [False, False, True, False,
@@ -621,6 +675,8 @@ def test_repeated_scans_answer_as_the_queries_made_one_at_a_time(small):
 
 def test_smooth_positive_velocity_plans_all_but_one_query_per_margin(
         monkeypatch):
+    # every scalar query is a plan of its own; the one left per margin is
+    # u(x) inside h0(x)
     margins, unplanned = [], []
     dT = quadrature.dT_dx
     query = quadrature._PotentialCache.__call__
@@ -630,8 +686,7 @@ def test_smooth_positive_velocity_plans_all_but_one_query_per_margin(
         return dT(*args)
 
     def counted_query(cache, z):
-        if cache.ahead is None or cache.ahead.next != float(z):
-            unplanned.append(z)
+        unplanned.append(z)
         return query(cache, z)
 
     monkeypatch.setattr(quadrature, "dT_dx", counted_dT)
