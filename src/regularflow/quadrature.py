@@ -75,6 +75,31 @@ def _adaptive(fn, a, b, epsabs, epsrel, batched=False):
     return float(val), float(err)
 
 
+# a finite integration wider than _REACH * max(1, |start|) is summed over
+# pieces that each span at most that much from their own start
+_REACH = 2.0 ** 10
+
+
+def _far(a, b):
+    """Whether the integration from a to b is finite and past _REACH."""
+    return math.isfinite(b) and abs(b - a) > _REACH * max(1.0, abs(a))
+
+
+def _integral(f, a, b):
+    """The potential increment integral_a^b f by ``_adaptive`` at
+    tolerances 1e-14 and 1e-12, over pieces from a toward b, each as wide
+    as ``_far`` allows from its start, so that no single quad spans
+    decades."""
+    total = None
+    while _far(a, b):
+        c = a + math.copysign(_REACH * max(1.0, abs(a)), b - a)
+        piece = _adaptive(f, a, c, 1e-14, 1e-12)[0]
+        total = piece if total is None else total + piece
+        a = c
+    last = _adaptive(f, a, b, 1e-14, 1e-12)[0]
+    return last if total is None else total + last
+
+
 class _Panels:
     """The integrand ``quad`` calls on [a, b], from the list integrand
     ``fn``: ``fn`` gets the 21 points of the first panel (``_panel_points``)
@@ -299,11 +324,13 @@ class _PotentialCache:
     def plan(self, zs):
         """The ``_Plan`` of the queries zs from the present anchors.
 
-        With more than one integration, the first panels of all of them come
-        from one array call of ``f`` (``_first_panels``); where ``f`` is not
-        an Expression, a query is infinite, or that call raises, divides by
-        zero or gives a value that is not finite, every panel is marked for
-        ``_adaptive``, so that a scalar call raises where it would.
+        With more than one integration, the first panels of those that
+        are not ``_far`` come from one array call of ``f``
+        (``_first_panels``); where ``f`` is not an Expression, a query is
+        infinite, or that call raises, divides by zero or gives a value
+        that is not finite, every panel is marked for ``_integral``, so
+        that a scalar call raises where it would.  A far integration is
+        always marked: ``_integral`` sums it piece by piece.
         """
         zs = [float(z) for z in zs]
         room = self._MAX_ANCHORS - self.size
@@ -347,11 +374,15 @@ class _PotentialCache:
         incs, ok = None, [False] * len(za)
         if len(za) > 1 and isinstance(self.f, Expression) and \
                 not any(map(math.isinf, zb)):
+            a, b = np.array(za), np.array(zb)
+            near = np.abs(b - a) <= _REACH * np.maximum(1.0, np.abs(a))
             try:
-                inc, good, fv = _first_panels(
-                    self.f, np.array(za), np.array(zb), 1e-14, 1e-12)
+                inc, good, fv = _first_panels(self.f, a[near], b[near],
+                                              1e-14, 1e-12)
                 if np.isfinite(fv).all():
-                    incs, ok = inc.tolist(), good.tolist()
+                    incs, ok = np.zeros(len(za)), np.zeros(len(za), bool)
+                    incs[near], ok[near] = inc, good
+                    incs, ok = incs.tolist(), ok.tolist()
             except (ArithmeticError, EvaluationError):
                 pass
         return _Plan(self, zs, steps, za, incs, ok)
@@ -377,10 +408,11 @@ class _Plan:
     holds, per query, the anchor it starts from (one of the cache, or an
     earlier query of the plan that adds one), and the first QUADPACK panel
     of every integration (``_PotentialCache.plan``).  ``take`` answers the
-    queries in order, chaining the values: a panel QUADPACK would bisect
-    takes ``_adaptive`` as one query does, and a query adds its anchor when
-    it is answered, so a plan answered up to a stop or an exception leaves
-    the anchors the same queries made one at a time leave.
+    queries in order, chaining the values: a far integration, or a panel
+    QUADPACK would bisect, takes ``_integral`` as one query does, and a
+    query adds its anchor when it is answered, so a plan answered up to a
+    stop or an exception leaves the anchors the same queries made one at a
+    time leave.
 
     The plan is valid while the cache's anchors are those it left: an
     answer after another query added an anchor raises
@@ -419,8 +451,8 @@ class _Plan:
             u = out[k]
         z = self.zs[q]
         if p >= 0:
-            u = u - (self.incs[p] if self.ok[p] else _adaptive(
-                cache.f, self.za[p], z, 1e-14, 1e-12)[0])
+            u = u - (self.incs[p] if self.ok[p] else _integral(
+                cache.f, self.za[p], z))
         out.append(u)
         if adds:
             cache._insert(z, u)

@@ -52,19 +52,48 @@ MICRO_PAIR_STEP = 1e-7
 REFINE_PASSES = 5
 HISTORY_FRAMES = 64
 MAX_PHASES = 64
-# output frames per block of a gap scan, which bounds its memory
+# output frames per block of a frame scan or of a trajectory.csv range,
+# which bounds its memory
 GAP_FRAMES = 16
 # label pairs per block of the exact multi-d pair tests
 PAIR_CHUNK = 500000
 
 
-@dataclass
-class EnsembleTrajectory:
-    times: np.ndarray
-    x0: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-    mode: str = "Numeric"
+class _Tables:
+    """Frames at ``times`` that ``frames(lo, hi)`` gives on demand, as
+    (positions, velocities) of frames lo..hi-1; ``y`` and ``v`` are the
+    whole tables, built on first read."""
+
+    _table = None
+
+    @property
+    def y(self):
+        return self._tables()[0]
+
+    @property
+    def v(self):
+        return self._tables()[1]
+
+    def _tables(self):
+        if self._table is None:
+            self._table = self.frames(0, len(self.times))
+        return self._table
+
+
+class EnsembleTrajectory(_Tables):
+    """The labels x0 and their frames at ``times``: from the tables y and
+    v, shaped (len(times), *x0.shape), or from ``frames(lo, hi)``, which
+    gives frames lo..hi-1 on demand."""
+
+    def __init__(self, times, x0, y=None, v=None, mode="Numeric",
+                 frames=None):
+        self.times = times
+        self.x0 = x0
+        self.mode = mode
+        if frames is None:
+            self._table = (y, v)
+            frames = lambda lo, hi: (y[lo:hi], v[lo:hi])
+        self.frames = frames
 
     @property
     def n_particles(self):
@@ -331,16 +360,18 @@ def _vectorize_scalar(fn):
     return wrapped
 
 
-class NewtonFlow:
+class NewtonFlow(_Tables):
     """Newton flow y'' = accel(y) of the positions y0, started with the
     velocities v0: the package's one ODE solve.
 
     Positions have any shape, (n,) on the line or (n, d) in d dimensions,
     and ``accel`` maps positions of that shape to accelerations.  DOP853
-    with dense output gives ``sol``, and frames ``y`` and ``v`` shaped
-    (len(times), *shape) at ``times`` = linspace(0, horizon, n_out); a
-    terminal event ends the frames early.  Event functions see the packed
-    state [y.ravel(), v.ravel()].  Raises StepFailure when DOP853 fails.
+    with dense output gives ``sol``, and ``frames(lo, hi)`` evaluates it
+    at ``times[lo:hi]``, ``times`` = linspace(0, horizon, n_out) up to
+    where a terminal event ends the solve: each frame has the bits of
+    solve_ivp's ``t_eval`` table at its time, however the frames are
+    asked for.  Event functions see the packed state [y.ravel(),
+    v.ravel()].  Raises StepFailure when DOP853 fails.
     """
 
     def __init__(self, accel, y0, v0, horizon, n_out=DEFAULT_N_OUT,
@@ -352,22 +383,35 @@ class NewtonFlow:
             y = state[:size].reshape(shape)
             return np.concatenate([state[size:], np.ravel(accel(y))])
 
-        self.times = np.linspace(0.0, horizon, n_out)
         # solve_ivp is looked up at call time: perfbench/tracer.py wraps
         # simulator.solve_ivp by name
         sol = solve_ivp(
             rhs, (0.0, horizon), np.concatenate([y0.ravel(), np.ravel(v0)]),
             method="DOP853", rtol=rtol, atol=atol, dense_output=True,
-            t_eval=self.times, events=list(events) or None,
+            events=list(events) or None,
         )
         if not sol.success:
             raise StepFailure(
                 f"DOP853 failed for n = {shape[0] if shape else 1} particles "
                 f"on [0, {horizon}]: {sol.message}")
+        times = np.linspace(0.0, horizon, n_out)
+        self.times = times[:np.searchsorted(times, sol.t[-1], side="right")]
         self.shape = shape
         self.sol = sol
-        self.y = sol.y[:size].T.reshape(-1, *shape).copy()
-        self.v = sol.y[size:].T.reshape(-1, *shape).copy()
+
+    def frames(self, lo, hi):
+        """(positions, velocities) of frames lo..hi-1, each shaped
+        (frames, *shape)."""
+        return self._at(self.times[lo:hi])
+
+    def _at(self, ts):
+        """(positions, velocities) at the sorted times ts, each shaped
+        (len(ts), *shape): one evaluation of the dense solution, whose
+        value at a time does not depend on the others."""
+        state = self.sol.sol(ts)
+        size = len(state) // 2
+        return (state[:size].T.reshape(-1, *self.shape),
+                state[size:].T.reshape(-1, *self.shape))
 
     def states(self, t):
         """(positions, velocities) at one time t, each shaped as y0."""
@@ -412,18 +456,19 @@ class NumericFlow1D(NewtonFlow):
         force = self.scenario.force
         k_idx = np.unique(np.linspace(0, len(self.times) - 1, 8).astype(int))
         p_idx = np.unique(np.linspace(0, self.n - 1, min(self.n, 32)).astype(int))
-        pairs = [(k, i) for k in k_idx for i in p_idx]
-        us = quadrature.potentials(force, [self.y[k, i] for k, i in pairs])
+        y, v = self._at(self.times[k_idx])
+        pairs = [(k, i) for k in range(len(k_idx)) for i in p_idx]
+        us = quadrature.potentials(force, [y[k, i] for k, i in pairs])
         worst = 0.0
         for (k, i), u in zip(pairs, us):
-            h = 0.5 * self.mass[i] * self.v[k, i] ** 2 + u
+            h = 0.5 * self.mass[i] * v[k, i] ** 2 + u
             scale = 1.0 + abs(self.energy0[i])
             worst = max(worst, abs(h - self.energy0[i]) / scale)
         return worst
 
     def ensemble(self):
-        return EnsembleTrajectory(times=self.times, x0=self.xs, y=self.y,
-                                  v=self.v)
+        return EnsembleTrajectory(times=self.times, x0=self.xs,
+                                  frames=self.frames)
 
 
 #############################################################
@@ -453,6 +498,7 @@ class RadialEnsemble:
                           horizon, n_out, events=[origin_event])
         if flow.sol.status == 1:
             raise OriginApproach("a radial trajectory collapsed toward the origin")
+        self.flow = flow
         self.times = flow.times
         self.radii = radii
         self.momentum = mom
@@ -570,7 +616,8 @@ def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
 
 
 def _numeric_first_collision(flow):
-    history, k = _min_gaps(len(flow.times), lambda lo, hi: flow.y[lo:hi])
+    history, k = _min_gaps(len(flow.times),
+                           lambda lo, hi: flow.frames(lo, hi)[0])
     if k is None:
         return CollisionReport(found=False, min_gap_history=history,
                                times=flow.times, mode="Numeric")
@@ -841,8 +888,8 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
         if not math.isfinite(horizon):
             raise InvalidParameter("infinite horizon is not supported for central runs")
         times, frames = _central_positions(scenario, horizon, n_out)
-        pts = frames[0]
-        return _frames_report(times, frames, pts, eps_rel)
+        return _frames_report(times, lambda lo, hi: frames[lo:hi], frames[0],
+                              eps_rel)
 
     if n_particles is not None:
         n_axis = int(np.atleast_1d(n_particles)[0])
@@ -874,26 +921,32 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
         raise InvalidParameter(
             "infinite horizon needs an exactly solvable force in multi-d")
     flow = _multid_flow(scenario, pts, horizon, n_out)
-    return _frames_report(flow.times, flow.y, pts, eps_rel, flow=flow)
+    return _frames_report(flow.times, lambda lo, hi: flow.frames(lo, hi)[0],
+                          pts, eps_rel, flow=flow)
 
 
-def _frames_report(times, frames, pts, eps_rel, flow=None):
+def _frames_report(times, positions, pts, eps_rel, flow=None):
+    """The first frame where a label comes within eps_rel of its initial
+    distance of its nearest neighbour, bisected in time on ``flow`` when
+    given.  ``positions(lo, hi)`` gives the positions of frames lo..hi-1,
+    asked for GAP_FRAMES at a time."""
     tree0 = cKDTree(pts)
     d0_nn, idx0 = tree0.query(pts, k=2)
     history = np.empty(len(times))
     hit_k, hit_pair = None, None
-    for k in range(len(times)):
-        tree = cKDTree(frames[k])
-        dk, ik = tree.query(frames[k], k=2)
-        history[k] = float(np.min(dk[:, 1]))
-        if hit_k is None:
-            cand = np.nonzero(dk[:, 1] <= 5.0 * eps_rel * d0_nn[:, 1])[0]
-            for i in cand:
-                j = int(ik[i, 1])
-                d0_pair = float(np.linalg.norm(pts[i] - pts[j]))
-                if dk[i, 1] <= eps_rel * d0_pair:
-                    hit_k, hit_pair = k, (min(i, j), max(i, j))
-                    break
+    for lo in range(0, len(times), GAP_FRAMES):
+        for k, frame in enumerate(positions(lo, lo + GAP_FRAMES), lo):
+            tree = cKDTree(frame)
+            dk, ik = tree.query(frame, k=2)
+            history[k] = float(np.min(dk[:, 1]))
+            if hit_k is None:
+                cand = np.nonzero(dk[:, 1] <= 5.0 * eps_rel * d0_nn[:, 1])[0]
+                for i in cand:
+                    j = int(ik[i, 1])
+                    d0_pair = float(np.linalg.norm(pts[i] - pts[j]))
+                    if dk[i, 1] <= eps_rel * d0_pair:
+                        hit_k, hit_pair = k, (min(i, j), max(i, j))
+                        break
     if hit_k is None:
         return CollisionReport(found=False, min_gap_history=history, times=times,
                                mode="Numeric")
@@ -930,7 +983,10 @@ def _frames_report(times, frames, pts, eps_rel, flow=None):
 
 
 def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT):
-    """Trajectories of the sampled ensemble at n_out output times."""
+    """Trajectories of the sampled ensemble at n_out output times, whose
+    frames are evaluated when read: on exact arcs, in closed form, or from
+    the dense numeric solution.  Central runs keep their frames as
+    tables."""
     horizon = scenario.horizon if horizon is None else float(horizon)
     if not math.isfinite(horizon):
         raise InvalidParameter("simulate_ensemble needs a finite horizon")
@@ -943,9 +999,9 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT):
         # variable_mass_collide is one, and its trajectory.csv bytes are gated
         if isinstance(force, (OneGap, TwoGap, HalfSpaceStep)):
             arcs = _label_arcs(scenario, xs, force, horizon=horizon)
-            y, v, _ = _eval_arcs(arcs, times[:, None])
-            return EnsembleTrajectory(times=times, x0=xs, y=y, v=v,
-                                      mode="Exact")
+            return EnsembleTrajectory(
+                times=times, x0=xs, mode="Exact",
+                frames=lambda lo, hi: _eval_arcs(arcs, times[lo:hi, None])[:2])
         return NumericFlow1D(scenario, xs, horizon, n_out).ensemble()
 
     if isinstance(scenario.domain, Annulus):
@@ -959,16 +1015,23 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT):
     if isinstance(force, HalfSpaceStep):
         arcs = _plane_arcs(force, pts, _velocities(scenario, pts), 1.0,
                            horizon)
-        y, v, _ = _eval_arcs(arcs, times[:, None, None])
-        return EnsembleTrajectory(times=times, x0=pts, y=y, v=v, mode="Exact")
+        return EnsembleTrajectory(
+            times=times, x0=pts, mode="Exact",
+            frames=lambda lo, hi: _eval_arcs(arcs,
+                                             times[lo:hi, None, None])[:2])
     if isinstance(force, ConstantVec):
         vel0 = _velocities(scenario, pts)
-        y = pts[None] + vel0[None] * times[:, None, None] \
-            + 0.5 * force.vector[None, None] * times[:, None, None] ** 2
-        v = vel0[None] + force.vector[None, None] * times[:, None, None]
-        return EnsembleTrajectory(times=times, x0=pts, y=y, v=v, mode="Exact")
+
+        def frames(lo, hi):
+            t = times[lo:hi, None, None]
+            return (pts[None] + vel0[None] * t
+                    + 0.5 * force.vector[None, None] * t ** 2,
+                    vel0[None] + force.vector[None, None] * t)
+
+        return EnsembleTrajectory(times=times, x0=pts, mode="Exact",
+                                  frames=frames)
     flow = _multid_flow(scenario, pts, horizon, n_out)
-    return EnsembleTrajectory(times=flow.times, x0=pts, y=flow.y, v=flow.v,
+    return EnsembleTrajectory(times=flow.times, x0=pts, frames=flow.frames,
                               mode="Numeric")
 
 
@@ -1083,8 +1146,6 @@ def write_trajectory_csv(traj, path):
         head_x0, head_y, head_v = "x0", "y", "v"
     n = traj.n_particles
     x0 = np.asarray(traj.x0, dtype=np.float64).reshape(n, d)
-    y = np.asarray(traj.y).reshape(len(traj.times), n, d)
-    v = np.asarray(traj.v).reshape(len(traj.times), n, d)
     # the particle index and x0 lead every row
     lead = [",".join(cells) for cells in zip(
         map(str, range(n)), *(map(repr, x0[:, c].tolist()) for c in range(d)))]
@@ -1094,11 +1155,15 @@ def write_trajectory_csv(traj, path):
         # label
         y_text = [_ColumnText(x0[:, c]) for c in range(d)]
         v_text = [_ColumnText() for _ in range(d)]
-        for k in range(k0, k1):
-            _write_rows(fh, [
-                itertools.repeat(repr(float(traj.times[k])), n), lead,
-                *(col.update(y[k, :, c]) for c, col in enumerate(y_text)),
-                *(col.update(v[k, :, c]) for c, col in enumerate(v_text))])
+        # the frames of the range are evaluated here, GAP_FRAMES at a time
+        for lo in range(k0, k1, GAP_FRAMES):
+            y, v = (np.asarray(a).reshape(-1, n, d)
+                    for a in traj.frames(lo, min(lo + GAP_FRAMES, k1)))
+            for k in range(len(y)):
+                _write_rows(fh, [
+                    itertools.repeat(repr(float(traj.times[lo + k])), n), lead,
+                    *(col.update(y[k, :, c]) for c, col in enumerate(y_text)),
+                    *(col.update(v[k, :, c]) for c, col in enumerate(v_text))])
 
     _write_frames(path, f"t,particle_index,{head_x0},{head_y},{head_v}\n",
                   len(traj.times), len(traj.times) * n * (2 + 3 * d), frames)

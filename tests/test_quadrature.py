@@ -110,6 +110,28 @@ def test_potential_matches_integral_of_force():
         ref, abs=1e-8)
 
 
+@pytest.mark.parametrize("z", [1e2, 1e4, 1e6, 1e8, 1e12, 1e152, 1e308])
+def test_far_potential_queries_have_the_closed_form(z):
+    # known defect 13: one quad over the whole span raised
+    # QuadratureFailure from 1e6 on and returned 0.0 at 1e308
+    want = -math.atan(z / math.sqrt(2.0)) / math.sqrt(2.0)
+    alone = potential(Smooth1D(f=parse_expression("1/(2 + y*y)")), z)
+    batched = quadrature.potentials(
+        Smooth1D(f=parse_expression("1/(2 + y*y)")), [0.5, z])[1]
+    assert alone == pytest.approx(want, rel=1e-12)
+    assert batched == pytest.approx(want, rel=1e-12)
+
+
+def test_a_batch_of_far_queries_raises_where_one_query_does():
+    # y^2 overflows at these points: the array call gave inf and then 0.0,
+    # where the scalar call raises
+    with pytest.raises(EvaluationError):
+        potential(Smooth1D(f=parse_expression("1/(2 + y^2)")), 1e160)
+    with pytest.raises(EvaluationError):
+        quadrature.potentials(Smooth1D(f=parse_expression("1/(2 + y^2)")),
+                              [1e160, 1e170])
+
+
 def test_gap_potential_is_piecewise_linear():
     force = OneGap(f1=2.0, f2=1.0, a=2.0)
     drop = potential(force, 3.0) - potential(force, 0.0)

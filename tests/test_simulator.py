@@ -4,6 +4,8 @@ import json
 import math
 import os
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -502,6 +504,88 @@ def test_newton_kernel_failure_names_the_ensemble_and_interval():
         simulator.NewtonFlow(lambda y: y**3, [1.0], [1.0], 10.0)
 
 
+# known defect 16's case: a stiff quartic well, one label released at 1.0
+# and, beside it, 4,095 labels at rest at its bottom
+_QUARTIC_WELL = {"force": {"kind": "smooth1d", "f": "-10000*y^3"},
+                 "horizon": 0.3}
+_CROWD = [1.0] + [0.0] * 4095
+
+
+def _field_cache():
+    return field.FlowMap(load_bundled("smooth_regular"),
+                         horizon=6.0)._dense_flow()
+
+
+def _linear_flow():
+    s = load_bundled("linear_monotone")
+    return simulator._multid_flow(s, s.grid_points(), s.horizon)
+
+
+def _radial_flow():
+    s = load_bundled("central_regular")
+    return simulator.RadialEnsemble(
+        s, s.domain.radial_nodes(s.samples[0]), s.horizon).flow
+
+
+def _guarded_crowd():
+    # the energy guard solves once more at rtol 1e-12: the frames are the
+    # second solve's
+    return simulator.NumericFlow1D(make_scenario(**_QUARTIC_WELL), _CROWD,
+                                   0.3)
+
+
+_FLOWS = {"field_cache": _field_cache, "linear_monotone": _linear_flow,
+          "central_regular": _radial_flow, "guarded_crowd": _guarded_crowd}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOWS))
+def test_frames_on_demand_have_the_bits_of_the_t_eval_table(monkeypatch,
+                                                            name):
+    # every solve is made once more with t_eval at the frame times: the
+    # same DOP853 steps, whose table each chunking of the frames gives
+    solve_ivp = simulator.solve_ivp
+    tables = []
+
+    def solve_twice(fun, t_span, y0, **kwargs):
+        sol = solve_ivp(fun, t_span, y0, **kwargs)
+        ref = solve_ivp(fun, t_span, y0, t_eval=np.linspace(
+            *t_span, simulator.DEFAULT_N_OUT), **kwargs)
+        assert ref.nfev == sol.nfev
+        tables.append(ref.y)
+        return sol
+
+    monkeypatch.setattr(simulator, "solve_ivp", solve_twice)
+    flow = _FLOWS[name]()
+    assert len(tables) == (2 if name == "guarded_crowd" else 1)
+    n, size = len(flow.times), tables[-1].shape[0] // 2
+    assert tables[-1].shape[1] == n == simulator.DEFAULT_N_OUT
+    want_y = tables[-1][:size].T.reshape(n, *flow.shape)
+    want_v = tables[-1][size:].T.reshape(n, *flow.shape)
+    # frames k - 1 and k share a DOP853 step where they share a segment
+    step = np.searchsorted(flow.sol.t, flow.times, side="left")
+    for chunk in (1, 3, 16, 256):
+        if chunk < n:
+            assert any(step[k - 1] == step[k] for k in range(chunk, n, chunk))
+        for lo in range(0, n, chunk):
+            y, v = flow.frames(lo, lo + chunk)
+            np.testing.assert_array_equal(_bits(y), _bits(want_y[lo:lo + chunk]))
+            np.testing.assert_array_equal(_bits(v), _bits(want_v[lo:lo + chunk]))
+    np.testing.assert_array_equal(_bits(flow.y), _bits(want_y))
+    np.testing.assert_array_equal(_bits(flow.v), _bits(want_v))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect 16: DOP853 controls the RMS error of the whole packed "
+    "state, so 4,095 labels at rest loosen the steps of the moving one "
+    "(105 against 169 alone), which ends 1.28e-8 from its solo position"))
+def test_a_label_moves_alike_alone_and_beside_labels_at_rest():
+    s = make_scenario(**_QUARTIC_WELL)
+    alone = simulator.NumericFlow1D(s, _CROWD[:1], 0.3, check_energy=False)
+    crowd = simulator.NumericFlow1D(s, _CROWD, 0.3, check_energy=False)
+    assert crowd.states(0.3)[0][0] == pytest.approx(
+        alone.states(0.3)[0][0], abs=1e-10)
+
+
 def test_halfspace_trajectory_against_vector_rk():
     s = load_bundled("halfspace_collide")
     x0 = np.array([0.5, 0.3])
@@ -813,6 +897,23 @@ def _traj(x0, y, v, times):
                                         x0=x0, y=y, v=v)
 
 
+def _on_demand(kind):
+    """A small trajectory of the given kind whose frames are evaluated when
+    read, 50 of them, so a range of the CSV asks for more than one block."""
+    if kind == "exact_1d":
+        s = _gap_scenario(2.0, 1.0, horizon=3.0, grid=[9])
+    elif kind == "halfspace_2d":
+        s = scenario_from_dict(dict(_BOUNCING, horizon=4.0, grid=[4, 4]))
+    elif kind == "numeric_1d":
+        s = make_scenario(force={"kind": "smooth1d", "f": "1/(2 + y*y)"},
+                          velocity="1 + x", horizon=2.0, grid=[9])
+    else:
+        s = replace(load_bundled("linear_monotone"), samples=(4, 4))
+    traj = simulate_ensemble(s, n_out=50)
+    assert traj.mode == ("Numeric" if kind.startswith("numeric") else "Exact")
+    return traj
+
+
 @pytest.mark.parametrize("n,d", [(5, 0), (4, 2), (1, 0), (1, 3)])
 def test_trajectory_csv_has_the_bytes_of_the_per_row_writer(tmp_path, n, d):
     x0, y, v = _awkward_frames(n, d)
@@ -823,18 +924,72 @@ def test_trajectory_csv_has_the_bytes_of_the_per_row_writer(tmp_path, n, d):
         "one_frame": _traj(x0, y[:1], v[:1], [0.0]),
         "integer_x0": _traj(x_int, y_int, np.zeros_like(y_int), [0.0, 1.0]),
     }
+    on_demand = {(5, 0): ["exact_1d", "numeric_1d"],
+                 (4, 2): ["halfspace_2d", "numeric_2d"]}.get((n, d), [])
+    cases.update((kind, _on_demand(kind)) for kind in on_demand)
     for label, traj in cases.items():
-        want = tmp_path / f"{label}.ref.csv"
-        _trajectory_csv_by_rows(traj, want)
         # with 2 and 3 ranges a chunk starts on frame 2 or on frames 1 and
         # 2, where values step between -0.0 and 0.0, nan and +-inf
         for chunks in CHUNKINGS:
-            got = tmp_path / f"{label}.{chunks}.csv"
             with frame_ranges(chunks) as pids:
-                write_trajectory_csv(traj, got)
-            assert got.read_bytes() == want.read_bytes(), (label, chunks)
+                write_trajectory_csv(traj, tmp_path / f"{label}.{chunks}.csv")
             if chunks != "no fork":
                 assert len(pids) == min(chunks, len(traj.times)) - 1
+        if label in on_demand:
+            # the writer read the frames range by range and built no table
+            assert traj._table is None
+        want = tmp_path / f"{label}.ref.csv"
+        _trajectory_csv_by_rows(traj, want)
+        for chunks in CHUNKINGS:
+            got = tmp_path / f"{label}.{chunks}.csv"
+            assert got.read_bytes() == want.read_bytes(), (label, chunks)
+
+
+def _traced_mib(fn):
+    """(peak, kept) MiB that tracemalloc traces while fn runs and after it,
+    holding its result."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kept = fn()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    del kept
+    return (peak - base) / 2 ** 20, (now - base) / 2 ** 20
+
+
+def test_simulate_and_write_hold_no_frame_table(tmp_path):
+    # the 1,025 x 256 frames of y and v alone are 4 MiB; a table of them,
+    # and a copy, took the peak to 19.5 MiB
+    s = load_bundled("arctan_collide")
+    peak, _ = _traced_mib(lambda: write_trajectory_csv(
+        simulate_ensemble(s), tmp_path / "trajectory.csv"))
+    assert peak < 8.0
+
+
+def test_field_collision_gate_holds_no_frame_table():
+    # the 2,049-label dense cache kept 20.4 MiB with its frame tables
+    s = load_bundled("smooth_regular")
+
+    def gate():
+        flow = field.FlowMap(s, 6.0)
+        flow.regular_until()
+        return flow
+
+    peak, kept = _traced_mib(gate)
+    assert peak < 10.0
+    assert kept < 6.0
+
+
+def test_numeric_detection_holds_no_frame_table():
+    s = load_bundled("smooth_collide")
+    peak, _ = _traced_mib(lambda: detect_collisions_1d(s, 8.0))
+    assert peak < 4.0
 
 
 def _write_awkward(path):
