@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -295,12 +296,13 @@ class _PotentialCache:
     repeated nearby evaluations stay cheap and accumulated error stays at
     panel level.
 
-    The anchor positions are kept sorted in blocks of at most
-    ``2 * _BLOCK`` (``tops`` holds the last position of each block), their
-    values in a dict; at most ``_MAX_ANCHORS`` are kept.  Every query is
-    answered from a ``_Plan`` (``plan``), a single one from a plan of one.
-    ``scans`` holds the outcome of each turning-point scan
-    (``_scan_turning_point``).  A query at nan is nan and adds no anchor.
+    An anchor is two float64s: its position in a sorted block of at most
+    ``2 * _BLOCK`` (``tops`` holds each block's last position), its value
+    at that index of the parallel block in ``values``; at most
+    ``_MAX_ANCHORS`` are kept.  Every query is answered from a ``_Plan``
+    (``plan``), a single one from a plan of one.  ``scans`` holds the
+    outcome of each turning-point scan (``_scan_turning_point``).
+    A query at nan is nan and adds no anchor.
     """
 
     _MAX_ANCHORS = 50000
@@ -308,9 +310,9 @@ class _PotentialCache:
 
     def __init__(self, f):
         self.f = f
-        self.blocks = [[0.0]]
+        self.blocks = [array("d", [0.0])]
+        self.values = [array("d", [0.0])]
         self.tops = [0.0]
-        self.values = {0.0: 0.0}
         self.size = 1
         self.scans = {}         # (x, y, H0(x)) -> None or a TurningPoint's
 
@@ -319,7 +321,8 @@ class _PotentialCache:
 
     def anchors(self):
         """Every anchor as ``(position, value)``, by position."""
-        return [(z, self.values[z]) for block in self.blocks for z in block]
+        return [a for block, us in zip(self.blocks, self.values)
+                for a in zip(block, us)]
 
     def plan(self, zs):
         """The ``_Plan`` of the queries zs from the present anchors.
@@ -342,28 +345,30 @@ class _PotentialCache:
         za, zb = [], []
         step, panel_from, panel_to = steps.append, za.append, zb.append
         for q, z in enumerate(zs):
-            if z in values or z in owner or z != z:
-                # an anchor, or nan
-                step((owner.get(z, -1), values.get(z, math.nan), -1, False))
+            if z in owner or z != z:    # a new anchor of the plan, or nan
+                step((owner.get(z, -1), math.nan, -1, False))
                 continue
-            # z's neighbours lo < z < hi among the anchors and the plan's
-            # new ones; -inf and inf where there is none
+            # z's neighbours lo < z < hi and their values (None for a new
+            # anchor of the plan); -inf and inf where there is none
             i = bisect_left(tops, z)
             if i > last:
-                lo, hi = tops[last], inf
+                lo, ulo, hi = tops[last], values[last][-1], inf
             else:
-                block = blocks[i]
+                block, us = blocks[i], values[i]
                 j = bisect_left(block, z)
-                hi = block[j]
-                lo = block[j - 1] if j else tops[i - 1] if i else -inf
+                hi, uhi = block[j], us[j]
+                if hi == z:     # an anchor (0.0 for -0.0)
+                    step((-1, uhi, -1, False))
+                    continue
+                lo, ulo = (block[j - 1], us[j - 1]) if j else (
+                    tops[i - 1], values[i - 1][-1]) if i else (-inf, None)
             j = bisect_left(pending, z)
             if j < len(pending) and pending[j] < hi:
-                hi = pending[j]
+                hi, uhi = pending[j], None
             if j and pending[j - 1] > lo:
-                lo = pending[j - 1]
+                lo, ulo = pending[j - 1], None
             # the nearer, as |lo - z| is z - lo exactly; lo below z = inf
-            zn = lo if hi == inf or z - lo <= hi - z else hi
-            un = values.get(zn)
+            zn, un = (lo, ulo) if hi == inf or z - lo <= hi - z else (hi, uhi)
             adds = len(pending) < room
             step((-1 if un is not None else owner[zn], un, len(za), adds))
             panel_from(zn)
@@ -391,13 +396,15 @@ class _PotentialCache:
         if self.size >= self._MAX_ANCHORS:
             return
         self.size += 1
-        self.values[z] = u
         i = min(bisect.bisect_left(self.tops, z), len(self.tops) - 1)
-        block = self.blocks[i]
-        block.insert(bisect.bisect_left(block, z), z)
+        block, us = self.blocks[i], self.values[i]
+        j = bisect.bisect_left(block, z)
+        block.insert(j, z)
+        us.insert(j, u)
         self.tops[i] = block[-1]
         if len(block) > 2 * self._BLOCK:
             self.blocks[i:i + 1] = [block[:self._BLOCK], block[self._BLOCK:]]
+            self.values[i:i + 1] = [us[:self._BLOCK], us[self._BLOCK:]]
             self.tops.insert(i, block[self._BLOCK - 1])
 
 

@@ -397,6 +397,7 @@ class NewtonFlow(_Tables):
         times = np.linspace(0.0, horizon, n_out)
         self.times = times[:np.searchsorted(times, sol.t[-1], side="right")]
         self.shape = shape
+        del sol.y               # the state at each step: sol.sol is read
         self.sol = sol
 
     def frames(self, lo, hi):
@@ -422,9 +423,9 @@ class NewtonFlow(_Tables):
 
 class NumericFlow1D(NewtonFlow):
     """Newton flow of the 1D labels xs under the scenario's force and
-    masses, with an energy guard: where the energy drifts past
-    ENERGY_DRIFT_BUDGET the flow is solved once more at rtol 1e-12 and
-    atol 1e-14, and StepFailure is raised if it still drifts."""
+    masses; with ``check_energy``, an energy guard: where the energy drifts
+    past ENERGY_DRIFT_BUDGET the flow is solved once more at rtol 1e-12
+    and atol 1e-14, and StepFailure is raised if it still drifts."""
 
     def __init__(self, scenario, xs, horizon, n_out=DEFAULT_N_OUT,
                  check_energy=True):
@@ -443,9 +444,11 @@ class NumericFlow1D(NewtonFlow):
         self.v0 = v0
         self.mass = m
         self.n = len(xs)
+        if not check_energy:
+            return
         self.energy0 = 0.5 * m * v0 * v0 + np.array(
             quadrature.potentials(force, xs))
-        if check_energy and self._energy_drift() > ENERGY_DRIFT_BUDGET:
+        if self._energy_drift() > ENERGY_DRIFT_BUDGET:
             super().__init__(accel, xs, v0, horizon, n_out, rtol=1e-12,
                              atol=1e-14)
             if self._energy_drift() > ENERGY_DRIFT_BUDGET:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,3 +94,21 @@ def frame_ranges(chunks):
             mp.setattr(simulator, "_cpus", lambda: chunks)
             mp.setattr(os, "fork", counted)
         yield pids
+
+
+def traced_mib(fn):
+    """(peak, kept) MiB that tracemalloc traces while fn runs and after it,
+    holding its result."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kept = fn()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    del kept
+    return (peak - base) / 2 ** 20, (now - base) / 2 ** 20

@@ -4,7 +4,6 @@ import json
 import math
 import os
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +38,7 @@ from conftest import (
     load_bundled,
     make_scenario,
     one_label,
+    traced_mib,
 )
 
 
@@ -945,29 +945,11 @@ def test_trajectory_csv_has_the_bytes_of_the_per_row_writer(tmp_path, n, d):
             assert got.read_bytes() == want.read_bytes(), (label, chunks)
 
 
-def _traced_mib(fn):
-    """(peak, kept) MiB that tracemalloc traces while fn runs and after it,
-    holding its result."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        kept = fn()
-        now, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    del kept
-    return (peak - base) / 2 ** 20, (now - base) / 2 ** 20
-
-
 def test_simulate_and_write_hold_no_frame_table(tmp_path):
     # the 1,025 x 256 frames of y and v alone are 4 MiB; a table of them,
     # and a copy, took the peak to 19.5 MiB
     s = load_bundled("arctan_collide")
-    peak, _ = _traced_mib(lambda: write_trajectory_csv(
+    peak, _ = traced_mib(lambda: write_trajectory_csv(
         simulate_ensemble(s), tmp_path / "trajectory.csv"))
     assert peak < 8.0
 
@@ -981,14 +963,14 @@ def test_field_collision_gate_holds_no_frame_table():
         flow.regular_until()
         return flow
 
-    peak, kept = _traced_mib(gate)
+    peak, kept = traced_mib(gate)
     assert peak < 10.0
     assert kept < 6.0
 
 
 def test_numeric_detection_holds_no_frame_table():
     s = load_bundled("smooth_collide")
-    peak, _ = _traced_mib(lambda: detect_collisions_1d(s, 8.0))
+    peak, _ = traced_mib(lambda: detect_collisions_1d(s, 8.0))
     assert peak < 4.0
 
 
@@ -1055,3 +1037,23 @@ def test_numeric_flow_energies_match_one_potential_query_at_a_time(monkeypatch):
         lambda force, zs, stop=None: [simulator.quadrature.potential(force, z)
                                       for z in zs])
     assert run() == batched
+
+
+def test_an_unchecked_flow_makes_no_potential_query():
+    # only the energy guard reads the initial energies
+    s = load_bundled("smooth_regular")
+    cache = simulator.quadrature._anchored(s.force)
+    flow = simulator.NumericFlow1D(s, s.domain.axis_nodes(0, 40), 6.0,
+                                   check_energy=False)
+    assert cache.size == 1
+    assert not hasattr(flow, "energy0")
+
+
+def test_a_solved_flow_holds_no_step_table():
+    # the dense solution gives every frame; the state at each DOP853 step
+    # is not kept
+    s = load_bundled("smooth_regular")
+    flow = simulator.NumericFlow1D(s, s.domain.axis_nodes(0, 40), 6.0)
+    assert "y" not in flow.sol
+    assert flow.sol.status == 0 and len(flow.sol.t) > 2
+    assert flow.states(6.0)[0].shape == (flow.n,)
