@@ -56,6 +56,7 @@ INVERT_TOL = 1e-12
 JACOBIAN_FLOOR = 1e-14
 STENCIL_FRAC = 5e-4
 _CACHE_NODES = 2049
+_BATCH = 16384  # most stencil points that one ``_field_row`` takes
 
 
 @dataclass
@@ -95,9 +96,9 @@ class FlowMap:
 
     Gap, constant and step forces evaluate in closed form, a whole array of
     labels per call, each label at its own time.  Smooth forces answer grid
-    queries, Jacobians and the image that inversion searches from per-time
-    cubic splines over a dense cached ensemble, one spline per distinct
-    time; ``states`` integrates each label on its own, a
+    queries, Jacobians and the image that inversion searches from cubic
+    splines over a dense cached ensemble at the time asked, kept for the
+    last time only; ``states`` integrates each label on its own, a
     one-label NumericFlow1D, for the material endpoints that
     ``track_boundary`` follows.  ``ensure_regular`` refuses times at or past
     the first collision on [0, horizon]: the first fold of the dense cache
@@ -118,7 +119,7 @@ class FlowMap:
         self.mode = "numeric" if self.levels is None else "exact"
         self._label_flows = {}
         self._dense = None
-        self._t_cache = {}
+        self._memo = (math.nan, None)  # the last time splined, its splines
         self._regular_until = None
 
     # -- regularity gate ----------------------------------------------------
@@ -159,8 +160,7 @@ class FlowMap:
         if self.mode == "numeric":
             t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
                                         np.asarray(xs, dtype=float))
-            ys = np.empty(xs.shape)
-            vs = np.empty(xs.shape)
+            ys, vs = np.empty(xs.shape), np.empty(xs.shape)
             for i, x in np.ndenumerate(xs):
                 (ys[i],), (vs[i],) = self._single_flow(float(x)).states(
                     float(t[i]))
@@ -206,24 +206,23 @@ class FlowMap:
     def _splines(self, t):
         """(spl_y, spl_v, increasing) at time t: cubic splines of position
         and velocity over the dense cache's labels, and whether its node
-        positions are strictly increasing."""
+        positions are strictly increasing; only the last time's are kept."""
         t = float(t)
-        hit = self._t_cache.get(t)
-        if hit is not None:
-            return hit
-        dense = self._dense_flow()
-        ys, vs = dense.states(t)
-        hit = (CubicSpline(dense.xs, ys), CubicSpline(dense.xs, vs),
-               bool(np.all(ys[1:] > ys[:-1])))
-        if len(self._t_cache) > 4096:
-            self._t_cache.clear()
-        self._t_cache[t] = hit
-        return hit
+        if t != self._memo[0]:
+            dense = self._dense_flow()
+            ys, vs = dense.states(t)
+            self._memo = t, (CubicSpline(dense.xs, ys),
+                             CubicSpline(dense.xs, vs),
+                             bool(np.all(ys[1:] > ys[:-1])))
+        return self._memo[1]
 
     def _on_splines(self, t, xs, *calls):
         """For each (k, nu) of calls, the nu-th label derivative of spline k
         (0 position, 1 velocity) of the dense cache at the labels xs, each
         at its time of t (a number or an array broadcast against xs)."""
+        if np.ndim(t) == 0:
+            return [self._splines(t)[k](np.asarray(xs, dtype=float), nu)
+                    for k, nu in calls]
         t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
                                     np.asarray(xs, dtype=float))
         out = [np.empty(xs.shape) for _ in calls]
@@ -266,8 +265,8 @@ class FlowMap:
         if self.mode != "numeric":
             return self.boundaries(t)
         if np.ndim(t):
-            ends = np.array([self.image(float(tk)) for tk in t]).reshape(-1, 2)
-            return ends[:, 0], ends[:, 1]
+            return tuple(np.reshape([self.image(float(tk)) for tk in t],
+                                    (-1, 2)).T)
         spl_y, _, increasing = self._splines(t)
         if not increasing:
             raise NotRegular(
@@ -381,13 +380,21 @@ def _bisect(position, t, y, lo, hi):
 def _field_row(flow, rho0, t, ys):
     """(labels, u, pushforward density) at the image points ys, each at its
     time of t (a number or an array broadcast against ys), nan where a
-    point lies outside the image; raises as ``_invert``."""
+    point lies outside the image; raises as ``_invert``.  A smooth flow
+    takes the times one by one in the order they come, each spline once."""
+    if flow.mode == "numeric" and np.ndim(t):
+        t = np.broadcast_to(t, ys.shape)
+        out = np.empty((3,) + ys.shape)
+        for tk in dict.fromkeys(t.tolist()):
+            out[:, t == tk] = _field_row(flow, rho0, tk, ys[t == tk])
+        return tuple(out)
     x = _invert(flow, t, ys)
     u = np.full(ys.shape, math.nan)
     rho = np.full(ys.shape, math.nan)
     found = ~np.isnan(x)
     if found.any():
-        t = np.broadcast_to(t, ys.shape)[found]
+        if np.ndim(t):
+            t = np.broadcast_to(t, ys.shape)[found]
         _, u[found] = flow.grid_states(t, x[found])
         rho[found] = _pushforward(_on_labels(rho0, x[found]),
                                   flow.jacobian(t, x[found]))
@@ -404,18 +411,22 @@ def _stencil_leg(flow, rho0, t, ys):
 
 
 def _stencil_legs(flow, rho0, legs):
-    """``_stencil_leg`` of each (t, ys) of legs, all of them in one
-    ``_field_row``; when that raises, one leg at a time, so only the legs
-    outside the regular range come out nan."""
+    """``_stencil_leg`` of each (t, ys) of legs, their points taken in
+    order by ``_field_row`` calls of at most _BATCH points; when one
+    raises, one leg at a time, so only the legs outside the regular range
+    come out nan."""
     if not legs:
         return []
     t = np.concatenate([np.full(ys.shape, t) for t, ys in legs])
-    try:
-        _, u, rho = _field_row(flow, rho0, t,
-                               np.concatenate([ys for _, ys in legs]))
-    except (NotRegular, InvalidParameter):
-        return [_stencil_leg(flow, rho0, t, ys) for t, ys in legs]
-    cuts = np.cumsum([ys.size for _, ys in legs])[:-1]
+    ys = np.concatenate([ys for _, ys in legs])
+    u, rho = np.empty(ys.shape), np.empty(ys.shape)
+    for lo in range(0, ys.size, _BATCH):
+        part = slice(lo, lo + _BATCH)
+        try:
+            _, u[part], rho[part] = _field_row(flow, rho0, t[part], ys[part])
+        except (NotRegular, InvalidParameter):
+            return [_stencil_leg(flow, rho0, t, ys) for t, ys in legs]
+    cuts = np.cumsum([leg.size for _, leg in legs])[:-1]
     return list(zip(np.split(u, cuts), np.split(rho, cuts)))
 
 
@@ -428,9 +439,7 @@ def reconstruct_velocity(scenario, t, y, flow=None):
 
 def _density0(scenario):
     rho0 = scenario.init.density
-    if rho0 is None:
-        return Constant(1.0)
-    return rho0
+    return Constant(1.0) if rho0 is None else rho0
 
 
 def _pushforward(rho0_vals, jac):
@@ -617,8 +626,9 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     u and both densities are direct particle data; the residual columns use
     local central-difference stencils around each sample (nan where a stencil
     leg leaves the image or t = 0 admits no centered difference).  The
-    stencil legs (t +- dt, y +- dy) of every time are inverted together,
-    one point per leg and sample, in one ``_field_row``.
+    stencil legs (t +- dt, y +- dy), one point per leg and sample, are
+    inverted by ``_stencil_legs`` for as many rows as fit in _BATCH
+    points, and one row at a time on a smooth flow.
     """
     if scenario.dim != 1:
         raise InvalidParameter("sample_field needs a one-dimensional scenario")
@@ -642,41 +652,31 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     rho0_vals = _on_labels(rho0, xs)
     f = line_force(scenario.force)
 
-    rows = []
-    legs = []
-    for t in map(float, times):
+    out, rows, legs = [], [], []
+    for k, t in enumerate(map(float, times)):
         ys, vs = flow.grid_states(t, xs)
-        ys = np.asarray(ys, dtype=float)
         dy = STENCIL_FRAC * max(float(ys[-1] - ys[0]), 1.0)
-        rows.append((t, ys, np.asarray(vs, dtype=float), dy))
+        rows.append((t, ys, vs, dy,
+                     _pushforward(rho0_vals, flow.jacobian(t, xs))))
         if t - dt >= 0.0:
-            legs += [(t + dt, ys), (t - dt, ys), (t, ys + dy), (t, ys - dy)]
-    legs = iter(_stencil_legs(flow, rho0, legs))
-
-    grid = FieldGrid(times=[], y=[], u=[], rho_transport=[],
-                     rho_pushforward=[], residual_euler=[],
-                     residual_continuity=[])
-    for t, ys, vs, dy in rows:
-        res_e = np.full(len(xs), math.nan)
-        res_c = np.full(len(xs), math.nan)
-        if t - dt >= 0.0:
-            (u_tp, rho_tp), (u_tm, rho_tm), (u_yp, rho_yp), (u_ym, rho_ym) = (
-                next(legs) for _ in range(4))
-            du_dt = (u_tp - u_tm) / (2.0 * dt)
-            du_dy = (u_yp - u_ym) / (2.0 * dy)
-            res_e = du_dt + vs * du_dy - _on_labels(f, ys)
-            drho_dt = (rho_tp - rho_tm) / (2.0 * dt)
-            dflux_dy = (u_yp * rho_yp - u_ym * rho_ym) / (2.0 * dy)
-            res_c = drho_dt + dflux_dy
-        grid.times.append(t)
-        grid.y.append(ys)
-        grid.u.append(vs)
-        grid.rho_transport.append(rho0_vals.copy())
-        grid.rho_pushforward.append(
-            _pushforward(rho0_vals, flow.jacobian(t, xs)))
-        grid.residual_euler.append(res_e)
-        grid.residual_continuity.append(res_c)
-    return grid
+            legs += [(t, ys + dy), (t, ys - dy), (t + dt, ys), (t - dt, ys)]
+        if (k + 1 < len(times) and flow.mode != "numeric"
+                and (len(legs) + 4) * len(xs) <= _BATCH):
+            continue  # the legs of the next row fit in the same batch
+        legs = iter(_stencil_legs(flow, rho0, legs))
+        for t, ys, vs, dy, rho in rows:
+            res_e = np.full(len(xs), math.nan)
+            res_c = np.full(len(xs), math.nan)
+            if t - dt >= 0.0:
+                (u_yp, rho_yp), (u_ym, rho_ym), (u_tp, rho_tp), (u_tm, rho_tm) = (
+                    next(legs) for _ in range(4))
+                res_e = ((u_tp - u_tm) / (2.0 * dt)
+                         + vs * ((u_yp - u_ym) / (2.0 * dy)) - _on_labels(f, ys))
+                res_c = ((rho_tp - rho_tm) / (2.0 * dt)
+                         + (u_yp * rho_yp - u_ym * rho_ym) / (2.0 * dy))
+            out.append((t, ys, vs, rho0_vals.copy(), rho, res_e, res_c))
+        rows, legs = [], []
+    return FieldGrid(*map(list, zip(*out)))
 
 
 def write_field_csv(grid, path):

@@ -119,12 +119,32 @@ def pair_first_crossing_by_roots(segs_i, segs_j, t_max):
     return None
 
 
+def _on_column(pos, ts):
+    """pos at every time of ts from one call on the column ts[:, None], as
+    rows, or None when pos does not answer a column of times row by row."""
+    try:
+        rows = np.asarray(pos(ts[:, None]), dtype=float)
+    except (TypeError, ValueError):
+        return None
+    first = np.asarray(pos(ts[0]), dtype=float)
+    if rows.shape != (len(ts),) + first.shape or \
+            not np.array_equal(rows[0], first):
+        return None
+    return rows.reshape(len(ts), -1)
+
+
 def dense_min_distance(pos_a, pos_b, t_end, n=4001, refine=60):
     """Minimum over time of |pos_a(t) - pos_b(t)| by dense sampling plus
-    ternary refinement around the best sample; returns (d_min, t_min)."""
+    ternary refinement around the best sample; returns (d_min, t_min).
+    The samples come from one call per position on a column of times when
+    both positions take one, and from one call per time otherwise."""
     ts = np.linspace(0.0, t_end, n)
-    ds = np.array([np.linalg.norm(np.asarray(pos_a(t)) - np.asarray(pos_b(t)))
-                   for t in ts])
+    rows_a, rows_b = _on_column(pos_a, ts), _on_column(pos_b, ts)
+    if rows_a is None or rows_b is None:
+        ds = np.array([np.linalg.norm(np.asarray(pos_a(t))
+                                      - np.asarray(pos_b(t))) for t in ts])
+    else:
+        ds = np.linalg.norm(rows_a - rows_b, axis=1)
     k = int(np.argmin(ds))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, n - 1)]

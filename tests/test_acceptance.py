@@ -165,6 +165,29 @@ def test_criterion_04_constant_force_pairs_match_dense_minimum():
         assert d_min > 0.0
 
 
+def test_dense_minimum_scans_a_column_of_times_as_the_loop_does():
+    rng = np.random.default_rng(4)
+    for dim in (1, 2, 3):
+        x1, v1, g = (rng.uniform(-1.0, 1.0, size=dim) for _ in range(3))
+        x2, v2 = x1 + 0.5, v1 - 0.4
+
+        def pa(t, x=x1, v=v1, g=g):
+            return x + v * t + 0.5 * g * t * t
+
+        def pb(t, x=x2, v=v2, g=g):
+            return x + v * t + 0.5 * g * t * t
+
+        # float() refuses a column, so these two are scanned time by time
+        looped = oracles.dense_min_distance(
+            lambda t: pa(float(t)), lambda t: pb(float(t)), 3.0)
+        d_min, t_min = oracles.dense_min_distance(pa, pb, 3.0)
+        # the norms of the scan may differ in the last bit
+        assert t_min == pytest.approx(looped[1], rel=0.0, abs=1e-12)
+        assert d_min == pytest.approx(looped[0], rel=1e-12, abs=1e-15)
+    assert oracles._on_column(lambda t: pa(float(t)), np.zeros(3)) is None
+    assert oracles._on_column(pa, np.zeros(3)).shape == (3, 3)
+
+
 def test_criterion_05_halfspace_step_square():
     # rest release below the plane y2 = 2 under near force (0, 1)
     near = np.array([0.0, 1.0])

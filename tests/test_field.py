@@ -47,6 +47,7 @@ from conftest import (
     frame_ranges,
     load_bundled,
     make_scenario,
+    traced_mib,
 )
 
 
@@ -315,6 +316,60 @@ def test_sample_field_legs_have_the_bits_of_one_call_per_leg(name, times):
     assert [bool(np.isnan(r).all()) for r in grid.residual_euler] == \
         [t == 0.0 or p for t, p in zip(times, past)]
     assert any(past) == (name == "one_gap_collide")
+
+
+@pytest.mark.parametrize("name,horizon,batch", [
+    ("arctan_collide", 0.9, None),
+    ("smooth_regular", None, None),
+    ("smooth_regular", None, 1000),
+    # the last row's t + dt leg lies past the collision at 3.0000688; a
+    # batch of 1000 points ends inside a row, two of them inside that leg
+    ("one_gap_collide", 2.9995, None),
+    ("one_gap_collide", 2.9995, 1000),
+])
+def test_sample_field_batches_have_the_bits_of_one_call_per_leg(
+        monkeypatch, name, horizon, batch):
+    if batch is not None:
+        monkeypatch.setattr(field, "_BATCH", batch)
+    s = load_bundled(name)
+    horizon = s.horizon if horizon is None else horizon
+    dt = field.STENCIL_FRAC * max(1.0, horizon)
+    flow = FlowMap(s, horizon=(horizon + 2.0 * dt) * (1.0 + 1e-9))
+    grid = sample_field(s, horizon=horizon, flow=flow)
+    res_e, res_c = _residuals_one_leg_at_a_time(s, flow, grid)
+    for k in range(len(grid.times)):
+        assert _same_bits(grid.residual_euler[k], res_e[k])
+        assert _same_bits(grid.residual_continuity[k], res_c[k])
+    nan_rows = [k for k, r in enumerate(grid.residual_euler)
+                if np.isnan(r).all()]
+    assert nan_rows == ([0, 8] if name == "one_gap_collide" else [0])
+
+
+@pytest.mark.parametrize("name,horizon,bound_mib", [
+    ("arctan_collide", 0.9, 5.0),
+    ("smooth_regular", None, 7.0),
+])
+def test_sample_field_works_in_bounded_memory(name, horizon, bound_mib):
+    # the stencil legs of 8 rows of 2,001 labels would take 64k points in
+    # one inversion, and a spline cache two splines of the 2,049-label
+    # dense ensemble for each of the 25 times of a smooth run
+    s = load_bundled(name)
+    peak, _ = traced_mib(lambda: sample_field(s, horizon=horizon))
+    assert peak < bound_mib
+
+
+def test_smooth_field_builds_the_splines_of_each_time_once(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return CubicSpline(*args)
+
+    monkeypatch.setattr(field, "CubicSpline", counted)
+    grid = sample_field(load_bundled("smooth_regular"))
+    dt = field.STENCIL_FRAC * max(1.0, grid.times[-1])
+    times = {t + d for t in grid.times[1:] for d in (-dt, 0.0, dt)}
+    assert len(built) == 2 * len(times | {grid.times[0]}) == 50
 
 
 def _window_one_row_at_a_time(scenario, t_window, y_window, n_t, n_y, flow):
