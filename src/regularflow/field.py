@@ -160,7 +160,8 @@ class FlowMap:
         if self.mode == "numeric":
             t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
                                         np.asarray(xs, dtype=float))
-            ys, vs = np.empty(xs.shape), np.empty(xs.shape)
+            ys = np.empty(xs.shape)
+            vs = np.empty(xs.shape)
             for i, x in np.ndenumerate(xs):
                 (ys[i],), (vs[i],) = self._single_flow(float(x)).states(
                     float(t[i]))
@@ -265,8 +266,8 @@ class FlowMap:
         if self.mode != "numeric":
             return self.boundaries(t)
         if np.ndim(t):
-            return tuple(np.reshape([self.image(float(tk)) for tk in t],
-                                    (-1, 2)).T)
+            ends = np.array([self.image(float(tk)) for tk in t]).reshape(-1, 2)
+            return ends[:, 0], ends[:, 1]
         spl_y, _, increasing = self._splines(t)
         if not increasing:
             raise NotRegular(
@@ -381,7 +382,7 @@ def _field_row(flow, rho0, t, ys):
     """(labels, u, pushforward density) at the image points ys, each at its
     time of t (a number or an array broadcast against ys), nan where a
     point lies outside the image; raises as ``_invert``.  A smooth flow
-    takes the times one by one in the order they come, each spline once."""
+    takes the times one by one in the order they come."""
     if flow.mode == "numeric" and np.ndim(t):
         t = np.broadcast_to(t, ys.shape)
         out = np.empty((3,) + ys.shape)
@@ -415,8 +416,6 @@ def _stencil_legs(flow, rho0, legs):
     order by ``_field_row`` calls of at most _BATCH points; when one
     raises, one leg at a time, so only the legs outside the regular range
     come out nan."""
-    if not legs:
-        return []
     t = np.concatenate([np.full(ys.shape, t) for t, ys in legs])
     ys = np.concatenate([ys for _, ys in legs])
     u, rho = np.empty(ys.shape), np.empty(ys.shape)
@@ -439,7 +438,9 @@ def reconstruct_velocity(scenario, t, y, flow=None):
 
 def _density0(scenario):
     rho0 = scenario.init.density
-    return Constant(1.0) if rho0 is None else rho0
+    if rho0 is None:
+        return Constant(1.0)
+    return rho0
 
 
 def _pushforward(rho0_vals, jac):
@@ -626,9 +627,8 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     u and both densities are direct particle data; the residual columns use
     local central-difference stencils around each sample (nan where a stencil
     leg leaves the image or t = 0 admits no centered difference).  The
-    stencil legs (t +- dt, y +- dy), one point per leg and sample, are
-    inverted by ``_stencil_legs`` for as many rows as fit in _BATCH
-    points, and one row at a time on a smooth flow.
+    stencil legs (t +- dt, y +- dy) of as many rows as fit in _BATCH points
+    (one row on a smooth flow) go to one ``_stencil_legs``.
     """
     if scenario.dim != 1:
         raise InvalidParameter("sample_field needs a one-dimensional scenario")
@@ -663,7 +663,7 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
         if (k + 1 < len(times) and flow.mode != "numeric"
                 and (len(legs) + 4) * len(xs) <= _BATCH):
             continue  # the legs of the next row fit in the same batch
-        legs = iter(_stencil_legs(flow, rho0, legs))
+        legs = iter(_stencil_legs(flow, rho0, legs) if legs else ())
         for t, ys, vs, dy, rho in rows:
             res_e = np.full(len(xs), math.nan)
             res_c = np.full(len(xs), math.nan)
