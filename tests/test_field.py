@@ -350,9 +350,9 @@ def test_sample_field_batches_have_the_bits_of_one_call_per_leg(
     ("smooth_regular", None, 7.0),
 ])
 def test_sample_field_works_in_bounded_memory(name, horizon, bound_mib):
-    # the stencil legs of 8 rows of 2,001 labels would take 64k points in
-    # one inversion, and a spline cache two splines of the 2,049-label
-    # dense ensemble for each of the 25 times of a smooth run
+    # 8 rows of 2,001 labels have 64k stencil points, and a smooth run
+    # splines its 2,049-label dense ensemble at 25 times: the peak must
+    # grow with neither
     s = load_bundled(name)
     peak, _ = traced_mib(lambda: sample_field(s, horizon=horizon))
     assert peak < bound_mib
