@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import DOP853, cumulative_trapezoid, solve_ivp
 from scipy.spatial import cKDTree
 
 from . import quadrature
@@ -360,6 +360,17 @@ def _vectorize_scalar(fn):
     return wrapped
 
 
+class _DOP853(DOP853):
+    """DOP853 that adds itself to the list ``made``.  OdeSolver's ``fun``
+    and ``fun_vectorized`` are closures over the solver, so a solver that
+    solve_ivp is done with keeps its stage arrays until the cyclic garbage
+    collector runs, unless the caller clears it."""
+
+    def __init__(self, *args, made, **kwargs):
+        super().__init__(*args, **kwargs)
+        made.append(self)
+
+
 class NewtonFlow(_Tables):
     """Newton flow y'' = accel(y) of the positions y0, started with the
     velocities v0: the package's one ODE solve.
@@ -385,11 +396,14 @@ class NewtonFlow(_Tables):
 
         # solve_ivp is looked up at call time: perfbench/tracer.py wraps
         # simulator.solve_ivp by name
+        made = []
         sol = solve_ivp(
             rhs, (0.0, horizon), np.concatenate([y0.ravel(), np.ravel(v0)]),
-            method="DOP853", rtol=rtol, atol=atol, dense_output=True,
-            events=list(events) or None,
+            method=_DOP853, rtol=rtol, atol=atol, dense_output=True,
+            events=list(events) or None, made=made,
         )
+        for solver in made:     # free it now, not at the next collection
+            vars(solver).clear()
         if not sol.success:
             raise StepFailure(
                 f"DOP853 failed for n = {shape[0] if shape else 1} particles "

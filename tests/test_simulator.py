@@ -1,5 +1,6 @@
 """Simulation oracle: exact propagation, numeric flows, collision search."""
 
+import gc
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from regularflow import field, simulator
 from regularflow.cli import main
@@ -1057,3 +1059,18 @@ def test_a_solved_flow_holds_no_step_table():
     assert "y" not in flow.sol
     assert flow.sol.status == 0 and len(flow.sol.t) > 2
     assert flow.states(6.0)[0].shape == (flow.n,)
+
+
+def test_a_solved_flow_leaves_no_solver_to_the_collector():
+    # OdeSolver's closures over the solver make a reference cycle: the
+    # flow clears its solver, so the stage arrays go when solve_ivp returns
+    # and not at whichever collection comes next
+    s = load_bundled("smooth_regular")
+    gc.collect()
+    gc.disable()
+    try:
+        simulator.NumericFlow1D(s, s.domain.axis_nodes(0, 40), 6.0)
+        left = [o for o in gc.get_objects() if isinstance(o, DOP853)]
+    finally:
+        gc.enable()
+    assert left == []
