@@ -221,9 +221,6 @@ class FlowMap:
         """For each (k, nu) of calls, the nu-th label derivative of spline k
         (0 position, 1 velocity) of the dense cache at the labels xs, each
         at its time of t (a number or an array broadcast against xs)."""
-        if np.ndim(t) == 0:
-            return [self._splines(t)[k](np.asarray(xs, dtype=float), nu)
-                    for k, nu in calls]
         t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
                                     np.asarray(xs, dtype=float))
         out = [np.empty(xs.shape) for _ in calls]
@@ -394,8 +391,7 @@ def _field_row(flow, rho0, t, ys):
     rho = np.full(ys.shape, math.nan)
     found = ~np.isnan(x)
     if found.any():
-        if np.ndim(t):
-            t = np.broadcast_to(t, ys.shape)[found]
+        t = np.broadcast_to(t, ys.shape)[found]
         _, u[found] = flow.grid_states(t, x[found])
         rho[found] = _pushforward(_on_labels(rho0, x[found]),
                                   flow.jacobian(t, x[found]))
