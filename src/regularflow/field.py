@@ -56,7 +56,7 @@ INVERT_TOL = 1e-12
 JACOBIAN_FLOOR = 1e-14
 STENCIL_FRAC = 5e-4
 _CACHE_NODES = 2049
-_BATCH = 16384  # most stencil points that one ``_field_row`` takes
+_BATCH = 16384  # rows share a ``_field_row`` up to this many stencil points
 
 
 @dataclass
@@ -381,8 +381,7 @@ def _field_row(flow, rho0, t, ys):
     point lies outside the image; raises as ``_invert``.  A smooth flow
     takes the times one by one in the order they come."""
     if flow.mode == "numeric" and np.ndim(t):
-        t = np.broadcast_to(t, ys.shape)
-        out = np.empty((3,) + ys.shape)
+        t, out = np.broadcast_to(t, ys.shape), np.empty((3,) + ys.shape)
         for tk in dict.fromkeys(t.tolist()):
             out[:, t == tk] = _field_row(flow, rho0, tk, ys[t == tk])
         return tuple(out)
@@ -408,20 +407,16 @@ def _stencil_leg(flow, rho0, t, ys):
 
 
 def _stencil_legs(flow, rho0, legs):
-    """``_stencil_leg`` of each (t, ys) of legs, their points taken in
-    order by ``_field_row`` calls of at most _BATCH points; when one
-    raises, one leg at a time, so only the legs outside the regular range
-    come out nan."""
+    """``_stencil_leg`` of each (t, ys) of legs, all of them in one
+    ``_field_row``; when that raises, one leg at a time, so only the legs
+    outside the regular range come out nan."""
     t = np.concatenate([np.full(ys.shape, t) for t, ys in legs])
-    ys = np.concatenate([ys for _, ys in legs])
-    u, rho = np.empty(ys.shape), np.empty(ys.shape)
-    for lo in range(0, ys.size, _BATCH):
-        part = slice(lo, lo + _BATCH)
-        try:
-            _, u[part], rho[part] = _field_row(flow, rho0, t[part], ys[part])
-        except (NotRegular, InvalidParameter):
-            return [_stencil_leg(flow, rho0, t, ys) for t, ys in legs]
-    cuts = np.cumsum([leg.size for _, leg in legs])[:-1]
+    try:
+        _, u, rho = _field_row(flow, rho0, t,
+                               np.concatenate([ys for _, ys in legs]))
+    except (NotRegular, InvalidParameter):
+        return [_stencil_leg(flow, rho0, t, ys) for t, ys in legs]
+    cuts = np.cumsum([ys.size for _, ys in legs])[:-1]
     return list(zip(np.split(u, cuts), np.split(rho, cuts)))
 
 
@@ -623,8 +618,8 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     u and both densities are direct particle data; the residual columns use
     local central-difference stencils around each sample (nan where a stencil
     leg leaves the image or t = 0 admits no centered difference).  The
-    stencil legs (t +- dt, y +- dy) of as many rows as fit in _BATCH points
-    (one row on a smooth flow) go to one ``_stencil_legs``.
+    stencil legs (t +- dt, y +- dy) of as many rows as fit in _BATCH points,
+    at least one (one on a smooth flow), go to one ``_stencil_legs``.
     """
     if scenario.dim != 1:
         raise InvalidParameter("sample_field needs a one-dimensional scenario")
@@ -652,8 +647,7 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     for k, t in enumerate(map(float, times)):
         ys, vs = flow.grid_states(t, xs)
         dy = STENCIL_FRAC * max(float(ys[-1] - ys[0]), 1.0)
-        rows.append((t, ys, vs, dy,
-                     _pushforward(rho0_vals, flow.jacobian(t, xs))))
+        rows.append((t, ys, vs, dy, _pushforward(rho0_vals, flow.jacobian(t, xs))))
         if t - dt >= 0.0:
             legs += [(t, ys + dy), (t, ys - dy), (t + dt, ys), (t - dt, ys)]
         if (k + 1 < len(times) and flow.mode != "numeric"

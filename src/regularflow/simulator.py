@@ -361,10 +361,7 @@ def _vectorize_scalar(fn):
 
 
 class _DOP853(DOP853):
-    """DOP853 that adds itself to the list ``made``.  OdeSolver's ``fun``
-    and ``fun_vectorized`` are closures over the solver, so a solver that
-    solve_ivp is done with keeps its stage arrays until the cyclic garbage
-    collector runs, unless the caller clears it."""
+    """DOP853 that adds itself to the list ``made``, for its caller to free."""
 
     def __init__(self, *args, made, **kwargs):
         super().__init__(*args, **kwargs)
@@ -402,8 +399,7 @@ class NewtonFlow(_Tables):
             method=_DOP853, rtol=rtol, atol=atol, dense_output=True,
             events=list(events) or None, made=made,
         )
-        for solver in made:     # free it now, not at the next collection
-            vars(solver).clear()
+        vars(made.pop()).clear()  # it refers to itself: free it now, not at a gc
         if not sol.success:
             raise StepFailure(
                 f"DOP853 failed for n = {shape[0] if shape else 1} particles "

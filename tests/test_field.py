@@ -326,10 +326,9 @@ def test_sample_field_legs_have_the_bits_of_one_call_per_leg(name, times):
 @pytest.mark.parametrize("name,horizon,batch", [
     ("arctan_collide", 0.9, None),
     ("smooth_regular", 6.0, None),
-    ("smooth_regular", 6.0, 700),
-    # a row's four legs of 512 points go in batches of 700, which end
-    # inside its second leg and inside its t + dt leg; the last row's
-    # t + dt leg lies past the collision
+    # the last row's t + dt leg lies past the collision at 3.0000688: with
+    # the rows in one batch every leg falls back, with _BATCH under a row
+    # (4 legs of 512 points) only the last row's
     ("one_gap_collide", 2.9995, None),
     ("one_gap_collide", 2.9995, 700),
 ])
