@@ -219,23 +219,16 @@ class FlowMap:
 
     def _on_splines(self, t, xs, *calls):
         """For each (k, nu) of calls, the nu-th label derivative of spline k
-        (0 position, 1 velocity) of the dense cache at the labels xs, each
-        at its time of t (a number or an array broadcast against xs)."""
-        t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                    np.asarray(xs, dtype=float))
-        out = [np.empty(xs.shape) for _ in calls]
-        for tk in np.unique(t):
-            at = t == tk
-            splines = self._splines(tk)
-            for values, (k, nu) in zip(out, calls):
-                values[at] = splines[k](xs[at], nu)
-        return out
+        (0 position, 1 velocity) of the dense cache at the labels xs, all
+        at the one time t."""
+        splines = self._splines(t)
+        return [splines[k](np.asarray(xs, dtype=float), nu) for k, nu in calls]
 
     def jacobian(self, t, x):
         """dy/dx for a label or an array of labels, each at its time of t
-        (a number or an array broadcast against x), by the cached spline
-        for smooth forces and by a narrow central difference of the closed
-        form otherwise."""
+        (a number or an array broadcast against x; one number for smooth
+        forces), by the cached spline for smooth forces and by a narrow
+        central difference of the closed form otherwise."""
         x = np.asarray(x, dtype=float)
         if self.mode == "numeric":
             jac, = self._on_splines(t, x, (0, 1))
@@ -248,8 +241,8 @@ class FlowMap:
 
     def grid_states(self, t, xs):
         """Vectorized (y, v) over an array of labels, each at its time of t
-        (a number or an array broadcast against xs); smooth forces answer
-        from the per-time splines of the dense cache."""
+        (a number or an array broadcast against xs; one number for smooth
+        forces, which answer from the splines of the dense cache)."""
         if self.mode == "numeric":
             return tuple(self._on_splines(t, xs, (0, 0), (1, 0)))
         return self.states(t, xs)
@@ -305,16 +298,16 @@ def _require_image(flow, t, ys, xs):
 
 def _invert(flow, t, ys):
     """Labels of a 1-D array of image points ys, each at its time of t (a
-    number or an array broadcast against ys), the only route from an image
-    point to a label.
+    number or an array broadcast against ys; one number on a smooth flow),
+    the only route from an image point to a label.
 
     Each distinct time is gated once: ``ensure_regular`` (t > 0), then its
     image [L, R] from one ``flow.image`` call over all the times.  A point
     outside its image by more than a relative 1e-9 gets nan; one inside
     that slack is clamped into [L, R], and a point at an end gets that
     end's label.  Closed-form flows bisect every other point on their arcs,
-    all times at once; smooth flows solve the points of each time on its
-    spline in one array Brent iteration.  Each point has the bits of its
+    all times at once; smooth flows solve the points on the position spline
+    at their time in one array Brent iteration.  Each point has the bits of its
     inversion alone.  Raises NotRegular when a time is at or past the first
     detected collision, the material endpoints have crossed, or a smooth
     flow has folded.
@@ -338,10 +331,8 @@ def _invert(flow, t, ys):
     x = np.where(y <= L, flow.x_lo, np.where(y >= R, flow.x_hi, math.nan))
     todo = np.flatnonzero(np.isnan(x))
     if flow.mode == "numeric":
-        for k in np.unique(at[todo]):
-            one = todo[at[todo] == k]
-            x[one] = _brentq_many(flow._splines(times[k])[0], flow.x_lo,
-                                  flow.x_hi, y[one])
+        x[todo] = _brentq_many(flow._splines(t)[0], flow.x_lo, flow.x_hi,
+                               y[todo])
     else:
         x[todo] = _bisect(lambda tt, mid: flow.states(tt, mid)[0],
                           times[at[todo]], y[todo], flow.x_lo, flow.x_hi)
@@ -379,9 +370,10 @@ def _field_row(flow, rho0, t, ys):
     """(labels, u, pushforward density) at the image points ys, each at its
     time of t (a number or an array broadcast against ys), nan where a
     point lies outside the image; raises as ``_invert``.  A smooth flow
-    takes the times one by one in the order they come."""
+    takes the times one by one in the order they come, each as a number."""
     if flow.mode == "numeric" and np.ndim(t):
-        t, out = np.broadcast_to(t, ys.shape), np.empty((3,) + ys.shape)
+        t = np.broadcast_to(t, ys.shape)
+        out = np.empty((3,) + ys.shape)
         for tk in dict.fromkeys(t.tolist()):
             out[:, t == tk] = _field_row(flow, rho0, tk, ys[t == tk])
         return tuple(out)
@@ -390,7 +382,7 @@ def _field_row(flow, rho0, t, ys):
     rho = np.full(ys.shape, math.nan)
     found = ~np.isnan(x)
     if found.any():
-        t = np.broadcast_to(t, ys.shape)[found]
+        t = np.broadcast_to(t, ys.shape)[found] if np.ndim(t) else t
         _, u[found] = flow.grid_states(t, x[found])
         rho[found] = _pushforward(_on_labels(rho0, x[found]),
                                   flow.jacobian(t, x[found]))
@@ -647,7 +639,8 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
     for k, t in enumerate(map(float, times)):
         ys, vs = flow.grid_states(t, xs)
         dy = STENCIL_FRAC * max(float(ys[-1] - ys[0]), 1.0)
-        rows.append((t, ys, vs, dy, _pushforward(rho0_vals, flow.jacobian(t, xs))))
+        rows.append((t, ys, vs, dy,
+                     _pushforward(rho0_vals, flow.jacobian(t, xs))))
         if t - dt >= 0.0:
             legs += [(t, ys + dy), (t, ys - dy), (t + dt, ys), (t - dt, ys)]
         if (k + 1 < len(times) and flow.mode != "numeric"
