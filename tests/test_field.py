@@ -295,7 +295,21 @@ def _residuals_one_leg_at_a_time(s, flow, grid):
     return res_e, res_c
 
 
-def _check_legs_against_one_call_per_leg(name, times):
+@pytest.mark.parametrize("name,times", [
+    ("two_gap_regular", [0.0, 1.5, 5.0]),
+    ("moving_power", [0.0, 0.7, 2.0]),
+    ("smooth_regular", [0.0, 1.0, 2.5]),
+    # the t + dt leg of the last time lies past the collision at 3.0000688
+    ("one_gap_collide", [0.0, 1.0, 2.0, 2.9997]),
+    ("arctan_collide", np.linspace(0.0, 0.9, 9)),
+    ("smooth_regular", np.linspace(0.0, 6.0, 9)),
+    # 8 rows of stencil legs fill one batch of _BATCH points, which falls
+    # back leg by leg; with 9 the last row is a batch of its own and only
+    # it falls back
+    ("one_gap_collide", np.linspace(0.0, 2.9995, 9)),
+    ("one_gap_collide", np.linspace(0.0, 2.9995, 10)),
+])
+def test_sample_field_legs_have_the_bits_of_one_call_per_leg(name, times):
     s = _closed_form_case(name)[0] if name == "moving_power" \
         else load_bundled(name)
     dt = field.STENCIL_FRAC * max(1.0, times[-1])
@@ -310,33 +324,6 @@ def _check_legs_against_one_call_per_leg(name, times):
     assert [bool(np.isnan(r).all()) for r in grid.residual_euler] == \
         [t == 0.0 or p for t, p in zip(times, past)]
     assert any(past) == (name == "one_gap_collide")
-
-
-@pytest.mark.parametrize("name,times", [
-    ("two_gap_regular", [0.0, 1.5, 5.0]),
-    ("moving_power", [0.0, 0.7, 2.0]),
-    ("smooth_regular", [0.0, 1.0, 2.5]),
-    # the t + dt leg of the last time lies past the collision at 3.0000688
-    ("one_gap_collide", [0.0, 1.0, 2.0, 2.9997]),
-])
-def test_sample_field_legs_have_the_bits_of_one_call_per_leg(name, times):
-    _check_legs_against_one_call_per_leg(name, times)
-
-
-@pytest.mark.parametrize("name,horizon,batch", [
-    ("arctan_collide", 0.9, None),
-    ("smooth_regular", 6.0, None),
-    # the last row's t + dt leg lies past the collision at 3.0000688: with
-    # the rows in one batch every leg falls back, with _BATCH under a row
-    # (4 legs of 512 points) only the last row's
-    ("one_gap_collide", 2.9995, None),
-    ("one_gap_collide", 2.9995, 700),
-])
-def test_sample_field_batches_have_the_bits_of_one_call_per_leg(
-        monkeypatch, name, horizon, batch):
-    if batch is not None:
-        monkeypatch.setattr(field, "_BATCH", batch)
-    _check_legs_against_one_call_per_leg(name, np.linspace(0.0, horizon, 9))
 
 
 @pytest.mark.parametrize("name,horizon,bound_mib", [
