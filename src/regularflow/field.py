@@ -128,12 +128,12 @@ class FlowMap:
         """First detected collision time on [0, horizon], or +inf."""
         if self._regular_until is None:
             if self.mode == "numeric":
-                report = simulator._numeric_first_collision(
+                _, t, _ = simulator._numeric_first_collision(
                     self._dense_flow())
             else:
-                report = simulator.detect_collisions_1d(self.scenario,
-                                                        horizon=self.horizon)
-            self._regular_until = report.t_first if report.found else math.inf
+                t = simulator.detect_collisions_1d(
+                    self.scenario, horizon=self.horizon).t_first
+            self._regular_until = math.inf if t is None else t
         return self._regular_until
 
     def ensure_regular(self, t):
@@ -212,8 +212,8 @@ class FlowMap:
         if t != self._memo[0]:
             dense = self._dense_flow()
             ys, vs = dense.states(t)
-            self._memo = t, (CubicSpline(dense.xs, ys),
-                             CubicSpline(dense.xs, vs),
+            self._memo = t, (CubicSpline(dense.x0, ys),
+                             CubicSpline(dense.x0, vs),
                              bool(np.all(ys[1:] > ys[:-1])))
         return self._memo[1]
 

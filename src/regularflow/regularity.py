@@ -866,8 +866,7 @@ def _constant_vec_pair_scan(scenario):
     """Sampled pair scan under a constant force: any antiparallel
     label/velocity-difference pair is an exact collision witness."""
     pts = scenario.grid_points()
-    vel = np.array([np.asarray(scenario.init.velocity(p), dtype=float)
-                    for p in pts])
+    vel = simulator._velocities(scenario, pts)
     rng = _pair_rng(scenario, 4)
     n = len(pts)
     idx_pairs = []

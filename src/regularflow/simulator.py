@@ -1,11 +1,12 @@
 """Ensemble propagation and collision detection oracles.
 
-Gap, constant and half-space step forces admit exact piecewise-parabolic
-trajectories, so collision queries reduce to root finding on per-pair
-quadratic segments; every other force is integrated by NewtonFlow, the one
-DOP853 solve.  All detectors return a CollisionReport whose ``mode`` records
-which route decided ("Exact", "Numeric", or "Asymptotic" for
-infinite-horizon gap verdicts).
+Every route gives one trajectory type, EnsembleTrajectory: exact
+piecewise-parabolic arcs (ArcTrajectory) under gap, constant and
+half-space step forces, NewtonFlow, the one DOP853 solve, under every other
+force, and frame tables for central runs.  Collision queries on arcs reduce
+to root finding on per-pair quadratic segments.  Every detector returns a
+CollisionReport whose ``mode`` records which route decided ("Exact",
+"Numeric", or "Asymptotic" for infinite-horizon gap verdicts).
 """
 
 from __future__ import annotations
@@ -59,12 +60,27 @@ GAP_FRAMES = 16
 PAIR_CHUNK = 500000
 
 
-class _Tables:
-    """Frames at ``times`` that ``frames(lo, hi)`` gives on demand, as
-    (positions, velocities) of frames lo..hi-1; ``y`` and ``v`` are the
-    whole tables, built on first read."""
+class EnsembleTrajectory:
+    """The flow map of the labels x0 sampled at ``times``, the package's
+    one trajectory type: ``frames(lo, hi)`` gives the (positions,
+    velocities) of frames lo..hi-1, each shaped (frames, *x0.shape), and
+    ``y`` and ``v`` are the whole tables, built on first read.  Built from
+    the tables, as a central run is, it has no ``states(t)`` between its
+    frames; an ArcTrajectory or a NewtonFlow evaluates both on demand.
+    ``mode`` is "Exact" on arcs and "Numeric" otherwise."""
 
+    mode = "Numeric"
+    states = None
     _table = None
+
+    def __init__(self, times, x0, y, v):
+        self.times = times
+        self.x0 = x0
+        self._table = (y, v)
+
+    def frames(self, lo, hi):
+        y, v = self._table
+        return y[lo:hi], v[lo:hi]
 
     @property
     def y(self):
@@ -79,25 +95,29 @@ class _Tables:
             self._table = self.frames(0, len(self.times))
         return self._table
 
-
-class EnsembleTrajectory(_Tables):
-    """The labels x0 and their frames at ``times``: from the tables y and
-    v, shaped (len(times), *x0.shape), or from ``frames(lo, hi)``, which
-    gives frames lo..hi-1 on demand."""
-
-    def __init__(self, times, x0, y=None, v=None, mode="Numeric",
-                 frames=None):
-        self.times = times
-        self.x0 = x0
-        self.mode = mode
-        if frames is None:
-            self._table = (y, v)
-            frames = lambda lo, hi: (y[lo:hi], v[lo:hi])
-        self.frames = frames
-
     @property
     def n_particles(self):
         return self.x0.shape[0]
+
+
+class ArcTrajectory(EnsembleTrajectory):
+    """The labels x0 on their exact arcs, in ``_eval_arcs``' format,
+    sampled at ``times``."""
+
+    mode = "Exact"
+
+    def __init__(self, times, x0, arcs):
+        self.times = times
+        self.x0 = x0
+        self.arcs = arcs
+
+    def states(self, t):
+        """(positions, velocities) at t, times broadcast against the arcs."""
+        return _eval_arcs(self.arcs, t)[:2]
+
+    def frames(self, lo, hi):
+        return self.states(
+            self.times[lo:hi].reshape(-1, *[1] * np.ndim(self.x0)))
 
 
 @dataclass
@@ -368,8 +388,8 @@ class _DOP853(DOP853):
         made.append(self)
 
 
-class NewtonFlow(_Tables):
-    """Newton flow y'' = accel(y) of the positions y0, started with the
+class NewtonFlow(EnsembleTrajectory):
+    """Newton flow y'' = accel(y) of the labels x0 = y0, started with the
     velocities v0: the package's one ODE solve.
 
     Positions have any shape, (n,) on the line or (n, d) in d dimensions,
@@ -406,6 +426,7 @@ class NewtonFlow(_Tables):
                 f"on [0, {horizon}]: {sol.message}")
         times = np.linspace(0.0, horizon, n_out)
         self.times = times[:np.searchsorted(times, sol.t[-1], side="right")]
+        self.x0 = y0
         self.shape = shape
         del sol.y               # the state at each step: sol.sol is read
         self.sol = sol
@@ -450,7 +471,6 @@ class NumericFlow1D(NewtonFlow):
 
         super().__init__(accel, xs, v0, horizon, n_out)
         self.scenario = scenario
-        self.xs = xs
         self.v0 = v0
         self.mass = m
         self.n = len(xs)
@@ -478,10 +498,6 @@ class NumericFlow1D(NewtonFlow):
             scale = 1.0 + abs(self.energy0[i])
             worst = max(worst, abs(h - self.energy0[i]) / scale)
         return worst
-
-    def ensemble(self):
-        return EnsembleTrajectory(times=self.times, x0=self.xs,
-                                  frames=self.frames)
 
 
 #############################################################
@@ -513,7 +529,6 @@ class RadialEnsemble:
             raise OriginApproach("a radial trajectory collapsed toward the origin")
         self.flow = flow
         self.times = flow.times
-        self.radii = radii
         self.momentum = mom
         self.r = flow.y
         self.r_dot = flow.v
@@ -562,31 +577,65 @@ def infinite_horizon_applies(scenario):
         or (isinstance(force, HalfSpaceStep) and scenario.velocity_is_zero()))
 
 
-def _exact_first_collision(arcs, horizon):
-    """(time, (i, i + 1)) of the earliest crossing of adjacent labels on
-    [0, horizon], or (None, None)."""
-    cells = np.arange(len(arcs[0][1]) - 1)
-    times = _first_crossings(arcs, cells, cells + 1, horizon)
-    k = _earliest(times)
-    return (None, None) if k is None else (float(times[k]), (k, k + 1))
-
-
-def _min_gaps(n_frames, frames):
-    """The least adjacent gap of each of n_frames frames, and the first
-    frame with a gap <= 0 (a nan gap is none) or None.  ``frames(lo, hi)``
-    gives frames lo..hi-1 as rows, asked for GAP_FRAMES at a time."""
+def _min_gaps(flow):
+    """The least adjacent gap of each frame of the 1D trajectory flow, and
+    the first frame with a gap <= 0 (a nan gap is none) or None, reading
+    GAP_FRAMES frames at a time."""
+    n_frames = len(flow.times)
     history, hits = np.empty(n_frames), np.empty(n_frames, dtype=bool)
     for lo in range(0, n_frames, GAP_FRAMES):
-        gaps = np.diff(frames(lo, lo + GAP_FRAMES), axis=1)
+        gaps = np.diff(flow.frames(lo, lo + GAP_FRAMES)[0], axis=1)
         history[lo:lo + GAP_FRAMES] = np.min(gaps, axis=1)
         hits[lo:lo + GAP_FRAMES] = np.any(gaps <= 0.0, axis=1)
     hit = np.flatnonzero(hits)
     return history, int(hit[0]) if len(hit) else None
 
 
-def _gap_history(arcs, times):
-    times = np.asarray(times, dtype=float)
-    return _min_gaps(len(times), lambda lo, hi: _eval_arcs(arcs, times[lo:hi, None])[0])[0]
+def _bisect(flow, k, closed):
+    """The time, a float, where ``closed(positions)`` of the trajectory
+    flow first holds between frames k - 1 and k (at frame 0 for k = 0),
+    halved to 1e-9 of max(1, the last frame time)."""
+    t_lo, t_hi = flow.times[max(k - 1, 0)], flow.times[k]
+    for _ in range(80):
+        mid = 0.5 * (t_lo + t_hi)
+        if closed(flow.states(mid)[0]):
+            t_hi = mid
+        else:
+            t_lo = mid
+        if t_hi - t_lo <= 1e-9 * max(flow.times[-1], 1.0):
+            break
+    return float(t_hi)
+
+
+def _numeric_first_collision(flow):
+    """(history, time, (i, i + 1)) of the 1D numeric flow: the least
+    adjacent gap of each frame, and the first meeting of adjacent labels
+    bisected in time from the first folded frame, or None and None."""
+    history, k = _min_gaps(flow)
+    if k is None:
+        return history, None, None
+    t = _bisect(flow, k, lambda y: np.min(np.diff(y)) <= 0.0)
+    i = int(np.argmin(np.diff(flow.states(t)[0])))
+    return history, t, (i, i + 1)
+
+
+def _first_meeting(scenario, xs, levels, horizon, n_out, check_energy=True):
+    """The trajectory of the 1D labels xs at n_out times on [0, horizon],
+    the least adjacent gap of each frame, and the (time, (i, i + 1)) of
+    the first meeting of adjacent labels or None and None: the earliest
+    exact crossing of arcs under the force levels, with no gap scan and
+    the history None, else (levels None) the first fold of the numeric
+    flow."""
+    if levels is None:
+        flow = NumericFlow1D(scenario, xs, horizon, n_out, check_energy)
+        return (flow,) + _numeric_first_collision(flow)
+    flow = ArcTrajectory(np.linspace(0.0, horizon, n_out), xs,
+                         _label_arcs(scenario, xs, levels, horizon=horizon))
+    cells = np.arange(len(xs) - 1)
+    times = _first_crossings(flow.arcs, cells, cells + 1, horizon)
+    k = _earliest(times)
+    return (flow, None) + ((None, None) if k is None
+                           else (float(times[k]), (k, k + 1)))
 
 
 def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
@@ -608,60 +657,25 @@ def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
             "infinite horizon needs a gap or constant force and uniform "
             "particle mass; give a finite horizon")
     levels = _force_levels(scenario)
-
     xs = scenario.domain.axis_nodes(0, scenario.samples[0])
-    times = np.linspace(0.0, horizon, n_out)
-    if levels is not None:
-        arcs = _label_arcs(scenario, xs, levels, horizon=horizon)
-        t_first, pair = _exact_first_collision(arcs, horizon)
-        report = CollisionReport(
-            found=t_first is not None, t_first=t_first,
-            pair=None if pair is None else (float(xs[pair[0]]), float(xs[pair[1]])),
-            pair_indices=pair, min_gap_history=_gap_history(arcs, times),
-            times=times, mode="Exact",
-        )
-    else:
-        report = _numeric_first_collision(
-            NumericFlow1D(scenario, xs, horizon, n_out))
+    flow, history, t_first, pair = _first_meeting(scenario, xs, levels,
+                                                  horizon, n_out)
+    report = CollisionReport(
+        found=t_first is not None, t_first=t_first,
+        pair=None if pair is None else (float(xs[pair[0]]), float(xs[pair[1]])),
+        pair_indices=pair,
+        min_gap_history=_min_gaps(flow)[0] if history is None else history,
+        times=flow.times, mode=flow.mode,
+    )
     if report.found:
         _refine_1d(scenario, report, horizon, levels)
     return report
 
 
-def _numeric_first_collision(flow):
-    history, k = _min_gaps(len(flow.times),
-                           lambda lo, hi: flow.frames(lo, hi)[0])
-    if k is None:
-        return CollisionReport(found=False, min_gap_history=history,
-                               times=flow.times, mode="Numeric")
-    t_hi = flow.times[k]
-    t_lo = flow.times[k - 1] if k > 0 else 0.0
-
-    def min_gap(t):
-        y, _ = flow.states(t)
-        return float(np.min(np.diff(y)))
-
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if min_gap(mid) <= 0.0:
-            t_hi = mid
-        else:
-            t_lo = mid
-        if t_hi - t_lo <= 1e-9 * max(flow.times[-1], 1.0):
-            break
-    y, _ = flow.states(t_hi)
-    i = int(np.argmin(np.diff(y)))
-    return CollisionReport(
-        found=True, t_first=float(t_hi), pair=(float(flow.xs[i]), float(flow.xs[i + 1])),
-        pair_indices=(i, i + 1), min_gap_history=history, times=flow.times,
-        mode="Numeric",
-    )
-
-
 def _refine_1d(scenario, report, horizon, levels):
     """Double the local resolution around the witness pair until the first
     collision time is stable to 1e-3 relative, in at most REFINE_PASSES
-    passes: exact arcs under the force levels, else the numeric flow."""
+    passes."""
     x_lo_dom = scenario.domain.lower[0]
     x_hi_dom = scenario.domain.upper[0]
     a, b = report.pair
@@ -672,14 +686,8 @@ def _refine_1d(scenario, report, horizon, levels):
         lo = max(x_lo_dom, a - 2 * h)
         hi = min(x_hi_dom, b + 2 * h)
         xs = np.linspace(lo, hi, n_local)
-        if levels is not None:
-            t_new, pair = _exact_first_collision(
-                _label_arcs(scenario, xs, levels, horizon=horizon), horizon)
-        else:
-            sub = NumericFlow1D(scenario, xs, horizon, len(report.times),
-                                check_energy=False)
-            sub_rep = _numeric_first_collision(sub)
-            t_new, pair = sub_rep.t_first, sub_rep.pair_indices
+        _, _, t_new, pair = _first_meeting(
+            scenario, xs, levels, horizon, len(report.times), check_energy=False)
         if t_new is None:
             break
         report.t_first = float(t_new)
@@ -752,8 +760,8 @@ def asymptotic_verdict_1d(scenario):
     hist_times = np.linspace(0.0, max(t_star, 1.0), HISTORY_FRAMES)
     return CollisionReport(
         found=t_first is not None, t_first=t_first, pair=pair,
-        min_gap_history=_gap_history(arcs, hist_times), times=hist_times,
-        mode="Asymptotic", details={"t_enter_last": t_star},
+        min_gap_history=_min_gaps(ArcTrajectory(hist_times, xs, arcs))[0],
+        times=hist_times, mode="Asymptotic", details={"t_enter_last": t_star},
     )
 
 
@@ -856,9 +864,6 @@ def _multid_flow(scenario, pts, horizon, n_out=DEFAULT_N_OUT):
     if isinstance(force, Linear):
         def accel(y):
             return y @ force.matrix.T + force.offset
-    elif isinstance(force, ConstantVec):
-        def accel(y):
-            return np.broadcast_to(force.vector, y.shape)
     elif isinstance(force, HalfSpaceStep):
         def accel(y):
             below = y[:, force.axis] < force.a
@@ -869,7 +874,8 @@ def _multid_flow(scenario, pts, horizon, n_out=DEFAULT_N_OUT):
     return NewtonFlow(accel, pts, _velocities(scenario, pts), horizon, n_out)
 
 
-def _central_positions(scenario, horizon, n_out):
+def _central_trajectory(scenario, horizon, n_out):
+    """A central run's frames as tables, velocities by finite differences."""
     radii = scenario.domain.radial_nodes(scenario.samples[0])
     n_phi = scenario.samples[1]
     ens = RadialEnsemble(scenario, radii, horizon, n_out)
@@ -881,7 +887,8 @@ def _central_positions(scenario, horizon, n_out):
         rr = ens.r[k][:, None]
         pos[k, :, 0] = (rr * np.cos(ang)).ravel()
         pos[k, :, 1] = (rr * np.sin(ang)).ravel()
-    return ens.times, pos
+    return EnsembleTrajectory(ens.times, pos[0], pos,
+                              np.gradient(pos, ens.times, axis=0))
 
 
 def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
@@ -900,8 +907,7 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
     if isinstance(scenario.domain, Annulus):
         if not math.isfinite(horizon):
             raise InvalidParameter("infinite horizon is not supported for central runs")
-        times, frames = _central_positions(scenario, horizon, n_out)
-        return _frames_report(times, lambda lo, hi: frames[lo:hi], frames[0],
+        return _frames_report(_central_trajectory(scenario, horizon, n_out),
                               eps_rel)
 
     if n_particles is not None:
@@ -913,42 +919,35 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
         pts = scenario.grid_points()
 
     if isinstance(force, ConstantVec):
-        t, pair = _detect_constant_vec(scenario, pts, horizon, eps_rel)
-        return CollisionReport(
-            found=t is not None, t_first=t,
-            pair=None if pair is None else (tuple(pts[pair[0]]), tuple(pts[pair[1]])),
-            pair_indices=pair, mode="Exact",
-            details={"criterion": "straight relative motion"},
-        )
-
-    if isinstance(force, HalfSpaceStep) and scenario.velocity_is_zero():
-        t, pair = _detect_halfspace_exact(scenario, pts, horizon, eps_rel)
-        return CollisionReport(
-            found=t is not None and t <= horizon, t_first=t,
-            pair=None if pair is None else (tuple(pts[pair[0]]), tuple(pts[pair[1]])),
-            pair_indices=pair, mode="Exact",
-            details={"phases": "parabolic"},
-        )
-
-    if not math.isfinite(horizon):
+        detect, details = (_detect_constant_vec,
+                           {"criterion": "straight relative motion"})
+    elif isinstance(force, HalfSpaceStep) and scenario.velocity_is_zero():
+        detect, details = _detect_halfspace_exact, {"phases": "parabolic"}
+    elif not math.isfinite(horizon):
         raise InvalidParameter(
             "infinite horizon needs an exactly solvable force in multi-d")
-    flow = _multid_flow(scenario, pts, horizon, n_out)
-    return _frames_report(flow.times, lambda lo, hi: flow.frames(lo, hi)[0],
-                          pts, eps_rel, flow=flow)
+    else:
+        return _frames_report(_multid_flow(scenario, pts, horizon, n_out),
+                              eps_rel)
+    t, pair = detect(scenario, pts, horizon, eps_rel)
+    return CollisionReport(
+        found=t is not None and t <= horizon, t_first=t,
+        pair=None if pair is None else (tuple(pts[pair[0]]), tuple(pts[pair[1]])),
+        pair_indices=pair, mode="Exact", details=details,
+    )
 
 
-def _frames_report(times, positions, pts, eps_rel, flow=None):
-    """The first frame where a label comes within eps_rel of its initial
-    distance of its nearest neighbour, bisected in time on ``flow`` when
-    given.  ``positions(lo, hi)`` gives the positions of frames lo..hi-1,
-    asked for GAP_FRAMES at a time."""
-    tree0 = cKDTree(pts)
-    d0_nn, idx0 = tree0.query(pts, k=2)
+def _frames_report(flow, eps_rel):
+    """The first frame of the d-dimensional trajectory flow where a label
+    comes within eps_rel of its initial distance of its nearest neighbour,
+    read GAP_FRAMES frames at a time, and bisected in time where the flow
+    has states between its frames."""
+    pts, times = flow.x0, flow.times
+    d0_nn, _ = cKDTree(pts).query(pts, k=2)
     history = np.empty(len(times))
     hit_k, hit_pair = None, None
     for lo in range(0, len(times), GAP_FRAMES):
-        for k, frame in enumerate(positions(lo, lo + GAP_FRAMES), lo):
+        for k, frame in enumerate(flow.frames(lo, lo + GAP_FRAMES)[0], lo):
             tree = cKDTree(frame)
             dk, ik = tree.query(frame, k=2)
             history[k] = float(np.min(dk[:, 1]))
@@ -965,23 +964,10 @@ def _frames_report(times, positions, pts, eps_rel, flow=None):
                                mode="Numeric")
     i, j = hit_pair
     t_hit = float(times[hit_k])
-    if flow is not None and hit_k > 0:
+    if flow.states is not None and hit_k > 0:
         d0_pair = float(np.linalg.norm(pts[i] - pts[j]))
-        lo, hi = float(times[hit_k - 1]), t_hit
-
-        def pair_dist(t):
-            y = flow.states(t)[0]
-            return float(np.linalg.norm(y[i] - y[j]))
-
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if pair_dist(mid) <= eps_rel * d0_pair:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-9 * max(times[-1], 1.0):
-                break
-        t_hit = hi
+        t_hit = _bisect(flow, hit_k, lambda y: float(
+            np.linalg.norm(y[i] - y[j])) <= eps_rel * d0_pair)
     return CollisionReport(
         found=True, t_first=t_hit,
         pair=(tuple(np.asarray(pts[i], dtype=float)),
@@ -996,10 +982,9 @@ def _frames_report(times, positions, pts, eps_rel, flow=None):
 
 
 def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT):
-    """Trajectories of the sampled ensemble at n_out output times, whose
-    frames are evaluated when read: on exact arcs, in closed form, or from
-    the dense numeric solution.  Central runs keep their frames as
-    tables."""
+    """The trajectory of the sampled ensemble at n_out output times, whose
+    frames are evaluated when read: on exact arcs or from the dense
+    numeric solution.  Central runs keep their frames as tables."""
     horizon = scenario.horizon if horizon is None else float(horizon)
     if not math.isfinite(horizon):
         raise InvalidParameter("simulate_ensemble needs a finite horizon")
@@ -1011,41 +996,22 @@ def simulate_ensemble(scenario, horizon=None, n_out=DEFAULT_N_OUT):
         # a constant force keeps its numeric flow: the bundled
         # variable_mass_collide is one, and its trajectory.csv bytes are gated
         if isinstance(force, (OneGap, TwoGap, HalfSpaceStep)):
-            arcs = _label_arcs(scenario, xs, force, horizon=horizon)
-            return EnsembleTrajectory(
-                times=times, x0=xs, mode="Exact",
-                frames=lambda lo, hi: _eval_arcs(arcs, times[lo:hi, None])[:2])
-        return NumericFlow1D(scenario, xs, horizon, n_out).ensemble()
+            return ArcTrajectory(times, xs, _label_arcs(scenario, xs, force,
+                                                        horizon=horizon))
+        return NumericFlow1D(scenario, xs, horizon, n_out)
 
     if isinstance(scenario.domain, Annulus):
-        times, frames = _central_positions(scenario, horizon, n_out)
-        pts = frames[0]
-        vel = np.gradient(frames, times, axis=0)
-        return EnsembleTrajectory(times=times, x0=pts, y=frames, v=vel,
-                                  mode="Numeric")
+        return _central_trajectory(scenario, horizon, n_out)
 
     pts = scenario.grid_points()
     if isinstance(force, HalfSpaceStep):
         arcs = _plane_arcs(force, pts, _velocities(scenario, pts), 1.0,
                            horizon)
-        return EnsembleTrajectory(
-            times=times, x0=pts, mode="Exact",
-            frames=lambda lo, hi: _eval_arcs(arcs,
-                                             times[lo:hi, None, None])[:2])
-    if isinstance(force, ConstantVec):
-        vel0 = _velocities(scenario, pts)
-
-        def frames(lo, hi):
-            t = times[lo:hi, None, None]
-            return (pts[None] + vel0[None] * t
-                    + 0.5 * force.vector[None, None] * t ** 2,
-                    vel0[None] + force.vector[None, None] * t)
-
-        return EnsembleTrajectory(times=times, x0=pts, mode="Exact",
-                                  frames=frames)
-    flow = _multid_flow(scenario, pts, horizon, n_out)
-    return EnsembleTrajectory(times=flow.times, x0=pts, frames=flow.frames,
-                              mode="Numeric")
+    elif isinstance(force, ConstantVec):
+        arcs = [(0.0, pts, _velocities(scenario, pts), force.vector)]
+    else:
+        return _multid_flow(scenario, pts, horizon, n_out)
+    return ArcTrajectory(times, pts, arcs)
 
 
 class _ColumnText:

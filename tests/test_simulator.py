@@ -189,8 +189,9 @@ def test_gap_history_matches_the_per_particle_loop(name):
     arcs, segs, times = _exact_arcs(name)
     y_ref, _ = _positions_by_loop(segs, times)
     want = np.min(np.diff(y_ref, axis=1), axis=1)
-    np.testing.assert_array_equal(_bits(simulator._gap_history(arcs, times)),
-                                  _bits(want))
+    history, _ = simulator._min_gaps(
+        simulator.ArcTrajectory(times, arcs[0][1], arcs))
+    np.testing.assert_array_equal(_bits(history), _bits(want))
 
 
 def _full_array_first_collision(flow):
@@ -213,7 +214,7 @@ def _full_array_first_collision(flow):
         if t_hi - t_lo <= 1e-9 * max(flow.times[-1], 1.0):
             break
     i = int(np.argmin(np.diff(flow.states(t_hi)[0])))
-    return history, float(t_hi), (float(flow.xs[i]), float(flow.xs[i + 1]))
+    return history, float(t_hi), (i, i + 1)
 
 
 @pytest.mark.parametrize("horizon", [1.45, 2.0])
@@ -221,12 +222,11 @@ def test_blocked_fold_scan_has_the_bits_of_the_full_arrays(horizon):
     # the field's dense cache, 256 frames of 2,049 labels; at horizon 2 the
     # first fold lies in a later block of frames
     flow = field.FlowMap(load_bundled("smooth_collide"), horizon)._dense_flow()
-    report = simulator._numeric_first_collision(flow)
+    got = simulator._numeric_first_collision(flow)
     history, t_first, pair = _full_array_first_collision(flow)
-    np.testing.assert_array_equal(_bits(report.min_gap_history),
-                                  _bits(history))
-    assert (report.t_first, report.pair) == (t_first, pair)
-    assert report.found == (horizon == 2.0)
+    np.testing.assert_array_equal(_bits(got[0]), _bits(history))
+    assert got[1:] == (t_first, pair)
+    assert (got[1] is not None) == (horizon == 2.0)
 
 
 def test_blocked_gap_history_has_the_bits_of_the_full_arrays():
@@ -249,8 +249,8 @@ def test_blocked_gap_scan_skips_nan_and_finds_the_first_hit():
     frames[3, 4] = np.nan                 # a nan gap is not a hit
     frames[simulator.GAP_FRAMES + 2, 6] = frames[simulator.GAP_FRAMES + 2, 5]
     frames[-1, 2] = -5.0
-    history, hit = simulator._min_gaps(len(frames),
-                                       lambda lo, hi: frames[lo:hi])
+    history, hit = simulator._min_gaps(simulator.EnsembleTrajectory(
+        np.arange(len(frames), dtype=float), frames[0], frames, frames))
     gaps = np.diff(frames, axis=1)
     np.testing.assert_array_equal(_bits(history),
                                   _bits(np.min(gaps, axis=1)))
@@ -815,6 +815,23 @@ def test_particle_count_leaves_the_scenario_samples_alone():
     assert s.samples == samples
 
 
+def test_numeric_multid_detection_bisects_between_frames():
+    # known defect 3's focus: every label meets at (0.5, 0.5) at t = pi/2.
+    # With 257 frames the hit frame is bisected in time; this pins the
+    # value that bisection gives today, which direction 8's exact affine
+    # oracle is meant to move
+    s = scenario_from_dict({
+        "domain": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        "force": {"kind": "linear", "matrix": [[-1.0, 0.0], [0.0, -1.0]],
+                  "offset": [0.5, 0.5]},
+        "velocity": [0.0, 0.0], "horizon": 3.0})
+    report = detect_collisions_multid(s, n_out=257)
+    assert report.found and report.mode == "Numeric"
+    assert type(report.t_first) is float
+    assert report.t_first == 1.569796328432858
+    assert report.pair_indices == (0, 64)
+
+
 def test_central_frames_stay_separated():
     report = detect_collisions_multid(load_bundled("central_regular"))
     assert not report.found
@@ -909,11 +926,48 @@ def _on_demand(kind):
     elif kind == "numeric_1d":
         s = make_scenario(force={"kind": "smooth1d", "f": "1/(2 + y*y)"},
                           velocity="1 + x", horizon=2.0, grid=[9])
+    elif kind == "constant_2d":
+        s = scenario_from_dict(_CONSTANT_2D)
     else:
         s = replace(load_bundled("linear_monotone"), samples=(4, 4))
     traj = simulate_ensemble(s, n_out=50)
     assert traj.mode == ("Numeric" if kind.startswith("numeric") else "Exact")
     return traj
+
+
+# a d-dimensional constant force on moving labels: one exact arc each,
+# whose F t^2 / 2 is not exact in binary
+_CONSTANT_2D = {
+    "domain": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "force": {"kind": "constant", "vector": [0.3, -0.7]},
+    "velocity": {"matrix": [[0.5, 0.0], [0.2, -0.3]], "offset": [0.1, 0.2]},
+    "horizon": 2.0, "grid": [4, 4]}
+
+
+@pytest.mark.parametrize("kind", ["exact_1d", "halfspace_2d", "numeric_1d",
+                                  "numeric_2d", "constant_2d", "central"])
+def test_every_route_gives_the_bits_of_its_tables_in_any_chunking(kind):
+    if kind == "central":
+        traj = simulate_ensemble(load_bundled("central_regular"), n_out=50)
+    else:
+        traj = _on_demand(kind)
+    n = len(traj.times)
+    assert traj.y.shape == traj.v.shape == (n,) + traj.x0.shape
+    for chunk in (1, 3, 16, n):
+        for lo in range(0, n, chunk):
+            y, v = traj.frames(lo, lo + chunk)
+            np.testing.assert_array_equal(_bits(y), _bits(traj.y[lo:lo + chunk]))
+            np.testing.assert_array_equal(_bits(v), _bits(traj.v[lo:lo + chunk]))
+
+
+def test_constant_force_frames_are_the_parabola_of_each_label():
+    s = scenario_from_dict(_CONSTANT_2D)
+    traj = _on_demand("constant_2d")
+    x, t, f = traj.x0, traj.times[:, None, None], s.force.vector
+    vel = np.array([s.init.velocity(p) for p in x])
+    want = x + vel * t + 0.5 * f * t ** 2
+    assert np.all(np.abs(traj.y - want) <= 1e-15 * (1.0 + np.abs(traj.y)))
+    np.testing.assert_array_equal(_bits(traj.v), _bits(vel + f * t))
 
 
 @pytest.mark.parametrize("n,d", [(5, 0), (4, 2), (1, 0), (1, 3)])
