@@ -128,8 +128,7 @@ class FlowMap:
         """First detected collision time on [0, horizon], or +inf."""
         if self._regular_until is None:
             if self.mode == "numeric":
-                _, t, _ = simulator._numeric_first_collision(
-                    self._dense_flow())
+                t, _ = simulator._numeric_first_collision(self._dense_flow())
             else:
                 t = simulator.detect_collisions_1d(
                     self.scenario, horizon=self.horizon).t_first

@@ -51,7 +51,6 @@ ATOL = 1e-12
 ENERGY_DRIFT_BUDGET = 1e-8
 MICRO_PAIR_STEP = 1e-7
 REFINE_PASSES = 5
-HISTORY_FRAMES = 64
 MAX_PHASES = 64
 # output frames per block of a frame scan or of a trajectory.csv range,
 # which bounds its memory
@@ -126,8 +125,6 @@ class CollisionReport:
     t_first: Optional[float] = None
     pair: Optional[tuple] = None
     pair_indices: Optional[tuple] = None
-    min_gap_history: Optional[np.ndarray] = None
-    times: Optional[np.ndarray] = None
     mode: str = "Numeric"
     details: dict = field(default_factory=dict)
 
@@ -471,7 +468,6 @@ class NumericFlow1D(NewtonFlow):
 
         super().__init__(accel, xs, v0, horizon, n_out)
         self.scenario = scenario
-        self.v0 = v0
         self.mass = m
         self.n = len(xs)
         if not check_energy:
@@ -577,18 +573,16 @@ def infinite_horizon_applies(scenario):
         or (isinstance(force, HalfSpaceStep) and scenario.velocity_is_zero()))
 
 
-def _min_gaps(flow):
-    """The least adjacent gap of each frame of the 1D trajectory flow, and
-    the first frame with a gap <= 0 (a nan gap is none) or None, reading
-    GAP_FRAMES frames at a time."""
-    n_frames = len(flow.times)
-    history, hits = np.empty(n_frames), np.empty(n_frames, dtype=bool)
-    for lo in range(0, n_frames, GAP_FRAMES):
-        gaps = np.diff(flow.frames(lo, lo + GAP_FRAMES)[0], axis=1)
-        history[lo:lo + GAP_FRAMES] = np.min(gaps, axis=1)
-        hits[lo:lo + GAP_FRAMES] = np.any(gaps <= 0.0, axis=1)
-    hit = np.flatnonzero(hits)
-    return history, int(hit[0]) if len(hit) else None
+def _first_fold(flow):
+    """The first frame of the 1D trajectory flow with an adjacent gap <= 0
+    (a nan gap is none), or None, reading GAP_FRAMES frames at a time and
+    no block past that frame's."""
+    for lo in range(0, len(flow.times), GAP_FRAMES):
+        hits = np.any(np.diff(flow.frames(lo, lo + GAP_FRAMES)[0], axis=1)
+                      <= 0.0, axis=1)
+        if hits.any():
+            return lo + int(np.argmax(hits))
+    return None
 
 
 def _bisect(flow, k, closed):
@@ -608,34 +602,30 @@ def _bisect(flow, k, closed):
 
 
 def _numeric_first_collision(flow):
-    """(history, time, (i, i + 1)) of the 1D numeric flow: the least
-    adjacent gap of each frame, and the first meeting of adjacent labels
-    bisected in time from the first folded frame, or None and None."""
-    history, k = _min_gaps(flow)
+    """(time, (i, i + 1)) of the first meeting of adjacent labels of the 1D
+    numeric flow, bisected in time from its first folded frame, or None
+    and None."""
+    k = _first_fold(flow)
     if k is None:
-        return history, None, None
+        return None, None
     t = _bisect(flow, k, lambda y: np.min(np.diff(y)) <= 0.0)
     i = int(np.argmin(np.diff(flow.states(t)[0])))
-    return history, t, (i, i + 1)
+    return t, (i, i + 1)
 
 
 def _first_meeting(scenario, xs, levels, horizon, n_out, check_energy=True):
-    """The trajectory of the 1D labels xs at n_out times on [0, horizon],
-    the least adjacent gap of each frame, and the (time, (i, i + 1)) of
-    the first meeting of adjacent labels or None and None: the earliest
-    exact crossing of arcs under the force levels, with no gap scan and
-    the history None, else (levels None) the first fold of the numeric
-    flow."""
+    """The (time, (i, i + 1)) of the first meeting of adjacent 1D labels xs
+    on [0, horizon], or None and None: the earliest exact crossing of arcs
+    under the force levels, else (levels None) the first fold of the
+    numeric flow at n_out times."""
     if levels is None:
-        flow = NumericFlow1D(scenario, xs, horizon, n_out, check_energy)
-        return (flow,) + _numeric_first_collision(flow)
-    flow = ArcTrajectory(np.linspace(0.0, horizon, n_out), xs,
-                         _label_arcs(scenario, xs, levels, horizon=horizon))
+        return _numeric_first_collision(
+            NumericFlow1D(scenario, xs, horizon, n_out, check_energy))
     cells = np.arange(len(xs) - 1)
-    times = _first_crossings(flow.arcs, cells, cells + 1, horizon)
+    times = _first_crossings(_label_arcs(scenario, xs, levels, horizon=horizon),
+                             cells, cells + 1, horizon)
     k = _earliest(times)
-    return (flow, None) + ((None, None) if k is None
-                           else (float(times[k]), (k, k + 1)))
+    return (None, None) if k is None else (float(times[k]), (k, k + 1))
 
 
 def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
@@ -658,24 +648,21 @@ def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
             "particle mass; give a finite horizon")
     levels = _force_levels(scenario)
     xs = scenario.domain.axis_nodes(0, scenario.samples[0])
-    flow, history, t_first, pair = _first_meeting(scenario, xs, levels,
-                                                  horizon, n_out)
+    t_first, pair = _first_meeting(scenario, xs, levels, horizon, n_out)
     report = CollisionReport(
         found=t_first is not None, t_first=t_first,
         pair=None if pair is None else (float(xs[pair[0]]), float(xs[pair[1]])),
-        pair_indices=pair,
-        min_gap_history=_min_gaps(flow)[0] if history is None else history,
-        times=flow.times, mode=flow.mode,
+        pair_indices=pair, mode="Numeric" if levels is None else "Exact",
     )
     if report.found:
-        _refine_1d(scenario, report, horizon, levels)
+        _refine_1d(scenario, report, horizon, levels, n_out)
     return report
 
 
-def _refine_1d(scenario, report, horizon, levels):
+def _refine_1d(scenario, report, horizon, levels, n_out):
     """Double the local resolution around the witness pair until the first
     collision time is stable to 1e-3 relative, in at most REFINE_PASSES
-    passes."""
+    passes, a numeric flow at n_out times."""
     x_lo_dom = scenario.domain.lower[0]
     x_hi_dom = scenario.domain.upper[0]
     a, b = report.pair
@@ -686,8 +673,8 @@ def _refine_1d(scenario, report, horizon, levels):
         lo = max(x_lo_dom, a - 2 * h)
         hi = min(x_hi_dom, b + 2 * h)
         xs = np.linspace(lo, hi, n_local)
-        _, _, t_new, pair = _first_meeting(
-            scenario, xs, levels, horizon, len(report.times), check_energy=False)
+        t_new, pair = _first_meeting(scenario, xs, levels, horizon, n_out,
+                                     check_energy=False)
         if t_new is None:
             break
         report.t_first = float(t_new)
@@ -698,7 +685,6 @@ def _refine_1d(scenario, report, horizon, levels):
             break
         t_prev = t_new
         n_local = 2 * n_local - 1
-    report.details["refined"] = True
 
 
 #############################################################
@@ -757,11 +743,9 @@ def asymptotic_verdict_1d(scenario):
     if k is not None and (t_first is None or times[k] < t_first):
         t_first, pair = float(times[k]), (float(lo[k]), float(hi[k]))
 
-    hist_times = np.linspace(0.0, max(t_star, 1.0), HISTORY_FRAMES)
     return CollisionReport(
         found=t_first is not None, t_first=t_first, pair=pair,
-        min_gap_history=_min_gaps(ArcTrajectory(hist_times, xs, arcs))[0],
-        times=hist_times, mode="Asymptotic", details={"t_enter_last": t_star},
+        mode="Asymptotic", details={"t_enter_last": t_star},
     )
 
 
@@ -919,10 +903,9 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
         pts = scenario.grid_points()
 
     if isinstance(force, ConstantVec):
-        detect, details = (_detect_constant_vec,
-                           {"criterion": "straight relative motion"})
+        detect = _detect_constant_vec
     elif isinstance(force, HalfSpaceStep) and scenario.velocity_is_zero():
-        detect, details = _detect_halfspace_exact, {"phases": "parabolic"}
+        detect = _detect_halfspace_exact
     elif not math.isfinite(horizon):
         raise InvalidParameter(
             "infinite horizon needs an exactly solvable force in multi-d")
@@ -933,46 +916,41 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
     return CollisionReport(
         found=t is not None and t <= horizon, t_first=t,
         pair=None if pair is None else (tuple(pts[pair[0]]), tuple(pts[pair[1]])),
-        pair_indices=pair, mode="Exact", details=details,
+        pair_indices=pair, mode="Exact",
     )
 
 
 def _frames_report(flow, eps_rel):
     """The first frame of the d-dimensional trajectory flow where a label
     comes within eps_rel of its initial distance of its nearest neighbour,
-    read GAP_FRAMES frames at a time, and bisected in time where the flow
-    has states between its frames."""
-    pts, times = flow.x0, flow.times
+    read GAP_FRAMES frames at a time up to that frame, and bisected in time
+    where the flow has states between its frames."""
+    pts = flow.x0
     d0_nn, _ = cKDTree(pts).query(pts, k=2)
-    history = np.empty(len(times))
-    hit_k, hit_pair = None, None
-    for lo in range(0, len(times), GAP_FRAMES):
+    for lo in range(0, len(flow.times), GAP_FRAMES):
         for k, frame in enumerate(flow.frames(lo, lo + GAP_FRAMES)[0], lo):
-            tree = cKDTree(frame)
-            dk, ik = tree.query(frame, k=2)
-            history[k] = float(np.min(dk[:, 1]))
-            if hit_k is None:
-                cand = np.nonzero(dk[:, 1] <= 5.0 * eps_rel * d0_nn[:, 1])[0]
-                for i in cand:
-                    j = int(ik[i, 1])
-                    d0_pair = float(np.linalg.norm(pts[i] - pts[j]))
-                    if dk[i, 1] <= eps_rel * d0_pair:
-                        hit_k, hit_pair = k, (min(i, j), max(i, j))
-                        break
-    if hit_k is None:
-        return CollisionReport(found=False, min_gap_history=history, times=times,
-                               mode="Numeric")
-    i, j = hit_pair
-    t_hit = float(times[hit_k])
-    if flow.states is not None and hit_k > 0:
-        d0_pair = float(np.linalg.norm(pts[i] - pts[j]))
-        t_hit = _bisect(flow, hit_k, lambda y: float(
-            np.linalg.norm(y[i] - y[j])) <= eps_rel * d0_pair)
+            dk, ik = cKDTree(frame).query(frame, k=2)
+            for i in np.flatnonzero(dk[:, 1] <= 5.0 * eps_rel * d0_nn[:, 1]):
+                j = int(ik[i, 1])
+                d0_pair = float(np.linalg.norm(pts[i] - pts[j]))
+                if dk[i, 1] <= eps_rel * d0_pair:
+                    return _hit_report(flow, k, *sorted((int(i), j)),
+                                       eps_rel * d0_pair)
+    return CollisionReport(found=False, mode="Numeric")
+
+
+def _hit_report(flow, k, i, j, dist):
+    """The report of labels i < j of the trajectory flow within dist at
+    frame k, the time bisected where the flow has states between frames."""
+    t_hit = float(flow.times[k])
+    if flow.states is not None and k > 0:
+        t_hit = _bisect(flow, k, lambda y: float(
+            np.linalg.norm(y[i] - y[j])) <= dist)
     return CollisionReport(
         found=True, t_first=t_hit,
-        pair=(tuple(np.asarray(pts[i], dtype=float)),
-              tuple(np.asarray(pts[j], dtype=float))),
-        pair_indices=(i, j), min_gap_history=history, times=times, mode="Numeric",
+        pair=(tuple(np.asarray(flow.x0[i], dtype=float)),
+              tuple(np.asarray(flow.x0[j], dtype=float))),
+        pair_indices=(i, j), mode="Numeric",
     )
 
 

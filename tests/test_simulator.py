@@ -184,24 +184,13 @@ def test_arc_states_have_the_bits_of_the_scalar_arcs(name):
     np.testing.assert_array_equal(_bits(v), _bits(v_ref))
 
 
-@pytest.mark.parametrize("name", ARC_SCENARIOS)
-def test_gap_history_matches_the_per_particle_loop(name):
-    arcs, segs, times = _exact_arcs(name)
-    y_ref, _ = _positions_by_loop(segs, times)
-    want = np.min(np.diff(y_ref, axis=1), axis=1)
-    history, _ = simulator._min_gaps(
-        simulator.ArcTrajectory(times, arcs[0][1], arcs))
-    np.testing.assert_array_equal(_bits(history), _bits(want))
-
-
 def _full_array_first_collision(flow):
     """The first fold of a numeric flow from every adjacent gap of every
     frame at once: the reference for the blocked scan."""
     gaps = np.diff(flow.y, axis=1)
-    history = np.min(gaps, axis=1)
     hit_frames = np.nonzero(np.any(gaps <= 0.0, axis=1))[0]
     if len(hit_frames) == 0:
-        return history, None, None
+        return None, None
     k = int(hit_frames[0])
     t_hi = flow.times[k]
     t_lo = flow.times[k - 1] if k > 0 else 0.0
@@ -214,7 +203,7 @@ def _full_array_first_collision(flow):
         if t_hi - t_lo <= 1e-9 * max(flow.times[-1], 1.0):
             break
     i = int(np.argmin(np.diff(flow.states(t_hi)[0])))
-    return history, float(t_hi), (i, i + 1)
+    return float(t_hi), (i, i + 1)
 
 
 @pytest.mark.parametrize("horizon", [1.45, 2.0])
@@ -223,23 +212,23 @@ def test_blocked_fold_scan_has_the_bits_of_the_full_arrays(horizon):
     # first fold lies in a later block of frames
     flow = field.FlowMap(load_bundled("smooth_collide"), horizon)._dense_flow()
     got = simulator._numeric_first_collision(flow)
-    history, t_first, pair = _full_array_first_collision(flow)
-    np.testing.assert_array_equal(_bits(got[0]), _bits(history))
-    assert got[1:] == (t_first, pair)
-    assert (got[1] is not None) == (horizon == 2.0)
+    assert got == _full_array_first_collision(flow)
+    assert (got[0] is not None) == (horizon == 2.0)
 
 
-def test_blocked_gap_history_has_the_bits_of_the_full_arrays():
-    s = load_bundled("two_gap_collide")
-    report = detect_collisions_1d(s, horizon=20)
-    arcs = simulator._label_arcs(s, s.domain.axis_nodes(0, s.samples[0]),
-                                 simulator._force_levels(s))
-    ys = simulator._eval_arcs(arcs, report.times[:, None])[0]
-    np.testing.assert_array_equal(_bits(report.min_gap_history),
-                                  _bits(np.min(np.diff(ys, axis=1), axis=1)))
-    # the parent commit's crossing, which the gap scan does not feed
+def test_exact_detection_keeps_the_two_gap_crossing():
+    report = detect_collisions_1d(load_bundled("two_gap_collide"), horizon=20)
+    # the crossing of the commit before the frame scan was blocked
     assert report.t_first == 14.430248922183797
     assert report.pair == (0.9999978500336351, 1.0)
+
+
+class _BlockLog(simulator.EnsembleTrajectory):
+    """A frame table that records the first frame of each block read."""
+
+    def frames(self, lo, hi):
+        self.read.append(lo)
+        return super().frames(lo, hi)
 
 
 def test_blocked_gap_scan_skips_nan_and_finds_the_first_hit():
@@ -249,14 +238,33 @@ def test_blocked_gap_scan_skips_nan_and_finds_the_first_hit():
     frames[3, 4] = np.nan                 # a nan gap is not a hit
     frames[simulator.GAP_FRAMES + 2, 6] = frames[simulator.GAP_FRAMES + 2, 5]
     frames[-1, 2] = -5.0
-    history, hit = simulator._min_gaps(simulator.EnsembleTrajectory(
-        np.arange(len(frames), dtype=float), frames[0], frames, frames))
+    flow = _BlockLog(np.arange(len(frames), dtype=float), frames[0], frames,
+                     frames)
+    flow.read = []
+    hit = simulator._first_fold(flow)
     gaps = np.diff(frames, axis=1)
-    np.testing.assert_array_equal(_bits(history),
-                                  _bits(np.min(gaps, axis=1)))
-    assert np.isnan(history[3])
+    assert np.isnan(gaps[3]).any()
     assert hit == simulator.GAP_FRAMES + 2
     assert hit == int(np.nonzero(np.any(gaps <= 0.0, axis=1))[0][0])
+    # the scan stops at its hit: no block past the second is read
+    assert flow.read == [0, simulator.GAP_FRAMES]
+
+
+def test_exact_1d_detection_reads_no_frames(monkeypatch):
+    def no_frames(self, lo, hi):
+        raise AssertionError("exact 1D detection read a frame")
+
+    monkeypatch.setattr(simulator.ArcTrajectory, "frames", no_frames)
+    report = detect_collisions_1d(load_bundled("one_gap_collide"), horizon=20)
+    assert report.mode == "Exact"
+    assert report.t_first == 3.0000687973417133
+    assert report.pair == (0.9999082681017613, 1.0)
+    for name, t_first, pair in [
+            ("one_gap_regular", None, None),
+            ("one_gap_collide", 3.000000078247786, (0.9999999, 1.0))]:
+        report = asymptotic_verdict_1d(load_bundled(name))
+        assert report.mode == "Asymptotic"
+        assert (report.t_first, report.pair) == (t_first, pair)
 
 
 @pytest.mark.parametrize("name", ARC_SCENARIOS)
@@ -751,7 +759,6 @@ def test_no_collision_for_spreading_smooth_flow():
     s = load_bundled("smooth_regular")
     report = detect_collisions_1d(s)
     assert not report.found
-    assert np.all(report.min_gap_history > 0.0)
 
 
 #############################################################
@@ -815,21 +822,53 @@ def test_particle_count_leaves_the_scenario_samples_alone():
     assert s.samples == samples
 
 
+# known defect 3's focus: every label meets at (0.5, 0.5) at t = pi/2
+_FOCUS = {
+    "domain": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "force": {"kind": "linear", "matrix": [[-1.0, 0.0], [0.0, -1.0]],
+              "offset": [0.5, 0.5]},
+    "velocity": [0.0, 0.0], "horizon": 3.0}
+
+
 def test_numeric_multid_detection_bisects_between_frames():
-    # known defect 3's focus: every label meets at (0.5, 0.5) at t = pi/2.
-    # With 257 frames the hit frame is bisected in time; this pins the
+    # with 257 frames the hit frame is bisected in time; this pins the
     # value that bisection gives today, which direction 8's exact affine
     # oracle is meant to move
-    s = scenario_from_dict({
-        "domain": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
-        "force": {"kind": "linear", "matrix": [[-1.0, 0.0], [0.0, -1.0]],
-                  "offset": [0.5, 0.5]},
-        "velocity": [0.0, 0.0], "horizon": 3.0})
+    s = scenario_from_dict(_FOCUS)
     report = detect_collisions_multid(s, n_out=257)
     assert report.found and report.mode == "Numeric"
     assert type(report.t_first) is float
     assert report.t_first == 1.569796328432858
     assert report.pair_indices == (0, 64)
+    assert all(type(i) is int for i in report.pair_indices)
+
+
+def test_numeric_multid_scan_reads_no_frame_past_its_hit(monkeypatch):
+    # every label is within 1e-3 of its initial distance only at frame 134
+    # of 257, whose time 1.5703 lies within 1e-3 of pi/2
+    s = scenario_from_dict(_FOCUS)
+    flow = simulator._multid_flow(s, s.grid_points(), 3.0, n_out=257)
+    hit = 134
+    assert abs(math.cos(flow.times[hit])) <= 1e-3
+    assert abs(math.cos(flow.times[hit - 1])) > 1e-3
+    read, trees = [], []
+    frames, tree = flow.frames, simulator.cKDTree
+
+    def logged_frames(lo, hi):
+        read.append(lo)
+        return frames(lo, hi)
+
+    def logged_tree(points):
+        trees.append(points)
+        return tree(points)
+
+    monkeypatch.setattr(flow, "frames", logged_frames)
+    monkeypatch.setattr(simulator, "cKDTree", logged_tree)
+    report = simulator._frames_report(flow, 1e-3)
+    assert report.t_first == 1.569796328432858
+    # one tree of the labels, then one per frame up to the hit frame's
+    assert len(trees) == hit + 2
+    assert max(read) <= hit
 
 
 def test_central_frames_stay_separated():
