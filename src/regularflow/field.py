@@ -94,15 +94,16 @@ class BoundaryTrack:
 class FlowMap:
     """Queryable 1D flow (t, x) -> (y, v) with regularity gating.
 
-    Gap, constant and step forces evaluate in closed form, a whole array of
-    labels per call, each label at its own time.  Smooth forces answer grid
-    queries, Jacobians and the image that inversion searches from cubic
-    splines over a dense cached ensemble at the time asked, kept for the
-    last time only; ``states`` integrates each label on its own, a
-    one-label NumericFlow1D, for the material endpoints that
-    ``track_boundary`` follows.  ``ensure_regular`` refuses times at or past
-    the first collision on [0, horizon]: the first fold of the dense cache
-    for smooth forces, the exact detection otherwise.
+    Gap, constant and step forces, whose ``levels`` are not None, evaluate
+    in closed form, a whole array of labels per call, each label at its own
+    time.  Smooth forces (``levels`` None) answer grid queries, Jacobians
+    and the image that inversion searches from cubic splines over a dense
+    cached ensemble at the time asked, kept for the last time only;
+    ``states`` integrates each label on its own, a one-label NumericFlow1D,
+    for the material endpoints that ``track_boundary`` follows.
+    ``ensure_regular`` refuses times at or past the first collision on
+    [0, horizon]: the first fold of the dense cache for smooth forces, the
+    exact detection otherwise.
     """
 
     def __init__(self, scenario, horizon):
@@ -116,7 +117,6 @@ class FlowMap:
         self.x_lo = scenario.domain.lower[0]
         self.x_hi = scenario.domain.upper[0]
         self.levels = simulator._force_levels(scenario)
-        self.mode = "numeric" if self.levels is None else "exact"
         self._label_flows = {}
         self._dense = None
         self._memo = (math.nan, None)  # the last time splined, its splines
@@ -127,7 +127,7 @@ class FlowMap:
     def regular_until(self):
         """First detected collision time on [0, horizon], or +inf."""
         if self._regular_until is None:
-            if self.mode == "numeric":
+            if self.levels is None:
                 t, _ = simulator._numeric_first_collision(self._dense_flow())
             else:
                 t = simulator.detect_collisions_1d(
@@ -156,7 +156,7 @@ class FlowMap:
         shape: closed form for gap, constant and step forces, one cached
         dense integration per label for smooth ones.  Each element has the bits
         of its evaluation at one number."""
-        if self.mode == "numeric":
+        if self.levels is None:
             t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
                                         np.asarray(xs, dtype=float))
             ys = np.empty(xs.shape)
@@ -229,7 +229,7 @@ class FlowMap:
         forces), by the cached spline for smooth forces and by a narrow
         central difference of the closed form otherwise."""
         x = np.asarray(x, dtype=float)
-        if self.mode == "numeric":
+        if self.levels is None:
             jac, = self._on_splines(t, x, (0, 1))
         else:
             h = max(1e-6 * (self.x_hi - self.x_lo), 1e-9)
@@ -242,7 +242,7 @@ class FlowMap:
         """Vectorized (y, v) over an array of labels, each at its time of t
         (a number or an array broadcast against xs; one number for smooth
         forces, which answer from the splines of the dense cache)."""
-        if self.mode == "numeric":
+        if self.levels is None:
             return tuple(self._on_splines(t, xs, (0, 0), (1, 0)))
         return self.states(t, xs)
 
@@ -252,7 +252,7 @@ class FlowMap:
         material endpoints, or for smooth forces the per-time spline at
         x_lo and x_hi.  Raises NotRegular when a smooth flow's cache nodes
         are not strictly increasing at t."""
-        if self.mode != "numeric":
+        if self.levels is not None:
             return self.boundaries(t)
         if np.ndim(t):
             ends = np.array([self.image(float(tk)) for tk in t]).reshape(-1, 2)
@@ -329,7 +329,7 @@ def _invert(flow, t, ys):
     y = np.minimum(np.maximum(ys[inside], L), R)
     x = np.where(y <= L, flow.x_lo, np.where(y >= R, flow.x_hi, math.nan))
     todo = np.flatnonzero(np.isnan(x))
-    if flow.mode == "numeric":
+    if flow.levels is None:
         x[todo] = _brentq_many(flow._splines(t)[0], flow.x_lo, flow.x_hi,
                                y[todo])
     else:
@@ -370,7 +370,7 @@ def _field_row(flow, rho0, t, ys):
     time of t (a number or an array broadcast against ys), nan where a
     point lies outside the image; raises as ``_invert``.  A smooth flow
     takes the times one by one in the order they come, each as a number."""
-    if flow.mode == "numeric" and np.ndim(t):
+    if flow.levels is None and np.ndim(t):
         t = np.broadcast_to(t, ys.shape)
         out = np.empty((3,) + ys.shape)
         for tk in dict.fromkeys(t.tolist()):
@@ -622,8 +622,8 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
                 "sample_field needs explicit times or a finite horizon")
         times = np.linspace(0.0, float(horizon), n_times)
     times = np.asarray(sorted(float(t) for t in times), dtype=float)
-    if times[0] < 0.0:
-        raise InvalidParameter("sample times must be nonnegative")
+    if not times.size or times[0] < 0.0:
+        raise InvalidParameter("need one or more nonnegative sample times")
     t_max = float(times[-1])
     dt = STENCIL_FRAC * max(1.0, t_max)
     if flow is None:
@@ -642,7 +642,7 @@ def sample_field(scenario, times=None, horizon=None, n_times=9, flow=None):
                      _pushforward(rho0_vals, flow.jacobian(t, xs))))
         if t - dt >= 0.0:
             legs += [(t, ys + dy), (t, ys - dy), (t + dt, ys), (t - dt, ys)]
-        if (k + 1 < len(times) and flow.mode != "numeric"
+        if (k + 1 < len(times) and flow.levels is not None
                 and (len(legs) + 4) * len(xs) <= _BATCH):
             continue  # the legs of the next row fit in the same batch
         legs = iter(_stencil_legs(flow, rho0, legs) if legs else ())

@@ -147,16 +147,13 @@ def potential(force, y):
     antiderivative cache for every other force.
     """
     y = float(y)
-    if isinstance(force, OneGap):
-        if y <= force.a:
-            return -force.f1 * y
-        return -(force.f1 * force.a + force.f2 * (y - force.a))
-    if isinstance(force, TwoGap):
-        if y <= force.a:
-            return -force.f1 * y
-        if y <= force.b:
-            return -(force.f1 * force.a + force.f2 * (y - force.a))
-        return -(force.f1 * force.a + force.f2 * (force.b - force.a) + force.f3 * (y - force.b))
+    if isinstance(force, (OneGap, TwoGap)):
+        # f1 a + f2 (b - a) + ... from the left; a cut belongs to its region below
+        edges = (0.0, *[c for c in force.cuts if c < y], y)
+        u = -0.0  # exact identity of +, so each level's term keeps its bits
+        for f, lo, hi in zip(force.levels, edges, edges[1:]):
+            u += f * (hi - lo)
+        return -u
     if isinstance(force, ConstantVec) and force.dim == 1:
         return -float(force.vector[0]) * y
     return _anchored(force)(y)

@@ -31,6 +31,7 @@ from .scenario import (
     Annulus,
     CENTRAL_FLIGHT,
     CONSTANT_PAIR,
+    CUTOFF_FACTOR,
     Central,
     ConstantVec,
     GAP_KINDS,
@@ -82,7 +83,7 @@ LINE_GRID = 513
 # random point pairs per monotonicity quantifier, from fixed seeds
 MONOTONE_PROBES = 256
 # central criterion: anchor radii x targets, and the relative step of the
-# flight-time difference (at least the scenario's fd_step)
+# flight-time difference
 CENTRAL_GRID = 13
 CENTRAL_STEP = 1e-5
 # random label pairs added to the adjacent ones of the constant-force scan
@@ -486,15 +487,14 @@ def check_monotone_multi(scenario):
         lo = [-r_out, -r_out]
         hi = [r_out, r_out]
         span = r_out - r_in
-        f_lo = [-r_out - 10 * span] * 2
-        f_hi = [r_out + 10 * span] * 2
+        f_lo = [-r_out - CUTOFF_FACTOR * span] * 2
+        f_hi = [r_out + CUTOFF_FACTOR * span] * 2
     else:
         lo = list(scenario.domain.lower)
         hi = list(scenario.domain.upper)
         spans = [h - l for l, h in zip(lo, hi)]
         f_lo = [l - max(s, 1.0) for l, s in zip(lo, spans)]
-        f_hi = [h + scenario.cutoff_factor * max(s, 1.0)
-                for h, s in zip(hi, spans)]
+        f_hi = [h + CUTOFF_FACTOR * max(s, 1.0) for h, s in zip(hi, spans)]
 
     force = line_force(scenario.force) if d == 1 else scenario.force
     f_margin, f_pair = _monotone_margin(force, f_lo, f_hi, rng, d)
@@ -677,13 +677,12 @@ def check_central(scenario):
     for all anchor radii r1 and targets r2 > r1.  Equivalently the radial
     flight time T(r1, r2) = integral of the inverse speed from r1 to r2 is
     strictly decreasing in the anchor label; the margin is -dT/dr1 by
-    central differences of the whole integral with step eta * r1, which
-    keeps the finite-difference noise out of the quadrature.
+    central differences of the whole integral with step CENTRAL_STEP * r1,
+    which keeps the finite-difference noise out of the quadrature.
     """
     force = scenario.force
     if not isinstance(force, Central) or not isinstance(scenario.domain, Annulus):
         raise InvalidParameter("check_central needs a central force on an annulus")
-    eta = max(scenario.fd_step, CENTRAL_STEP)
     g = scenario.init.radial_speed
     h = scenario.init.angular_rate
     u = force.u
@@ -715,7 +714,7 @@ def check_central(scenario):
         return val
 
     def margin(r1, r2):
-        step = eta * r1
+        step = CENTRAL_STEP * r1
         t_hi = flight_time(r1 + step, r2)
         t_lo = flight_time(r1 - step, r2)
         return -(t_hi - t_lo) / (2.0 * step)

@@ -44,8 +44,8 @@ HALFSPACE_STEP = "halfspace-step"
 CENTRAL_FLIGHT = "central-flight-time"
 EULER_GLOBAL = "euler-global-smooth"
 
-DEFAULT_CUTOFF_FACTOR = 10.0
-DEFAULT_FD_STEP = 1e-6
+CUTOFF_FACTOR = 10.0
+FD_STEP = 1e-6
 _ZERO_TOL = 1e-12
 # random point pairs per sampled monotonicity quantifier of the report
 PAIR_PROBES = 128
@@ -396,8 +396,8 @@ def _const_vec_fn(vec):
     return lambda x: v
 
 
-def central_difference(f, rel_step=DEFAULT_FD_STEP, lower=None):
-    """Second-order difference closure with relative step.
+def central_difference(f, lower=None):
+    """Second-order difference closure with relative step FD_STEP.
 
     If ``lower`` is given the stencil never probes below it (one-sided
     second-order formula is used near that boundary instead).  Where the
@@ -410,7 +410,7 @@ def central_difference(f, rel_step=DEFAULT_FD_STEP, lower=None):
         return (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2.0 * h)) / (2.0 * h)
 
     def deriv(t):
-        h = rel_step * max(1.0, abs(t))
+        h = FD_STEP * max(1.0, abs(t))
         if lower is not None and t - h < lower:
             return one_sided(t, h)
         try:
@@ -425,16 +425,16 @@ def central_difference(f, rel_step=DEFAULT_FD_STEP, lower=None):
     return deriv
 
 
-def second_difference(f, rel_step=1e-4, lower=None):
+def second_difference(f, lower=None):
     """Three-point second derivative closure.
 
-    Uses its own, larger default step: nesting two first-difference closures
-    would amplify roundoff by 1/h^2, while a direct stencil at h ~ eps^(1/4)
-    keeps the error near 1e-8.
+    Uses its own, larger relative step 1e-4: nesting two first-difference
+    closures would amplify roundoff by 1/h^2, while a direct stencil at
+    h ~ eps^(1/4) keeps the error near 1e-8.
     """
 
     def deriv2(t):
-        h = rel_step * max(1.0, abs(t))
+        h = 1e-4 * max(1.0, abs(t))
         if lower is not None and t - h < lower:
             return (2.0 * f(t) - 5.0 * f(t + h) + 4.0 * f(t + 2.0 * h)
                     - f(t + 3.0 * h)) / (h * h)
@@ -469,8 +469,6 @@ class Scenario:
     init: InitialData
     horizon: float = math.inf
     samples: tuple = ()
-    cutoff_factor: float = DEFAULT_CUTOFF_FACTOR
-    fd_step: float = DEFAULT_FD_STEP
     source: Optional[dict] = None
 
     @property
@@ -495,16 +493,14 @@ class Scenario:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
 
-    def span_1d(self):
-        return self.domain.upper[0] - self.domain.lower[0]
-
     def y_cutoff(self):
-        """Upper truncation for 'for all y ahead' quantifiers."""
+        """Upper truncation for 'for all y ahead' quantifiers: the upper end
+        of the domain (the outer radius) plus CUTOFF_FACTOR spans."""
         if isinstance(self.domain, Annulus):
-            span = self.domain.r_outer - self.domain.r_inner
-            return self.domain.r_outer + self.cutoff_factor * span
-        span = self.span_1d()
-        return self.domain.upper[0] + self.cutoff_factor * span
+            lo, hi = self.domain.r_inner, self.domain.r_outer
+        else:
+            lo, hi = self.domain.lower[0], self.domain.upper[0]
+        return hi + CUTOFF_FACTOR * (hi - lo)
 
     def moving_label(self):
         """The first label whose speed is not within 1e-12 of zero (nan
@@ -557,8 +553,6 @@ def build_scenario(
     init=None,
     horizon=math.inf,
     samples=None,
-    cutoff_factor=DEFAULT_CUTOFF_FACTOR,
-    fd_step=DEFAULT_FD_STEP,
     source=None,
 ):
     """Validate the pieces, install missing derivative callbacks by central
@@ -616,20 +610,18 @@ def build_scenario(
         init=init,
         horizon=float(horizon),
         samples=samples,
-        cutoff_factor=float(cutoff_factor),
-        fd_step=float(fd_step),
         source=source,
     )
 
     # install derivative closures where the caller gave none
     if isinstance(force, Smooth1D) and force.df is None:
-        force.df = central_difference(force.f, fd_step)
+        force.df = central_difference(force.f)
     if isinstance(force, Central) and force.du is None:
-        force.du = central_difference(force.u, fd_step, lower=0.0)
+        force.du = central_difference(force.u, lower=0.0)
     if dim == 1 and init.velocity_deriv is None:
-        init.velocity_deriv = central_difference(init.velocity, fd_step)
+        init.velocity_deriv = central_difference(init.velocity)
     if init.mass_deriv is None:
-        init.mass_deriv = central_difference(init.mass, fd_step)
+        init.mass_deriv = central_difference(init.mass)
 
     _check_finite_fields(scenario)
     return scenario
@@ -706,8 +698,7 @@ def _invert_monotone_curve(z, targets):
     return mid if mid.shape else float(mid)
 
 
-def build_blowup_scenario(z, dz=None, d2z=None, samples=512, horizon=math.inf,
-                          fd_step=DEFAULT_FD_STEP):
+def build_blowup_scenario(z, dz=None, d2z=None, samples=512, horizon=math.inf):
     """Scenario whose flow contracts along a given decreasing curve.
 
     Given z: [0, inf) -> (0, 1] strictly decreasing with z(0) = 1, the initial
@@ -737,10 +728,10 @@ def build_blowup_scenario(z, dz=None, d2z=None, samples=512, horizon=math.inf,
     if d2z is None:
         # differentiate z directly when possible; nesting two difference
         # closures would lose four digits to roundoff
-        d2z = (central_difference(dz, fd_step, lower=0.0) if dz is not None
+        d2z = (central_difference(dz, lower=0.0) if dz is not None
                else second_difference(z, lower=0.0))
     if dz is None:
-        dz = central_difference(z, fd_step, lower=0.0)
+        dz = central_difference(z, lower=0.0)
 
     def velocity(x):
         t = _invert_monotone_curve(z, x)
@@ -763,7 +754,6 @@ def build_blowup_scenario(z, dz=None, d2z=None, samples=512, horizon=math.inf,
         init=InitialData(velocity=velocity),
         horizon=horizon,
         samples=(int(samples),),
-        fd_step=fd_step,
     )
 
 
@@ -981,7 +971,7 @@ def _monotone_check(s):
     d = s.dim
     lo = np.asarray(s.domain.lower, dtype=float)
     hi = np.asarray(s.domain.upper, dtype=float)
-    pad = s.cutoff_factor * (hi - lo)
+    pad = CUTOFF_FACTOR * (hi - lo)
     detail = "force and velocity nondecreasing along segments (sampled pairs)"
     force = line_force(s.force) if d == 1 else s.force
     for fn, a, b in ((force, lo - pad, hi + pad), (s.init.velocity, lo, hi)):
@@ -1106,11 +1096,12 @@ def scenario_from_dict(data):
     if "domain" not in data or "force" not in data:
         raise ScenarioFormatError("scenario needs 'domain' and 'force' sections")
 
-    domain = _domain_from_dict(data["domain"])
-    force = _force_from_dict(data["force"])
+    domain = _read("domain", _domain_from_dict, data["domain"])
+    force = _read("force", _force_from_dict, data["force"])
     central = isinstance(force, Central)
 
-    init_kwargs = _velocity_from_value(data.get("velocity"), domain.dim, central)
+    init_kwargs = _read("velocity", _velocity_from_value, data.get("velocity"),
+                        domain.dim, central)
     if "mass" in data:
         if domain.dim != 1:
             raise ScenarioFormatError("mass profiles are one-dimensional")
@@ -1129,13 +1120,12 @@ def scenario_from_dict(data):
         raise ScenarioFormatError("horizon must be a positive number or 'inf'")
 
     samples = data.get("grid")
-    if samples is not None:
-        if isinstance(samples, (int, float)) and not isinstance(samples, bool):
-            samples = (int(samples),)
-        elif isinstance(samples, list):
-            samples = tuple(int(n) for n in samples)
-        else:
-            raise ScenarioFormatError("grid must be an integer or a list of integers")
+    if isinstance(samples, (int, float)) and not isinstance(samples, bool):
+        samples = [samples]
+    if not isinstance(samples, (list, type(None))):
+        raise ScenarioFormatError("grid must be an integer or a list of integers")
+    if samples and _read("grid", lambda: [int(n) for n in samples]) != samples:
+        raise ScenarioFormatError("grid counts must be whole numbers")
 
     return build_scenario(
         domain=domain,
@@ -1145,6 +1135,14 @@ def scenario_from_dict(data):
         samples=samples,
         source=json.loads(json.dumps(data)),
     )
+
+
+def _read(section, parse, *args):
+    """parse(*args), with a malformed value's error as a ScenarioFormatError."""
+    try:
+        return parse(*args)
+    except (TypeError, ValueError, OverflowError, IndexError) as e:
+        raise ScenarioFormatError(f"malformed {section} value: {e}") from e
 
 
 def scenario_to_dict(s):

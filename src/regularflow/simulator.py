@@ -18,7 +18,7 @@ import shutil
 import sys
 import tempfile
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -65,10 +65,8 @@ class EnsembleTrajectory:
     velocities) of frames lo..hi-1, each shaped (frames, *x0.shape), and
     ``y`` and ``v`` are the whole tables, built on first read.  Built from
     the tables, as a central run is, it has no ``states(t)`` between its
-    frames; an ArcTrajectory or a NewtonFlow evaluates both on demand.
-    ``mode`` is "Exact" on arcs and "Numeric" otherwise."""
+    frames; an ArcTrajectory or a NewtonFlow evaluates both on demand."""
 
-    mode = "Numeric"
     states = None
     _table = None
 
@@ -102,8 +100,6 @@ class EnsembleTrajectory:
 class ArcTrajectory(EnsembleTrajectory):
     """The labels x0 on their exact arcs, in ``_eval_arcs``' format,
     sampled at ``times``."""
-
-    mode = "Exact"
 
     def __init__(self, times, x0, arcs):
         self.times = times
@@ -469,7 +465,6 @@ class NumericFlow1D(NewtonFlow):
         super().__init__(accel, xs, v0, horizon, n_out)
         self.scenario = scenario
         self.mass = m
-        self.n = len(xs)
         if not check_energy:
             return
         self.energy0 = 0.5 * m * v0 * v0 + np.array(
@@ -484,7 +479,7 @@ class NumericFlow1D(NewtonFlow):
     def _energy_drift(self):
         force = self.scenario.force
         k_idx = np.unique(np.linspace(0, len(self.times) - 1, 8).astype(int))
-        p_idx = np.unique(np.linspace(0, self.n - 1, min(self.n, 32)).astype(int))
+        p_idx = np.unique(np.linspace(0, self.n_particles - 1, 32).astype(int))
         y, v = self._at(self.times[k_idx])
         pairs = [(k, i) for k in range(len(k_idx)) for i in p_idx]
         us = quadrature.potentials(force, [y[k, i] for k, i in pairs])
@@ -613,14 +608,14 @@ def _numeric_first_collision(flow):
     return t, (i, i + 1)
 
 
-def _first_meeting(scenario, xs, levels, horizon, n_out, check_energy=True):
+def _first_meeting(scenario, xs, levels, horizon, check_energy=True):
     """The (time, (i, i + 1)) of the first meeting of adjacent 1D labels xs
     on [0, horizon], or None and None: the earliest exact crossing of arcs
     under the force levels, else (levels None) the first fold of the
-    numeric flow at n_out times."""
+    numeric flow at DEFAULT_N_OUT times."""
     if levels is None:
-        return _numeric_first_collision(
-            NumericFlow1D(scenario, xs, horizon, n_out, check_energy))
+        return _numeric_first_collision(NumericFlow1D(
+            scenario, xs, horizon, check_energy=check_energy))
     cells = np.arange(len(xs) - 1)
     times = _first_crossings(_label_arcs(scenario, xs, levels, horizon=horizon),
                              cells, cells + 1, horizon)
@@ -628,7 +623,7 @@ def _first_meeting(scenario, xs, levels, horizon, n_out, check_energy=True):
     return (None, None) if k is None else (float(times[k]), (k, k + 1))
 
 
-def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
+def detect_collisions_1d(scenario, horizon=None):
     """First coordinate collision of the sampled 1D ensemble.
 
     Gap, constant and step forces use exact per-pair quadratic crossings;
@@ -648,21 +643,20 @@ def detect_collisions_1d(scenario, horizon=None, n_out=DEFAULT_N_OUT):
             "particle mass; give a finite horizon")
     levels = _force_levels(scenario)
     xs = scenario.domain.axis_nodes(0, scenario.samples[0])
-    t_first, pair = _first_meeting(scenario, xs, levels, horizon, n_out)
+    t_first, pair = _first_meeting(scenario, xs, levels, horizon)
     report = CollisionReport(
         found=t_first is not None, t_first=t_first,
         pair=None if pair is None else (float(xs[pair[0]]), float(xs[pair[1]])),
         pair_indices=pair, mode="Numeric" if levels is None else "Exact",
     )
     if report.found:
-        _refine_1d(scenario, report, horizon, levels, n_out)
+        _refine_1d(scenario, report, horizon, levels)
     return report
 
 
-def _refine_1d(scenario, report, horizon, levels, n_out):
+def _refine_1d(scenario, report, horizon, levels):
     """Double the local resolution around the witness pair until the first
-    collision time is stable to 1e-3 relative, in at most REFINE_PASSES
-    passes, a numeric flow at n_out times."""
+    collision time is stable to 1e-3 relative, at most REFINE_PASSES times."""
     x_lo_dom = scenario.domain.lower[0]
     x_hi_dom = scenario.domain.upper[0]
     a, b = report.pair
@@ -673,7 +667,7 @@ def _refine_1d(scenario, report, horizon, levels, n_out):
         lo = max(x_lo_dom, a - 2 * h)
         hi = min(x_hi_dom, b + 2 * h)
         xs = np.linspace(lo, hi, n_local)
-        t_new, pair = _first_meeting(scenario, xs, levels, horizon, n_out,
+        t_new, pair = _first_meeting(scenario, xs, levels, horizon,
                                      check_energy=False)
         if t_new is None:
             break
@@ -876,7 +870,7 @@ def _central_trajectory(scenario, horizon, n_out):
 
 
 def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
-                             n_out=DEFAULT_N_OUT, n_particles=None):
+                             n_out=DEFAULT_N_OUT):
     """First pair approach below eps_rel of the initial pair distance.
 
     Constant and half-space step forces (with zero initial velocity) are
@@ -894,13 +888,7 @@ def detect_collisions_multid(scenario, horizon=None, eps_rel=1e-3,
         return _frames_report(_central_trajectory(scenario, horizon, n_out),
                               eps_rel)
 
-    if n_particles is not None:
-        n_axis = int(np.atleast_1d(n_particles)[0])
-        pts = replace(
-            scenario, samples=tuple(n_axis for _ in scenario.samples)
-        ).grid_points()
-    else:
-        pts = scenario.grid_points()
+    pts = scenario.grid_points()
 
     if isinstance(force, ConstantVec):
         detect = _detect_constant_vec

@@ -128,6 +128,41 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, command, flag,
     assert not list(tmp_path.iterdir())
 
 
+# a bundled scenario, the dotted key of one of its values and the JSON text
+# that replaces that value: a value of the wrong type or out of range
+@pytest.mark.parametrize("name,key,text", [
+    ("one_gap_regular", "grid", '["a"]'),
+    ("one_gap_regular", "grid", "[null]"),
+    ("one_gap_regular", "grid", "1e400"),
+    ("one_gap_regular", "grid", "[2.5]"),
+    ("one_gap_regular", "domain.lower", '["a"]'),
+    ("central_regular", "domain.r_inner", '"a"'),
+    ("one_gap_regular", "force.f1", '"x"'),
+    ("halfspace_regular", "force.a", '"b"'),
+    ("halfspace_regular", "force.axis", '"y"'),
+    ("halfspace_regular", "force.axis", "1.5"),
+    ("halfspace_regular", "force", '{"kind": "constant", "vector": ["a", 1]}'),
+    ("halfspace_regular", "velocity", '["a", 0]'),
+    ("halfspace_regular", "velocity", '{"matrix": [["a", 0], [0, 0]]}'),
+    ("linear_monotone", "force.matrix", '[["a", 0], [0, 1]]'),
+])
+def test_malformed_values_are_parse_errors(tmp_path, capsys, name, key,
+                                           text):
+    data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    *parents, last = key.split(".")
+    node = data
+    for k in parents:
+        node = node[k]
+    node[last] = "@value@"
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data).replace('"@value@"', text))
+    out = tmp_path / "out"
+    assert main(["check", "--scenario", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not list(out.glob("*"))
+
+
 def test_check_runs_are_byte_identical(tmp_path):
     outs = []
     for sub in ("a", "b"):

@@ -213,7 +213,7 @@ def _closed_form_case(name):
 def test_batched_inversion_has_the_bits_of_the_scalar_reference(name):
     s, horizon = _closed_form_case(name)
     flow = FlowMap(s, horizon=horizon)
-    assert flow.mode == "exact"
+    assert flow.levels is not None
     ref = _ScalarReference(s, flow)
     labels = np.linspace(flow.x_lo, flow.x_hi, 37)
     probes = []
@@ -342,6 +342,12 @@ def test_sample_field_works_in_bounded_memory(name, horizon, bound_mib):
     finally:
         gc.enable()
     assert peak < bound_mib
+
+
+@pytest.mark.parametrize("times", [[], [0.5, -0.25, 1.0]])
+def test_sample_field_refuses_no_times_and_negative_times(times):
+    with pytest.raises(InvalidParameter, match="nonnegative sample times"):
+        sample_field(load_bundled("one_gap_regular"), times=times)
 
 
 def test_smooth_field_builds_the_splines_of_each_time_once(monkeypatch):

@@ -138,6 +138,30 @@ def test_gap_potential_is_piecewise_linear():
     assert drop == pytest.approx(-(2.0 * 2.0 + 1.0 * 1.0), rel=1e-14)
 
 
+def _explicit_gap_potential(force, y):
+    """U(y) by the region formulas of the gap forces, written out."""
+    f1, f2, a = force.f1, force.f2, force.a
+    if y <= a:
+        return -f1 * y
+    if isinstance(force, OneGap) or y <= force.b:
+        return -(f1 * a + f2 * (y - a))
+    return -(f1 * a + f2 * (force.b - a) + force.f3 * (y - force.b))
+
+
+@pytest.mark.parametrize("name", ["one_gap_regular", "one_gap_collide",
+                                  "two_gap_regular", "two_gap_collide"])
+def test_gap_potential_has_the_bits_of_the_region_formulas(name):
+    # below, on, just past, between and above each cut, and at both zeros
+    force = load_bundled(name).force
+    edges = (0.0,) + force.cuts
+    ys = [-0.0, 0.0, -0.7, 0.3, 1.0, 1e3]
+    for lo, c in zip(edges, force.cuts):
+        ys += [c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf),
+               0.5 * (lo + c), c + 0.3, c + 1.7]
+    assert _bits(potential(force, y) for y in ys) == _bits(
+        _explicit_gap_potential(force, y) for y in ys)
+
+
 #############################################################
 # Turning points and singular boundaries
 #############################################################
