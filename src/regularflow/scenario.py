@@ -13,8 +13,10 @@ scalar fields may be expression strings (see `expressions`).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -59,6 +61,13 @@ TOL_EIG = 1e-10
 COND_MAX = 1e12
 
 
+def _require_finite(params):
+    """Refuse the first field of a domain or force that is not finite."""
+    for name, value in vars(params).items():
+        if not np.all(np.isfinite(value)):
+            raise InvalidParameter(f"{name} must be finite, got {value}")
+
+
 #############################################################
 # Domains
 #############################################################
@@ -86,11 +95,9 @@ class Box:
         self.upper_open = tuple(bool(f) for f in np.atleast_1d(self.upper_open))
         if len(self.lower_open) != len(self.lower) or len(self.upper_open) != len(self.lower):
             raise DimensionMismatch("box open-endpoint flags do not match the dimension")
-        for a, b in zip(self.lower, self.upper):
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise InvalidParameter("box bounds must be finite")
-            if not a < b:
-                raise InvalidParameter("box bounds must satisfy lower < upper")
+        _require_finite(self)
+        if not all(a < b for a, b in zip(self.lower, self.upper)):
+            raise InvalidParameter("box bounds must satisfy lower < upper")
 
     @property
     def dim(self):
@@ -119,12 +126,10 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self):
-        self.r_inner = float(self.r_inner)
-        self.r_outer = float(self.r_outer)
+        self.r_inner, self.r_outer = float(self.r_inner), float(self.r_outer)
+        _require_finite(self)
         if not 0.0 < self.r_inner < self.r_outer:
             raise InvalidParameter("annulus radii must satisfy 0 < r_inner < r_outer")
-        if not math.isfinite(self.r_outer):
-            raise InvalidParameter("annulus radii must be finite")
 
     @property
     def dim(self):
@@ -170,6 +175,7 @@ class OneGap:
 
     def __post_init__(self):
         self.f1, self.f2, self.a = float(self.f1), float(self.f2), float(self.a)
+        _require_finite(self)
         if not self.f1 > 0:
             raise InvalidParameter("f1 must be positive")
         if self.f2 < 0:
@@ -200,6 +206,7 @@ class TwoGap:
     def __post_init__(self):
         self.f1, self.f2, self.f3 = float(self.f1), float(self.f2), float(self.f3)
         self.a, self.b = float(self.a), float(self.b)
+        _require_finite(self)
         if not 0 < self.f2 < self.f1:
             raise InvalidParameter("need 0 < f2 < f1")
         if not self.f2 < self.f3:
@@ -224,8 +231,7 @@ class ConstantVec:
 
     def __post_init__(self):
         self.vector = np.atleast_1d(np.asarray(self.vector, dtype=float))
-        if not np.all(np.isfinite(self.vector)):
-            raise InvalidParameter("constant force vector must be finite")
+        _require_finite(self)
 
     @property
     def dim(self):
@@ -248,12 +254,13 @@ class HalfSpaceStep:
         self.f1 = np.atleast_1d(np.asarray(self.f1, dtype=float))
         self.f2 = np.atleast_1d(np.asarray(self.f2, dtype=float))
         self.a = float(self.a)
+        _require_finite(self)
         if self.f1.shape != self.f2.shape:
             raise DimensionMismatch("f1 and f2 must have the same dimension")
         if self.axis < 0:
             self.axis = len(self.f1) + self.axis
         if not 0 <= self.axis < len(self.f1):
-            raise InvalidParameter("split axis out of range")
+            raise InvalidParameter(f"split axis must lie in [-{len(self.f1)}, {len(self.f1) - 1}]")
         if not self.a > 0:
             raise InvalidParameter("the split offset a must be positive")
         if not self.f1[self.axis] > 0:
@@ -284,8 +291,7 @@ class Linear:
         self.offset = np.atleast_1d(np.asarray(self.offset, dtype=float))
         if len(self.offset) != self.matrix.shape[0]:
             raise DimensionMismatch("force offset does not match the matrix dimension")
-        if not (np.all(np.isfinite(self.matrix)) and np.all(np.isfinite(self.offset))):
-            raise InvalidParameter("linear force coefficients must be finite")
+        _require_finite(self)
 
     @property
     def dim(self):
@@ -392,8 +398,9 @@ def varying_mass_reason(force):
 
 
 def _const_vec_fn(vec):
+    """The velocity that is ``vec`` at every label: a Constant in 1D."""
     v = np.asarray(vec, dtype=float)
-    return lambda x: v
+    return Constant(v[0]) if len(v) == 1 else lambda x: v
 
 
 def central_difference(f, lower=None):
@@ -538,8 +545,6 @@ def _require_dim(domain, force):
 
 
 def _default_samples(domain):
-    if isinstance(domain, Annulus):
-        return (64, 64)
     if domain.dim == 1:
         return (512,)
     if domain.dim == 2:
@@ -581,19 +586,16 @@ def build_scenario(
     if samples is None:
         samples = _default_samples(domain)
     samples = tuple(int(n) for n in np.atleast_1d(samples))
-    if isinstance(domain, Annulus):
-        if len(samples) == 1:
-            samples = (samples[0], samples[0])
-    elif len(samples) == 1 and dim > 1:
-        samples = samples * dim
-    if len(samples) != (2 if isinstance(domain, Annulus) else dim):
+    if len(samples) == 1:
+        samples *= dim
+    if len(samples) != dim:
         raise DimensionMismatch("sample counts do not match the domain dimension")
     if any(n < 2 for n in samples):
         raise InvalidParameter("need at least 2 samples per coordinate")
 
     # defaults for missing profiles
     if init.velocity is None:
-        init.velocity = Constant(0.0) if dim == 1 else _const_vec_fn(np.zeros(dim))
+        init.velocity = _const_vec_fn(np.zeros(dim))
     if init.mass is None:
         init.mass = Constant(1.0)
     if init.density is None:
@@ -989,160 +991,157 @@ def _monotone_check(s):
 
 
 #############################################################
-# Scenario files (JSON with expression strings)
+# Scenario files: one schema for every key
 #############################################################
 
-_TOP_KEYS = {"domain", "force", "velocity", "mass", "density", "horizon", "grid"}
+# A type reads the JSON value at a key path, for a domain of dimension dim
+# (None where a list may have any length), or raises a ScenarioFormatError
+# whose message starts with the path.
 
 
-def _parse_scalar_field(value, what):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Constant(value)
+def _fail(path, expected, value):
+    raise ScenarioFormatError(f"{path}: expected {expected}, got {json.dumps(value)}")
+
+
+def _number(value, path, dim=None):
+    """A finite JSON number, never a boolean, or "inf" (RFC 8259 has no
+    infinite number; a class that needs a finite value refuses it)."""
+    if value in ("inf", "infinity"):
+        return math.inf
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        _fail(path, 'a finite number or "inf"', value)
+    return float(value)
+
+
+def _exact(kind, expected):
+    """The reader of one JSON type: 2.0 is no integer, true no number."""
+    return lambda value, path, dim: value if type(value) is kind else _fail(
+        path, expected, value)
+
+
+def _expression(value, path, dim):
+    """An expression string, or a number for the constant profile."""
     if isinstance(value, str):
         return parse_expression(value)
-    raise ScenarioFormatError(f"{what} must be a number or an expression string")
+    if type(value) not in (int, float):
+        _fail(path, "a number or an expression string", value)
+    return Constant(_number(value, path))
 
 
-def _domain_from_dict(d):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ScenarioFormatError("domain must be an object with a 'kind' key")
-    kind = d["kind"]
-    if kind == "box":
-        try:
-            return Box(
-                lower=d["lower"],
-                upper=d["upper"],
-                lower_open=tuple(d.get("lower_open", ())),
-                upper_open=tuple(d.get("upper_open", ())),
-            )
-        except KeyError as e:
-            raise ScenarioFormatError(f"box domain missing key {e.args[0]!r}")
-    if kind == "annulus":
-        try:
-            return Annulus(r_inner=d["r_inner"], r_outer=d["r_outer"])
-        except KeyError as e:
-            raise ScenarioFormatError(f"annulus domain missing key {e.args[0]!r}")
-    raise ScenarioFormatError(f"unknown domain kind {kind!r}")
-
-
-def _force_from_dict(d):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ScenarioFormatError("force must be an object with a 'kind' key")
-    kind = d["kind"]
-    try:
-        if kind == "smooth1d":
-            return Smooth1D(f=_parse_scalar_field(d["f"], "force.f"))
-        if kind == "one_gap":
-            return OneGap(f1=d["f1"], f2=d["f2"], a=d["a"])
-        if kind == "two_gap":
-            return TwoGap(f1=d["f1"], f2=d["f2"], f3=d["f3"], a=d["a"], b=d["b"])
-        if kind == "constant":
-            return ConstantVec(vector=d["vector"])
-        if kind == "halfspace_step":
-            return HalfSpaceStep(f1=d["f1"], f2=d["f2"], a=d["a"], axis=d.get("axis", -1))
-        if kind == "linear":
-            return Linear(matrix=d["matrix"], offset=d.get("offset"))
-        if kind == "central":
-            return Central(u=_parse_scalar_field(d["u"], "force.u"))
-    except KeyError as e:
-        raise ScenarioFormatError(f"force kind {kind!r} missing key {e.args[0]!r}")
-    raise ScenarioFormatError(f"unknown force kind {kind!r}")
-
-
-def _velocity_from_value(value, dim, central):
-    if value is None:
-        return {}
-    if central:
-        if not isinstance(value, dict) or not set(value) <= {"g", "h"}:
-            raise ScenarioFormatError(
-                "central velocity must be an object with radial keys 'g' and 'h'")
-        out = {}
-        if "g" in value:
-            out["radial_speed"] = _parse_scalar_field(value["g"], "velocity.g")
-        if "h" in value:
-            out["angular_rate"] = _parse_scalar_field(value["h"], "velocity.h")
-        return out
-    if isinstance(value, str) or (isinstance(value, (int, float)) and not isinstance(value, bool)):
-        if dim != 1 and not isinstance(value, str):
-            return {"velocity": _const_vec_fn([float(value)] * dim)}
-        if dim != 1:
-            raise ScenarioFormatError(
-                "expression velocities are one-dimensional; use a list or an affine object")
-        return {"velocity": _parse_scalar_field(value, "velocity")}
+def _vector(value, path, dim, item=_number):
+    """A list of dim entries (one or more where dim is None), each read by
+    ``item``; a bare entry is a list of one."""
     if isinstance(value, list):
-        vec = np.asarray(value, dtype=float)
-        if vec.shape != (dim,):
-            raise ScenarioFormatError(f"velocity vector must have {dim} components")
-        return {"velocity": _const_vec_fn(vec)} if dim > 1 else {"velocity": Constant(vec[0])}
-    if isinstance(value, dict):
-        if not set(value) <= {"matrix", "offset"}:
-            raise ScenarioFormatError("affine velocity takes keys 'matrix' and 'offset' only")
-        mat = np.asarray(value.get("matrix", np.zeros((dim, dim))), dtype=float)
-        off = np.asarray(value.get("offset", np.zeros(dim)), dtype=float)
-        if mat.shape != (dim, dim) or off.shape != (dim,):
-            raise ScenarioFormatError("affine velocity shapes do not match the dimension")
-        if dim == 1:
-            return {"velocity": lambda x: float(mat[0, 0] * x + off[0])}
-        return {"velocity": lambda x: mat @ np.asarray(x, dtype=float) + off}
-    raise ScenarioFormatError("velocity must be a number, expression, list or object")
+        out = [item(v, f"{path}[{k}]", dim) for k, v in enumerate(value)]
+    else:
+        out = [item(value, path, dim)]
+    if len(out) != (dim or len(out) or 1):
+        _fail(path, f"a list of {dim or 'one or more'} entries", value)
+    return out
+
+
+_TYPES = {"number": _number, "integer": _exact(int, "an integer"),
+          "expression": _expression, "vector": _vector,
+          "matrix": functools.partial(_vector, item=_vector),
+          "flags": functools.partial(_vector, item=_exact(bool, "true or false")),
+          "integers": functools.partial(_vector, item=_exact(int, "an integer"))}
+
+
+def _affine_velocity(matrix, offset):
+    """v(x) = M x + c, evaluated as the linear force M y + c is."""
+    affine = Linear(matrix, offset)
+    return {"velocity": line_force(affine) if affine.dim == 1 else affine}
+
+
+REQUIRED = "required"
+_NUMBER, _VECTOR = ("number", REQUIRED), ("vector", REQUIRED)
+
+# Each section maps its kinds to what each builds and to its keys, as
+# key: (type, default); a callable default takes the dimension, and a form
+# given by one type is one bare value.  A key typed by a section keeps its
+# JSON value until the domain fixes the dimension.  README lists the table.
+SCHEMA = {
+    "scenario": {"scenario": (dict, {
+        "domain": ("domain", REQUIRED), "force": ("force", REQUIRED),
+        "velocity": ("velocity", None), "mass": ("expression", None),
+        "density": ("expression", None), "horizon": ("number", math.inf),
+        "grid": ("integers", None)})},
+    "domain": {
+        "box": (Box, {"lower": _VECTOR, "upper": _VECTOR,
+                      "lower_open": ("flags", ()), "upper_open": ("flags", ())}),
+        "annulus": (Annulus, {"r_inner": _NUMBER, "r_outer": _NUMBER})},
+    "force": {
+        "smooth1d": (Smooth1D, {"f": ("expression", REQUIRED)}),
+        "one_gap": (OneGap, {"f1": _NUMBER, "f2": _NUMBER, "a": _NUMBER}),
+        "two_gap": (TwoGap, {"f1": _NUMBER, "f2": _NUMBER, "f3": _NUMBER,
+                             "a": _NUMBER, "b": _NUMBER}),
+        "constant": (ConstantVec, {"vector": _VECTOR}),
+        "halfspace_step": (HalfSpaceStep, {"f1": _VECTOR, "f2": _VECTOR, "a": _NUMBER,
+                                           "axis": ("integer", -1)}),
+        "linear": (Linear, {"matrix": ("matrix", REQUIRED), "offset": ("vector", None)}),
+        "central": (Central, {"u": ("expression", REQUIRED)})},
+    "velocity": {
+        "radial": (lambda g, h: {"radial_speed": g, "angular_rate": h},
+                   {"g": ("expression", None), "h": ("expression", None)}),
+        "affine": (_affine_velocity, {"matrix": ("matrix", lambda d: np.zeros((d, d))),
+                                      "offset": ("vector", None)}),
+        "list": (lambda value: {"velocity": _const_vec_fn(value)}, "vector"),
+        "profile": (lambda value: {"velocity": value}, "expression")},
+}
+
+
+def _read(section, value, dim, kind=None):
+    """What ``kind`` of ``section`` builds from ``value`` (a domain or force
+    names its kind), each key read by its type or set to its default."""
+    kinds, named = SCHEMA[section], kind is None
+    if not named and isinstance(kinds[kind][1], str):
+        build, type_name = kinds[kind]
+        return build(_TYPES[type_name](value, section, dim))
+    if not isinstance(value, dict):
+        _fail(section, "an object", value)
+    if named and (kind := value.get("kind")) not in tuple(kinds):
+        raise ScenarioFormatError(f"{section}.kind: unknown {section} kind {kind!r}, "
+                                  f"not one of {', '.join(kinds)}")
+    build, types = kinds[kind]
+    prefix = "" if section == "scenario" else f"{section}."
+    unknown = sorted(set(value) - set(types) - ({"kind"} if named else set()))
+    if unknown:
+        raise ScenarioFormatError(f"{prefix}{unknown[0]}: unknown key")
+    out = {}
+    for key, (type_name, default) in types.items():
+        if key in value:
+            out[key] = (value[key] if type_name in SCHEMA
+                        else _TYPES[type_name](value[key], prefix + key, dim))
+        elif default is REQUIRED:
+            raise ScenarioFormatError(f"{prefix}{key}: missing required key")
+        else:
+            out[key] = default(dim) if callable(default) else default
+    return build(**out)
 
 
 def scenario_from_dict(data):
-    if not isinstance(data, dict):
-        raise ScenarioFormatError("scenario description must be an object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ScenarioFormatError(f"unknown scenario key {sorted(unknown)[0]!r}")
-    if "domain" not in data or "force" not in data:
-        raise ScenarioFormatError("scenario needs 'domain' and 'force' sections")
-
-    domain = _read("domain", _domain_from_dict, data["domain"])
-    force = _read("force", _force_from_dict, data["force"])
-    central = isinstance(force, Central)
-
-    init_kwargs = _read("velocity", _velocity_from_value, data.get("velocity"),
-                        domain.dim, central)
-    if "mass" in data:
-        if domain.dim != 1:
-            raise ScenarioFormatError("mass profiles are one-dimensional")
-        init_kwargs["mass"] = _parse_scalar_field(data["mass"], "mass")
-    if "density" in data:
-        if domain.dim != 1 and not central:
-            raise ScenarioFormatError("density profiles are one-dimensional or radial")
-        init_kwargs["density"] = _parse_scalar_field(data["density"], "density")
-
-    horizon = data.get("horizon", "inf")
-    if isinstance(horizon, str):
-        if horizon not in ("inf", "infinity"):
-            raise ScenarioFormatError("horizon must be a positive number or 'inf'")
-        horizon = math.inf
-    if not isinstance(horizon, (int, float)) or isinstance(horizon, bool):
-        raise ScenarioFormatError("horizon must be a positive number or 'inf'")
-
-    samples = data.get("grid")
-    if isinstance(samples, (int, float)) and not isinstance(samples, bool):
-        samples = [samples]
-    if not isinstance(samples, (list, type(None))):
-        raise ScenarioFormatError("grid must be an integer or a list of integers")
-    if samples and _read("grid", lambda: [int(n) for n in samples]) != samples:
-        raise ScenarioFormatError("grid counts must be whole numbers")
-
-    return build_scenario(
-        domain=domain,
-        force=force,
-        init=InitialData(**init_kwargs),
-        horizon=horizon,
-        samples=samples,
-        source=json.loads(json.dumps(data)),
-    )
-
-
-def _read(section, parse, *args):
-    """parse(*args), with a malformed value's error as a ScenarioFormatError."""
-    try:
-        return parse(*args)
-    except (TypeError, ValueError, OverflowError, IndexError) as e:
-        raise ScenarioFormatError(f"malformed {section} value: {e}") from e
+    """Read a scenario description, the object of a scenario file, against
+    SCHEMA and build the scenario."""
+    top = _read("scenario", data, None, "scenario")
+    domain = _read("domain", top["domain"], None)
+    force = _read("force", top["force"], domain.dim)
+    dim, central, velocity, init = domain.dim, isinstance(force, Central), top["velocity"], {}
+    if "velocity" in data:
+        velocity = [velocity] * dim if dim > 1 and type(velocity) in (int, float) else velocity
+        init = _read("velocity", velocity, dim, (
+            "radial" if central else "affine" if isinstance(velocity, dict)
+            else "list" if isinstance(velocity, list) or dim > 1 else "profile"))
+    if top["mass"] is not None:
+        if dim != 1:
+            raise ScenarioFormatError("mass: mass profiles are one-dimensional")
+        init["mass"] = top["mass"]
+    if top["density"] is not None:
+        if dim != 1 and not central:
+            raise ScenarioFormatError("density: density profiles are 1D or radial")
+        init["density"] = top["density"]
+    return build_scenario(domain=domain, force=force, init=InitialData(**init),
+                          horizon=top["horizon"], samples=top["grid"],
+                          source=json.loads(json.dumps(data)))
 
 
 def scenario_to_dict(s):

@@ -129,7 +129,8 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, command, flag,
 
 
 # a bundled scenario, the dotted key of one of its values and the JSON text
-# that replaces that value: a value of the wrong type or out of range
+# that replaces or adds that value: a value of the wrong type or out of
+# range, an unknown key, or a number that is not finite
 @pytest.mark.parametrize("name,key,text", [
     ("one_gap_regular", "grid", '["a"]'),
     ("one_gap_regular", "grid", "[null]"),
@@ -145,6 +146,21 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, command, flag,
     ("halfspace_regular", "velocity", '["a", 0]'),
     ("halfspace_regular", "velocity", '{"matrix": [["a", 0], [0, 0]]}'),
     ("linear_monotone", "force.matrix", '[["a", 0], [0, 1]]'),
+    # each of these was read without an error, to a verdict
+    ("one_gap_regular", "force.f1", "true"),
+    ("halfspace_regular", "velocity", "[true, 0]"),
+    ("linear_monotone", "force.matrix", "[[true, 0], [0, 1]]"),
+    ("one_gap_regular", "domain.lower_open", '["no"]'),
+    ("one_gap_regular", "force.typo", "3"),
+    ("one_gap_regular", "domain.upperr", "[1.0]"),
+    ("one_gap_regular", "grid", "[true]"),
+    ("one_gap_regular", "grid", "[512.0]"),
+    ("halfspace_regular", "force.axis", "true"),
+    ("one_gap_regular", "force.f2", "NaN"),
+    ("two_gap_regular", "force.f3", "Infinity"),
+    ("one_gap_regular", "force.a", "Infinity"),
+    ("one_gap_regular", "force.f1", "1e400"),
+    ("halfspace_regular", "force.f2", "[NaN, 1.5]"),
 ])
 def test_malformed_values_are_parse_errors(tmp_path, capsys, name, key,
                                            text):
@@ -159,7 +175,7 @@ def test_malformed_values_are_parse_errors(tmp_path, capsys, name, key,
     out = tmp_path / "out"
     assert main(["check", "--scenario", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err
+    assert err.startswith(f"error: {path}: {key}")
     assert not list(out.glob("*"))
 
 

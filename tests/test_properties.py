@@ -1,5 +1,6 @@
 """Randomized invariants checked with hypothesis."""
 
+import copy
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regularflow.errors import RegularFlowError
 from regularflow.quadrature import energy_profile, time_of_flight
 from regularflow.regularity import (
     COLLISION,
@@ -15,10 +17,10 @@ from regularflow.regularity import (
     check_one_gap_zero_v,
     check_two_gap,
 )
-from regularflow.scenario import scenario_from_dict, scenario_to_dict
+from regularflow.scenario import load_scenario, scenario_from_dict, scenario_to_dict
 from regularflow.simulator import NumericFlow1D, asymptotic_verdict_1d
 
-from conftest import make_scenario
+from conftest import SCENARIO_DIR, make_scenario
 
 level = st.floats(min_value=0.05, max_value=8.0)
 offset = st.floats(min_value=0.05, max_value=4.0)
@@ -121,3 +123,49 @@ def test_flight_time_is_additive_when_resumed_at_arrival_speed(
     t_xy = time_of_flight(profile, x, y).time
     t_yz = time_of_flight(resumed, y, z).time
     assert t_xz == pytest.approx(t_xy + t_yz, rel=1e-9)
+
+
+BUNDLED = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
+# values of every JSON type, each out of place in some slot
+MUTANTS = (True, None, "a", [], [[1]], 1e308, -0.0)
+
+
+def _nodes(node, path=()):
+    """(path, value) of a JSON value and of everything inside it."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(value, path + (key,))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_mutated_bundled_scenario_loads_or_raises_a_regularflow_error(
+        tmp_path_factory, data):
+    # a leaf takes another value, an object loses a key or gains one the
+    # schema does not name; the reader refuses, or the scenario builds
+    scenario = copy.deepcopy(BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))])
+    nodes = list(_nodes(scenario))
+    how = data.draw(st.sampled_from(("leaf", "drop", "add")))
+    if how == "leaf":
+        path, _ = data.draw(st.sampled_from(
+            [n for n in nodes if n[0] and not isinstance(n[1], (dict, list))]))
+        *parents, last = path
+        target, value = scenario, data.draw(st.sampled_from(MUTANTS))
+    else:
+        parents, _ = data.draw(st.sampled_from([n for n in nodes if isinstance(n[1], dict)]))
+        target = scenario
+    for key in parents:
+        target = target[key]
+    if how == "leaf":
+        target[last] = value
+    elif how == "drop":
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    else:
+        target["unknown_key"] = 1
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(json.dumps(scenario))
+    try:
+        load_scenario(path)
+    except RegularFlowError:
+        pass

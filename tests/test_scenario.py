@@ -1,8 +1,11 @@
 """Scenario construction, validation, JSON round trips, assumption reports."""
 
+import dataclasses
+import importlib.util
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from regularflow.errors import (
     NotMonotone,
     ScenarioFormatError,
 )
-from regularflow.expressions import parse_expression
+from regularflow.expressions import Expression, parse_expression
 from regularflow.regularity import (
     check_auto,
     check_central,
@@ -22,6 +25,8 @@ from regularflow.regularity import (
     check_smooth_general,
 )
 from regularflow.scenario import (
+    REQUIRED,
+    SCHEMA,
     Annulus,
     Box,
     Constant,
@@ -45,7 +50,7 @@ from regularflow.scenario import (
 )
 
 import oracles
-from conftest import make_scenario
+from conftest import REPO_ROOT, SCENARIO_DIR, make_scenario
 
 
 #############################################################
@@ -116,6 +121,20 @@ def test_annulus_validation():
         Annulus(r_inner=2.0, r_outer=1.0)
     with pytest.raises(InvalidParameter):
         Annulus(r_inner=0.0, r_outer=1.0)
+
+
+@pytest.mark.parametrize("cls,params,name", [
+    (OneGap, dict(f1=1.0, f2=math.nan, a=2.0), "f2"),
+    (OneGap, dict(f1=math.inf, f2=2.0, a=2.0), "f1"),
+    (OneGap, dict(f1=1.0, f2=2.0, a=math.inf), "a"),
+    (TwoGap, dict(f1=2.0, f2=1.0, f3=math.inf, a=2.0, b=3.0), "f3"),
+    (HalfSpaceStep, dict(f1=[0.0, 1.0], f2=[math.nan, 1.5], a=2.0), "f2"),
+])
+def test_forces_refuse_non_finite_parameters(cls, params, name):
+    # each passes its order conditions: nan fails only the comparisons it
+    # meets, and inf satisfies f1 > 0, f2 < f3 and a > 1
+    with pytest.raises(InvalidParameter, match=f"^{name} must be finite"):
+        cls(**params)
 
 
 #############################################################
@@ -327,6 +346,62 @@ def test_bad_horizon_rejected():
 
 def test_horizon_inf_string():
     assert make_scenario(horizon="inf").horizon == math.inf
+
+
+def _fields(value):
+    """A scenario's fields, nested, as comparable values: a profile by its
+    text or value, an array as a list, any other callable by its type."""
+    if isinstance(value, (Expression, Constant)):
+        return repr(value) if isinstance(value, Expression) else ("Constant", value.value)
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, {k: _fields(v) for k, v in vars(value).items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return type(value).__name__ if callable(value) else value
+
+
+def _benchmark_variants():
+    # the seeded variants the benchmark writes for each workload
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_scenarios", REPO_ROOT / "perfbench" / "scenarios.py")
+    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)  # its dataclass looks itself up by name
+    return [case.data for workload in ("validate_suite", "simulate_csv", "field_regular")
+            for seed in range(1, 21) for case in bench.variant_cases(workload, seed)]
+
+
+def test_every_scenario_in_use_round_trips_to_equal_fields(tmp_path):
+    # each bundled file and benchmark variant is read, saved and read back
+    # to the same fields: the reader refuses no input in use
+    described = [json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+    described += _benchmark_variants()
+    assert len(described) == 13 + 20 * (4 + 4 + 1)
+    path = tmp_path / "case.json"
+    for data in described:
+        s = scenario_from_dict(data)
+        save_scenario(s, path)
+        assert _fields(load_scenario(path)) == _fields(s)
+
+
+def test_readme_key_table_is_the_schema():
+    text = (REPO_ROOT / "README.md").read_text()
+    section = text[text.index("## Scenario files"):]
+    section = section[:section.index("\n## ")]
+    rows = set()
+    for line in section.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0] in SCHEMA:
+            rows.add((*cells[:4], cells[4] == "required"))
+    schema = set()
+    for section, kinds in SCHEMA.items():
+        for kind, (_, keys) in kinds.items():
+            kind = "" if section == "scenario" else kind
+            if isinstance(keys, str):  # a velocity form of one bare value
+                schema.add((section, kind, "", keys, True))
+            else:
+                schema |= {(section, kind, key, type_name, default is REQUIRED)
+                           for key, (type_name, default) in keys.items()}
+    assert rows == schema
 
 
 def test_malformed_json_reports_position(tmp_path):
