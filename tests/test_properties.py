@@ -148,17 +148,16 @@ def test_a_mutated_bundled_scenario_loads_or_raises_a_regularflow_error(
     nodes = list(_nodes(scenario))
     how = data.draw(st.sampled_from(("leaf", "drop", "add")))
     if how == "leaf":
-        path, _ = data.draw(st.sampled_from(
-            [n for n in nodes if n[0] and not isinstance(n[1], (dict, list))]))
-        *parents, last = path
-        target, value = scenario, data.draw(st.sampled_from(MUTANTS))
+        *parents, last = data.draw(st.sampled_from(
+            [path for path, value in nodes if path and not isinstance(value, (dict, list))]))
     else:
-        parents, _ = data.draw(st.sampled_from([n for n in nodes if isinstance(n[1], dict)]))
-        target = scenario
+        parents = data.draw(st.sampled_from(
+            [path for path, value in nodes if isinstance(value, dict)]))
+    target = scenario
     for key in parents:
         target = target[key]
     if how == "leaf":
-        target[last] = value
+        target[last] = data.draw(st.sampled_from(MUTANTS))
     elif how == "drop":
         del target[data.draw(st.sampled_from(sorted(target)))]
     else:

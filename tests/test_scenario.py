@@ -351,8 +351,10 @@ def test_horizon_inf_string():
 def _fields(value):
     """A scenario's fields, nested, as comparable values: a profile by its
     text or value, an array as a list, any other callable by its type."""
-    if isinstance(value, (Expression, Constant)):
-        return repr(value) if isinstance(value, Expression) else ("Constant", value.value)
+    if isinstance(value, Expression):
+        return repr(value)
+    if isinstance(value, Constant):
+        return "Constant", value.value
     if dataclasses.is_dataclass(value):
         return type(value).__name__, {k: _fields(v) for k, v in vars(value).items()}
     if isinstance(value, np.ndarray):
@@ -385,10 +387,9 @@ def test_every_scenario_in_use_round_trips_to_equal_fields(tmp_path):
 
 def test_readme_key_table_is_the_schema():
     text = (REPO_ROOT / "README.md").read_text()
-    section = text[text.index("## Scenario files"):]
-    section = section[:section.index("\n## ")]
+    text = text[text.index("## Scenario files"):]
     rows = set()
-    for line in section.splitlines():
+    for line in text[:text.index("\n## ")].splitlines():
         cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
         if len(cells) == 5 and cells[0] in SCHEMA:
             rows.add((*cells[:4], cells[4] == "required"))
