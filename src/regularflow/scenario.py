@@ -1090,7 +1090,7 @@ SCHEMA = {
 }
 
 
-def _read(section, value, dim, kind=None):
+def _read_section(section, value, dim, kind=None):
     """What ``kind`` of ``section`` builds from ``value`` (a domain or force
     names its kind), each key read by its type or set to its default."""
     kinds, named = SCHEMA[section], kind is None
@@ -1122,13 +1122,13 @@ def _read(section, value, dim, kind=None):
 def scenario_from_dict(data):
     """Read a scenario description, the object of a scenario file, against
     SCHEMA and build the scenario."""
-    top = _read("scenario", data, None, "scenario")
-    domain = _read("domain", top["domain"], None)
-    force = _read("force", top["force"], domain.dim)
+    top = _read_section("scenario", data, None, "scenario")
+    domain = _read_section("domain", top["domain"], None)
+    force = _read_section("force", top["force"], domain.dim)
     dim, central, velocity, init = domain.dim, isinstance(force, Central), top["velocity"], {}
     if "velocity" in data:
         velocity = [velocity] * dim if dim > 1 and type(velocity) in (int, float) else velocity
-        init = _read("velocity", velocity, dim, (
+        init = _read_section("velocity", velocity, dim, (
             "radial" if central else "affine" if isinstance(velocity, dict)
             else "list" if isinstance(velocity, list) or dim > 1 else "profile"))
     if top["mass"] is not None:
