@@ -24,7 +24,6 @@ import numpy as np
 from . import field as field_mod
 from . import quadrature, regularity, simulator
 from .errors import (
-    ExpressionError,
     InternalInconsistency,
     NotRegular,
     RegularFlowError,
@@ -341,10 +340,6 @@ def main(argv=None):
         # numpy's floating-point warnings off for the whole command
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return _COMMANDS[config.command](config)
-    except ExpressionError as exc:
-        # the message already starts with "line L, column C: "
-        print(f"error: expression parse failure at {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except ScenarioFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EvaluationError,
+    ExpressionError,
     InvalidParameter,
     NotMonotone,
     ScenarioFormatError,
@@ -552,14 +553,7 @@ def _default_samples(domain):
     return (16,) * domain.dim
 
 
-def build_scenario(
-    domain,
-    force,
-    init=None,
-    horizon=math.inf,
-    samples=None,
-    source=None,
-):
+def build_scenario(domain, force, init=None, horizon=math.inf, samples=None, source=None):
     """Validate the pieces, install missing derivative callbacks by central
     differences, and assemble a Scenario."""
     _require_dim(domain, force)
@@ -606,14 +600,8 @@ def build_scenario(
         if init.angular_rate is None:
             init.angular_rate = Constant(0.0)
 
-    scenario = Scenario(
-        domain=domain,
-        force=force,
-        init=init,
-        horizon=float(horizon),
-        samples=samples,
-        source=source,
-    )
+    scenario = Scenario(domain=domain, force=force, init=init, horizon=float(horizon),
+                        samples=samples, source=source)
 
     # install derivative closures where the caller gave none
     if isinstance(force, Smooth1D) and force.df is None:
@@ -1013,16 +1001,26 @@ def _number(value, path, dim=None):
     return float(value)
 
 
-def _exact(kind, expected):
-    """The reader of one JSON type: 2.0 is no integer, true no number."""
-    return lambda value, path, dim: value if type(value) is kind else _fail(
-        path, expected, value)
+def _integer(value, path, dim, low=None, high=None):
+    """A JSON integer in [low, high], never 2.0 or true; by default an axis
+    of the domain, in [-dim, dim - 1]."""
+    low, high = (-dim, dim - 1) if low is None else (low, high)
+    if type(value) is not int or not low <= value <= high:
+        _fail(path, f"an integer in [{low}, {high}]", value)
+    return value
+
+
+def _flag(value, path, dim):
+    return value if type(value) is bool else _fail(path, "true or false", value)
 
 
 def _expression(value, path, dim):
     """An expression string, or a number for the constant profile."""
     if isinstance(value, str):
-        return parse_expression(value)
+        try:
+            return parse_expression(value)
+        except ExpressionError as e:
+            raise ScenarioFormatError(f"{path}: expression parse failure at {e}") from e
     if type(value) not in (int, float):
         _fail(path, "a number or an expression string", value)
     return Constant(_number(value, path))
@@ -1040,11 +1038,11 @@ def _vector(value, path, dim, item=_number):
     return out
 
 
-_TYPES = {"number": _number, "integer": _exact(int, "an integer"),
-          "expression": _expression, "vector": _vector,
-          "matrix": functools.partial(_vector, item=_vector),
-          "flags": functools.partial(_vector, item=_exact(bool, "true or false")),
-          "integers": functools.partial(_vector, item=_exact(int, "an integer"))}
+_TYPES = {"number": _number, "integer": _integer, "expression": _expression,
+          "vector": _vector, "matrix": functools.partial(_vector, item=_vector),
+          "flags": functools.partial(_vector, item=_flag),
+          "integers": functools.partial(_vector, item=functools.partial(
+              _integer, low=2, high=math.inf))}
 
 
 def _affine_velocity(matrix, offset):
@@ -1160,6 +1158,8 @@ def load_scenario(path):
             f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
     except OSError as e:
         raise ScenarioFormatError(f"{path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise ScenarioFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     try:
         return scenario_from_dict(data)
     except ScenarioFormatError as e:

@@ -104,6 +104,13 @@ def test_check_expression_error_names_position(tmp_path, capsys):
     assert err.count("line 1, column 4") == 1
 
 
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"domain": "\xff"}')
+    assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+
 def test_check_missing_file_and_bad_grid(tmp_path, capsys):
     assert main(["check", "--scenario", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 3
@@ -161,6 +168,11 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, command, flag,
     ("one_gap_regular", "force.a", "Infinity"),
     ("one_gap_regular", "force.f1", "1e400"),
     ("halfspace_regular", "force.f2", "[NaN, 1.5]"),
+    # out of range, or an expression that does not parse
+    ("halfspace_regular", "force.axis", "2"),
+    ("one_gap_regular", "grid", "[1]"),
+    ("smooth_regular", "force.f", '"q"'),
+    ("smooth_regular", "velocity", '"x +* 2"'),
 ])
 def test_malformed_values_are_parse_errors(tmp_path, capsys, name, key,
                                            text):
